@@ -128,7 +128,11 @@ def gaussian(rng: RngStream, mean: float, stddev: float) -> float:
 
 @dataclass(frozen=True)
 class EvalCounts:
-    """Cumulative oracle evaluation counters at sampling time."""
+    """Oracle evaluation counts.
+
+    Cumulative at sampling time on an :class:`OracleSample`; per run on a
+    finite-sum solver result.
+    """
 
     f_evals: int = 0
     g_evals: int = 0

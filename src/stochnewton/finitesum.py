@@ -22,6 +22,13 @@ import numpy as np
 
 from .core import RngStream, Vector
 
+ALL_ROWS = slice(None)
+"""``idx`` of the private ``_batch_*`` methods for "every component".
+
+Only the uncounted all-rows queries pass it, so a subclass can read its
+whole data without an index copy.  A counted batch is always an index
+array, even one of size ``N``, which may repeat components."""
+
 
 class FiniteSumProblem:
     """Base class for ``phi = (1/N) sum phi_i`` with per-component access.
@@ -60,9 +67,11 @@ class FiniteSumProblem:
     # -- batch implementations (override for speed) --------------------------
 
     def _batch_value(self, idx, x: Vector) -> float:
+        idx = np.arange(self.N)[idx]
         return float(np.mean([self._component_value(i, x) for i in idx]))
 
     def _batch_gradient(self, idx, x: Vector) -> Vector:
+        idx = np.arange(self.N)[idx]
         g = np.zeros(self.n)
         for i in idx:
             g += self._component_gradient(i, x)
@@ -134,11 +143,11 @@ class FiniteSumProblem:
 
     def objective(self, x: Vector) -> float:
         """Full objective, outside the evaluation accounting."""
-        return self._batch_value(np.arange(self.N), x)
+        return self._batch_value(ALL_ROWS, x)
 
     def full_gradient_exact(self, x: Vector) -> Vector:
         """Full gradient, outside the evaluation accounting."""
-        return self._batch_gradient(np.arange(self.N), x)
+        return self._batch_gradient(ALL_ROWS, x)
 
 
 class QuadraticSumProblem(FiniteSumProblem):

@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PHASE_LINE_SEARCH, RunTrace, TraceRecord, Vector, as_vector
+from .core import (PHASE_LINE_SEARCH, EvalCounts, RunTrace, TraceRecord, Vector,
+                   as_vector)
 from .finitesum import (FiniteSumProblem, SagaTable, default_batch_size,
                         make_partition)
 from .linalg import NotPositiveDefiniteError, SpdOperator, solve_cg, solve_direct
@@ -135,6 +136,11 @@ def _newton_direction(problem, batch, x, g, cfg, k):
         return -g, None, None, True
 
 
+def _eval_totals(problem):
+    """The problem's cumulative (value, gradient, HVP) component counters."""
+    return problem.value_evals, problem.grad_evals, problem.hvp_evals
+
+
 def _append_fs_divergence(trace, k, elapsed, gnorm, f_star, t=0.0):
     trace.append(TraceRecord(iter=k, wall_time_s=elapsed, f_hat=math.inf,
                              true_error=math.inf if f_star is not None else None,
@@ -156,6 +162,7 @@ def _drive_fs(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
     use_saga = cfg.method in (METHOD_LSOS_BFGS, METHOD_SAGA_LS)
     use_lbfgs = cfg.method == METHOD_LSOS_BFGS
 
+    evals_at_entry = _eval_totals(problem)  # the SAGA table's pass counts too
     elapsed = 0.0
     tic = time.perf_counter()
     table = _make_saga_table(problem, cfg, x) if use_saga else None
@@ -254,7 +261,7 @@ def _drive_fs(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
         if cfg.max_epochs is None and cfg.max_iters is not None and k >= cfg.max_iters:
             done = True
 
+    evals = EvalCounts(*(now - then for now, then
+                         in zip(_eval_totals(problem), evals_at_entry)))
     return SolverResult(x=x, trace=trace, stop_reason=stop_reason, iterations=k,
-                        final_grad_norm=gnorm, k_tau=None,
-                        eval_counts=(problem.value_evals, problem.grad_evals,
-                                     problem.hvp_evals))
+                        final_grad_norm=gnorm, k_tau=None, eval_counts=evals)

@@ -14,6 +14,7 @@ are independent of the replication count and can execute in parallel.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -470,20 +471,27 @@ def grid_search_step(run_candidate, candidates) -> tuple[float, dict]:
     return best, results
 
 
-def resolve_grid_searches(spec: ExperimentSpec, problem, kind: str) -> ExperimentSpec:
-    """Replace every ``t_ini = grid`` by its pilot-selected value (rep 0)."""
-    candidates = [float(c) for c in spec.get("grid.candidates").split(",")]
+def resolve_grid_searches(spec: ExperimentSpec, problem, kind: str,
+                          pool=None) -> ExperimentSpec:
+    """Replace every ``t_ini = grid`` by its pilot-selected value (rep 0).
+
+    The pilots of all grid-searched solvers run as one batch of jobs, in
+    `pool` (see :func:`run_experiment`) when given, else here one after
+    another; the selection does not depend on where they ran.
+    """
+    candidates = sorted({float(c) for c in spec.get("grid.candidates").split(",")},
+                        reverse=True)
+    names = [name for name in spec.solver_names()
+             if spec.solver_get(name, "t_ini", "1.0") == "grid"]
+    pilots = [(name, t_ini) for name in names for t_ini in candidates]
+    jobs = [(spec.override(**{f"solver.{name}.t_ini": repr(t_ini)}), name, 0)
+            for name, t_ini in pilots]
+    final_error = {pilot: _trace_errors(trace)[-1] for pilot, trace
+                   in zip(pilots, _run_jobs(problem, kind, jobs, pool))}
     resolved = spec
-    for name in spec.solver_names():
-        if spec.solver_get(name, "t_ini", "1.0") != "grid":
-            continue
-
-        def pilot(t_ini, name=name):
-            trial = resolved.override(**{f"solver.{name}.t_ini": repr(float(t_ini))})
-            trace = run_replication(problem, kind, trial, name, rep=0)
-            return _trace_errors(trace)[-1]
-
-        best, _ = grid_search_step(pilot, candidates)
+    for name in names:
+        best, _ = grid_search_step(lambda t_ini, name=name: final_error[name, t_ini],
+                                   candidates)
         resolved = resolved.override(**{f"solver.{name}.t_ini": repr(best)})
     return resolved
 
@@ -503,40 +511,51 @@ _WORKER_STATE: dict = {}
 
 
 def _worker_init(values: dict):
-    spec = ExperimentSpec(dict(values))
-    problem, kind = build_problem(spec)
-    _WORKER_STATE["spec"] = spec
+    problem, kind = build_problem(ExperimentSpec(dict(values)))
     _WORKER_STATE["problem"] = problem
     _WORKER_STATE["kind"] = kind
 
 
-def _worker_run(args):
-    name, rep = args
+def _worker_run(job):
+    spec, name, rep = job
     return run_replication(_WORKER_STATE["problem"], _WORKER_STATE["kind"],
-                           _WORKER_STATE["spec"], name, rep)
+                           spec, name, rep)
+
+
+def _run_jobs(problem, kind: str, jobs, pool=None) -> list[RunTrace]:
+    """Traces of ``(spec, solver name, rep)`` jobs, in job order.
+
+    Pool workers build their own copy of the (deterministic) problem, so a
+    job's trace does not depend on where it ran.
+    """
+    if pool is not None:
+        return list(pool.map(_worker_run, jobs))
+    return [run_replication(problem, kind, spec, name, rep)
+            for spec, name, rep in jobs]
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
-    """Run the full grid; write traces, aggregates and the manifest."""
+    """Run the full grid; write traces, aggregates and the manifest.
+
+    With ``run.workers > 1`` one process pool runs the grid pilots and then
+    the replications.
+    """
     problem, kind = build_problem(spec)
-    spec = resolve_grid_searches(spec, problem, kind)
-    names = spec.solver_names()
     reps = spec.get("run.reps")
     if reps < 1:
         raise SpecError("run.reps must be >= 1")
     workers = spec.get("run.workers")
-
+    opened = (concurrent.futures.ProcessPoolExecutor(
+                  max_workers=workers, initializer=_worker_init,
+                  initargs=(spec.values,))
+              if workers > 1 else contextlib.nullcontext())
+    with opened as pool:
+        spec = resolve_grid_searches(spec, problem, kind, pool)
+        names = spec.solver_names()
+        jobs = [(spec, name, rep) for name in names for rep in range(reps)]
+        traces = _run_jobs(problem, kind, jobs, pool)
     result = ExperimentResult(spec=spec)
-    jobs = [(name, rep) for name in names for rep in range(reps)]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(spec.values,)) as pool:
-            traces = list(pool.map(_worker_run, jobs))
-    else:
-        traces = [run_replication(problem, kind, spec, name, rep)
-                  for name, rep in jobs]
-    for (name, _), trace in zip(jobs, traces):
+    for (_, name, _), trace in zip(jobs, traces):
         result.traces.setdefault(name, []).append(trace)
 
     modes = {"iter": [AGG_BY_ITERATION], "time": [AGG_BY_TIME],

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import RngStream, Vector
-from .finitesum import FiniteSumProblem
+from .finitesum import ALL_ROWS, FiniteSumProblem
 
 
 class LibsvmFormatError(ValueError):
@@ -91,7 +91,8 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
     Label sets {0,1}, {-1,+1} and {1,2} are normalized to {-1,+1} by mapping
     the smaller raw label to -1; the mapping is recorded on the dataset.
     Malformed tokens raise :class:`LibsvmFormatError` with the line number;
-    non-increasing indices within a line only warn.
+    non-increasing indices within a line only warn.  An index repeated
+    within a line keeps its last value, and zero values are not stored.
     """
     if isinstance(source, str):
         fh = _open_maybe_gzip(source)
@@ -99,8 +100,9 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
     else:
         fh, close = source, False
     raw_labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
-    max_index = 0
+    row_sizes: list[int] = []
+    all_cols: list[int] = []
+    all_vals: list[float] = []
     try:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -111,7 +113,6 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
                 label = float(tokens[0])
             except ValueError as exc:
                 raise LibsvmFormatError(f"line {lineno}: bad label {tokens[0]!r}") from exc
-            entries = []
             prev_idx = 0
             for tok in tokens[1:]:
                 try:
@@ -124,14 +125,14 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
                 if idx <= prev_idx:
                     warnings.warn(f"line {lineno}: non-increasing feature index {idx}")
                 prev_idx = idx
-                entries.append((idx - 1, val))
-                max_index = max(max_index, idx)
+                all_cols.append(idx)
+                all_vals.append(val)
             raw_labels.append(label)
-            rows.append(entries)
+            row_sizes.append(len(tokens) - 1)
     finally:
         if close:
             fh.close()
-    if not rows:
+    if not raw_labels:
         raise LibsvmFormatError("no data lines found")
 
     uniq = sorted(set(raw_labels))
@@ -145,14 +146,24 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
         mapping = {uniq[0]: 1.0}
     labels = np.array([mapping[l] for l in raw_labels])
 
+    max_index = max(all_cols, default=0)
     n = n_features if n_features is not None else max_index
     if n < max_index:
         raise LibsvmFormatError(f"n_features={n} below max index {max_index}")
-    mat = sp.lil_matrix((len(rows), max(n, 1)))
-    for i, entries in enumerate(rows):
-        for j, v in entries:
-            mat[i, j] = v
-    return Dataset(mat.tocsr(), labels, label_mapping={k: v for k, v in mapping.items()})
+    n = max(n, 1)
+    n_rows = len(row_sizes)
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), row_sizes)
+    cols = np.asarray(all_cols, dtype=np.int64) - 1
+    vals = np.asarray(all_vals, dtype=np.float64)
+    # stable sort by (row, column): repeats of an index keep file order
+    order = np.argsort(rows * n + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    keep = vals != 0.0
+    keep[:-1] &= (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n_rows), out=indptr[1:])
+    features = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_rows, n))
+    return Dataset(features, labels, label_mapping=mapping)
 
 
 def generate_synthetic_classification(N: int, n: int, separation: float,
@@ -190,11 +201,32 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scale_rows(rows, w: np.ndarray):
+    """``diag(w) @ rows``, in the layout of `rows`."""
+    return rows.multiply(w[:, None]) if sp.issparse(rows) else w[:, None] * rows
+
+
+def _to_dense(a) -> np.ndarray:
+    return a.toarray() if sp.issparse(a) else a
+
+
+def _loss_factors(rows, labels: np.ndarray, x: Vector) -> np.ndarray:
+    return -_sigmoid(-labels * (rows @ x)) * labels  # (1-z)/z * b_i
+
+
+def _curvatures(rows, labels: np.ndarray, x: Vector) -> np.ndarray:
+    m = labels * (rows @ x)
+    return _sigmoid(m) * _sigmoid(-m)  # (z-1)/z^2, in (0, 1/4]
+
+
 class LogRegModel(FiniteSumProblem):
     """The finite-sum logistic objective over a :class:`Dataset`.
 
-    ``mu`` defaults to ``1/N``.  Batch operations are vectorized through the
-    sparse feature matrix.
+    ``mu`` defaults to ``1/N``.  Batch operations are vectorized over the
+    row store ``store``, chosen once from the data: a dense ``ndarray`` when
+    it takes no more memory than the CSR matrix (8 bytes per entry against
+    12 per nonzero and 4 per row pointer, i.e. density above about 2/3),
+    otherwise the dataset's CSR matrix itself.
     """
 
     def __init__(self, dataset: Dataset, mu: Optional[float] = None):
@@ -204,62 +236,63 @@ class LogRegModel(FiniteSumProblem):
             raise ValueError("mu must be positive")
         L = self.mu + dataset.max_row_norm_sq
         super().__init__(dataset.N, dataset.n, mu_strong=self.mu, grad_lipschitz=L)
+        features = dataset.features
+        dense = 8 * self.N * self.n <= 12 * features.nnz + 4 * (self.N + 1)
+        self.store = features.toarray() if dense else features
         self._x_star: Optional[Vector] = None
         self._f_star: Optional[float] = None
 
-    # margins m_i = b_i a_i^T x for the rows in idx
-    def _margins(self, idx, x: Vector) -> np.ndarray:
-        return self.dataset.labels[idx] * (self.dataset.features[idx] @ x)
+    def _rows(self, idx):
+        """Feature rows and labels of the components `idx`.
+
+        :data:`ALL_ROWS` returns the whole store and label vector uncopied.
+        """
+        if idx is ALL_ROWS:
+            return self.store, self.dataset.labels
+        return self.store[idx], self.dataset.labels[idx]
 
     def _component_value(self, i, x):
-        m = float(self._margins([i], x)[0])
-        return float(np.logaddexp(0.0, -m) + 0.5 * self.mu * (x @ x))
+        return self._batch_value(np.asarray([i]), x)
 
     def _component_gradient(self, i, x):
-        return self._component_gradients([i], x)[0]
+        return self._component_gradients(np.asarray([i]), x)[0]
 
     def _component_hvp(self, i, x, v):
         return self._batch_hvp(np.asarray([i]), x, v)
 
     def _batch_value(self, idx, x):
-        m = self._margins(idx, x)
+        rows, labels = self._rows(idx)
+        m = labels * (rows @ x)
         return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * self.mu * (x @ x))
 
     def _batch_gradient(self, idx, x):
-        m = self._margins(idx, x)
-        coeff = -_sigmoid(-m) * self.dataset.labels[idx]  # (1-z)/z * b_i
-        g = np.asarray(self.dataset.features[idx].T @ coeff).ravel() / idx.size
+        rows, labels = self._rows(idx)
+        g = rows.T @ _loss_factors(rows, labels, x) / labels.size
         return g + self.mu * x
 
     def _component_gradients(self, idx, x):
-        m = self._margins(idx, x)
-        coeff = -_sigmoid(-m) * self.dataset.labels[idx]
-        rows = self.dataset.features[idx].multiply(coeff[:, None]).toarray()
-        return rows + self.mu * x[None, :]
+        rows, labels = self._rows(idx)
+        scaled = _scale_rows(rows, _loss_factors(rows, labels, x))
+        return _to_dense(scaled) + self.mu * x[None, :]
 
     def _batch_hvp(self, idx, x, v):
-        rows = self.dataset.features[idx]
-        m = self._margins(idx, x)
-        w = _sigmoid(m) * _sigmoid(-m)  # (z-1)/z^2, in (0, 1/4]
-        av = rows @ v
-        hv = np.asarray(rows.T @ (w * av)).ravel() / idx.size
+        rows, labels = self._rows(idx)
+        w = _curvatures(rows, labels, x)
+        hv = rows.T @ (w * (rows @ v)) / labels.size
         return hv + self.mu * v
 
     def _batch_hessian(self, idx, x):
-        rows = self.dataset.features[idx]
-        m = self._margins(idx, x)
-        w = _sigmoid(m) * _sigmoid(-m)
-        h = (rows.multiply(w[:, None]).T @ rows) / idx.size
-        h = np.asarray(h.todense() if sp.issparse(h) else h)
+        rows, labels = self._rows(idx)
+        w = _curvatures(rows, labels, x)
+        h = _to_dense(_scale_rows(rows, w).T @ rows) / labels.size
         return h + self.mu * np.eye(self.n)
 
     def loss_factors(self, idx, x: Vector) -> np.ndarray:
         """Per-row gradient scalars ``(1-z_i)/z_i * b_i`` (loss part only)."""
-        m = self._margins(idx, x)
-        return -_sigmoid(-m) * self.dataset.labels[idx]
+        return _loss_factors(*self._rows(idx), x)
 
     def accuracy(self, x: Vector) -> float:
-        pred = np.where(self.dataset.features @ x >= 0, 1.0, -1.0)
+        pred = np.where(self.store @ x >= 0, 1.0, -1.0)
         return float(np.mean(pred == self.dataset.labels))
 
     @property
@@ -273,26 +306,25 @@ class LogRegModel(FiniteSumProblem):
         if self._x_star is not None:
             return self._x_star, self._f_star
         x = np.zeros(self.n)
-        all_idx = np.arange(self.N)
         for _ in range(max_iters):
-            g = self._batch_gradient(all_idx, x)
+            g = self._batch_gradient(ALL_ROWS, x)
             if np.linalg.norm(g) <= tol:
                 break
-            h = self._batch_hessian(all_idx, x)
+            h = self._batch_hessian(ALL_ROWS, x)
             d = np.linalg.solve(h, -g)
-            f0 = self._batch_value(all_idx, x)
+            f0 = self._batch_value(ALL_ROWS, x)
             slope = float(g @ d)
             slack = 8.0 * np.finfo(float).eps * max(1.0, abs(f0))
             t = 1.0
             for _ in range(60):
-                if self._batch_value(all_idx, x + t * d) <= f0 + 1e-4 * t * slope + slack:
+                if self._batch_value(ALL_ROWS, x + t * d) <= f0 + 1e-4 * t * slope + slack:
                     break
                 t *= 0.5
             x = x + t * d
         else:
             raise RuntimeError(f"reference Newton did not reach ||grad|| <= {tol}")
         self._x_star = x
-        self._f_star = self._batch_value(all_idx, x)
+        self._f_star = self._batch_value(ALL_ROWS, x)
         return self._x_star, self._f_star
 
 
@@ -309,29 +341,25 @@ class LogRegSagaTable:
 
     def __init__(self, model: LogRegModel, x0: Vector):
         self.model = model
-        all_idx = np.arange(model.N)
-        self.scalars = model.loss_factors(all_idx, x0)
+        self.scalars = model.loss_factors(ALL_ROWS, x0)
         model.grad_evals += model.N
-        self.loss_sum = np.asarray(
-            model.dataset.features.T @ self.scalars).ravel()
+        self.loss_sum = model.store.T @ self.scalars
 
     def estimate(self, x: Vector, batch) -> Vector:
         batch = np.asarray(batch, dtype=np.int64)
-        fresh = self.model.loss_factors(batch, x)
+        rows, labels = self.model._rows(batch)
+        fresh = _loss_factors(rows, labels, x)
         self.model.grad_evals += batch.size
-        rows = self.model.dataset.features[batch]
-        corr = np.asarray(rows.T @ (fresh - self.scalars[batch])).ravel() / batch.size
+        corr = rows.T @ (fresh - self.scalars[batch]) / batch.size
         return corr + self.loss_sum / self.model.N + self.model.mu * x
 
     def update(self, batch, x_new: Vector) -> None:
         batch = np.asarray(batch, dtype=np.int64)
-        fresh = self.model.loss_factors(batch, x_new)
+        rows, labels = self.model._rows(batch)
+        fresh = _loss_factors(rows, labels, x_new)
         self.model.grad_evals += batch.size
-        rows = self.model.dataset.features[batch]
-        self.loss_sum = self.loss_sum + np.asarray(
-            rows.T @ (fresh - self.scalars[batch])).ravel()
+        self.loss_sum = self.loss_sum + rows.T @ (fresh - self.scalars[batch])
         self.scalars[batch] = fresh
 
     def recompute_sum(self) -> Vector:
-        return np.asarray(
-            self.model.dataset.features.T @ self.scalars).ravel()
+        return self.model.store.T @ self.scalars

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stochnewton.core import RngStream
+from stochnewton.core import EvalCounts, RngStream
 from stochnewton.fs_solvers import (FsSolverConfig, run_fs_solver,
                                     run_lsos_bfgs, run_lsos_fs, run_saga_ls)
 from stochnewton.logreg import LogRegModel, generate_synthetic_classification
@@ -176,6 +176,23 @@ class TestSagaLs:
             out[storage] = res.trace.records[-1].true_error
         assert out["loss_split"] < 10 * out["dense"] + 1e-9
         assert out["dense"] < 10 * out["loss_split"] + 1e-9
+
+    def test_eval_counts_are_per_run(self):
+        # the counters live on the shared problem; each result reports only
+        # its own run, the SAGA table's initial pass included
+        model = _logistic(N=100, n=4, seed=59)
+        bs = 10
+        cfg = FsSolverConfig(method="saga_ls", batch_size=bs, max_epochs=2)
+        counts = [run_saga_ls(model, cfg, np.zeros(model.n),
+                              RngStream(60, 0)).eval_counts
+                  for _ in range(3)]
+        assert isinstance(counts[0], EvalCounts)
+        assert counts[0] == counts[1] == counts[2]
+        iters = 2 * model.N // bs
+        assert counts[0].g_evals == model.N + 2 * bs * iters
+        # f0 and at least one trial per iteration
+        assert counts[0].f_evals >= 2 * bs * iters
+        assert counts[0].hvp_evals == 0
 
     def test_loss_split_requires_logistic(self):
         prob = quadratic_sum_problem(6, 3, seed=59)

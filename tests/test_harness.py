@@ -240,12 +240,39 @@ class TestRunExperiment:
             build_solver_config(spec, "lsos")
 
     def test_worker_pool_matches_sequential(self):
-        spec = _small_spec(**{"run.reps": "2"})
-        seq = run_experiment(spec)
-        par = run_experiment(spec.override(**{"run.workers": "2"}))
-        for name in ("lsos", "sgd"):
-            for t1, t2 in zip(seq.traces[name], par.traces[name]):
-                assert t1.column("f_hat") == t2.column("f_hat")
+        # the logistic spec also runs its grid pilots in the pool
+        logistic = ExperimentSpec.from_mapping({
+            "problem.kind": "logistic_synthetic", "problem.N": "120",
+            "problem.features": "6", "run.solvers": "saga_ls,lsos_bfgs",
+            "run.max_epochs": "2", "run.reps": "2", "run.seed": "5",
+            "solver.saga_ls.t_ini": "grid", "solver.lsos_bfgs.t_ini": "grid",
+            "grid.candidates": "10,1,1e-1,1e-2"})
+        iterate_columns = ("iter", "f_hat", "true_error", "grad_norm_hat",
+                           "step_len", "phase")
+        for spec in (_small_spec(**{"run.reps": "2"}), logistic):
+            seq = run_experiment(spec)
+            par = run_experiment(spec.override(**{"run.workers": "2"}))
+            for name in spec.solver_names():
+                assert (seq.spec.solver_get(name, "t_ini", None)
+                        == par.spec.solver_get(name, "t_ini", None))
+                assert len(par.traces[name]) == 2
+                for t1, t2 in zip(seq.traces[name], par.traces[name]):
+                    for column in iterate_columns:
+                        assert t1.column(column) == t2.column(column)
+        assert seq.spec.solver_get("saga_ls", "t_ini", None) != "grid"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_all_divergent_pilots_raise_in_pool(self):
+        # one huge candidate and one short backtrack overflow the iterate
+        spec = ExperimentSpec.from_mapping({
+            "problem.kind": "logistic_synthetic", "problem.N": "120",
+            "problem.features": "6", "run.solvers": "saga_ls",
+            "run.max_epochs": "1", "run.reps": "1", "run.seed": "5",
+            "run.workers": "2", "grid.candidates": "1e308",
+            "solver.saga_ls.t_ini": "grid", "solver.saga_ls.beta": "0.99",
+            "solver.saga_ls.max_backtracks": "1"})
+        with pytest.raises(GridSearchError, match="diverged"):
+            run_experiment(spec)
 
     def test_logistic_kind_builds_and_runs(self):
         spec = ExperimentSpec.from_mapping({

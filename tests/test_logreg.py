@@ -2,12 +2,14 @@
 
 import gzip
 import io
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from stochnewton.core import RngStream
+from stochnewton.finitesum import ALL_ROWS
 from stochnewton.linalg import fd_gradient_check, fd_hvp_check
 from stochnewton.logreg import (Dataset, LibsvmFormatError, LogRegModel,
                                 LogRegSagaTable,
@@ -154,6 +156,49 @@ class TestLibsvmParsing:
         with pytest.raises(LibsvmFormatError):
             parse_libsvm(io.StringIO("+1 5:1\n"), n_features=3)
 
+    def test_matches_entrywise_lil_reference(self):
+        # repeated indices (last value wins), explicit zeros, out-of-order
+        # indices and an empty row, against entry-by-entry lil assignment
+        text = ("+1 4:1.5 2:-2.0 4:3.0 7:0\n"
+                "-1 3:0 3:2.5 1:1.0\n"
+                "+1 5:1.0 5:0.0 6:-0.0\n"
+                "-1\n"
+                "+1 9:0.25 8:4.0 2:1e-3 2:7.0\n")
+
+        def lil_reference():
+            rows = []
+            for line in text.splitlines():
+                tokens = line.split()
+                rows.append([(int(t.split(":")[0]) - 1, float(t.split(":")[1]))
+                             for t in tokens[1:]])
+            mat = sp.lil_matrix((len(rows), 9))
+            for i, entries in enumerate(rows):
+                for j, v in entries:
+                    mat[i, j] = v
+            return mat.tocsr()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = parse_libsvm(io.StringIO(text)).features
+        expected = lil_reference()
+        assert got.shape == expected.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(expected, attr))
+        assert got.has_sorted_indices
+        assert [str(w.message) for w in caught] == [
+            "line 1: non-increasing feature index 2",
+            "line 2: non-increasing feature index 3",
+            "line 2: non-increasing feature index 1",
+            "line 3: non-increasing feature index 5",
+            "line 5: non-increasing feature index 8",
+            "line 5: non-increasing feature index 2",
+            "line 5: non-increasing feature index 2",
+        ]
+
+    def test_bad_index_reports_line(self):
+        with pytest.raises(LibsvmFormatError, match="line 2: index 0 < 1"):
+            parse_libsvm(io.StringIO("+1 1:1\n-1 2:1 0:1\n"))
+
     def test_comments_and_blanks_skipped(self):
         ds = parse_libsvm(io.StringIO("# header\n\n+1 1:1\n-1 1:2\n"))
         assert ds.N == 2
@@ -257,3 +302,107 @@ class TestDatasetValidation:
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(sp.csr_matrix(np.ones((2, 2))), np.array([1.0]))
+
+
+def _reference_ops(dense, labels, mu, idx, x, v):
+    """Per-component numpy reference for the batch operations over `idx`."""
+    grads, hvps, hessians, values, factors = [], [], [], [], []
+    for i in idx:
+        a, b = dense[i], labels[i]
+        m = b * (a @ x)
+        c = -b / (1.0 + np.exp(m))
+        w = 1.0 / ((1.0 + np.exp(m)) * (1.0 + np.exp(-m)))
+        values.append(np.logaddexp(0.0, -m) + 0.5 * mu * (x @ x))
+        factors.append(c)
+        grads.append(c * a + mu * x)
+        hvps.append(w * (a @ v) * a + mu * v)
+        hessians.append(w * np.outer(a, a) + mu * np.eye(a.size))
+    return {"value": np.mean(values), "factors": np.array(factors),
+            "grads": np.array(grads), "gradient": np.mean(grads, axis=0),
+            "hvp": np.mean(hvps, axis=0),
+            "hessian": np.mean(hessians, axis=0)}
+
+
+class TestRowStore:
+    """Every operation agrees with a per-component reference on both stores."""
+
+    @pytest.fixture(params=["dense", "sparse"])
+    def model(self, request):
+        if request.param == "dense":
+            data = generate_synthetic_classification(60, 5, 1.0, RngStream(20, 0))
+        else:
+            rng = np.random.default_rng(21)
+            features = sp.random(80, 40, density=0.05, format="csr",
+                                 random_state=rng, data_rvs=rng.standard_normal)
+            data = Dataset(features, np.where(rng.uniform(size=80) < 0.5, -1.0, 1.0))
+        model = LogRegModel(data, mu=0.05)
+        stored = np.ndarray if request.param == "dense" else sp.csr_matrix
+        assert type(model.store) is stored
+        if request.param == "sparse":
+            assert model.store is data.features
+        return model
+
+    def _close(self, got, expected):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+    def test_batch_operations(self, model):
+        dense = model.dataset.features.toarray()
+        labels = model.dataset.labels
+        rng = RngStream(22, 0)
+        x, v = rng.standard_normal(model.n), rng.standard_normal(model.n)
+        idx = np.sort(rng.choice(model.N, size=7))
+        ref = _reference_ops(dense, labels, model.mu, idx, x, v)
+        self._close(model.batch_value(idx, x), ref["value"])
+        self._close(model.batch_gradient(idx, x), ref["gradient"])
+        self._close(model.component_gradients(idx, x), ref["grads"])
+        self._close(model.batch_hvp(idx, x, v), ref["hvp"])
+        self._close(model.batch_hessian(idx, x), ref["hessian"])
+        self._close(model.loss_factors(idx, x), ref["factors"])
+
+    def test_all_rows_queries(self, model):
+        dense = model.dataset.features.toarray()
+        rng = RngStream(23, 0)
+        x, v = rng.standard_normal(model.n), rng.standard_normal(model.n)
+        ref = _reference_ops(dense, model.dataset.labels, model.mu,
+                             range(model.N), x, v)
+        self._close(model.objective(x), ref["value"])
+        self._close(model.full_gradient_exact(x), ref["gradient"])
+        self._close(model._batch_hessian(ALL_ROWS, x), ref["hessian"])
+        x_star, f_star = model.reference_optimum()
+        ref_star = _reference_ops(dense, model.dataset.labels, model.mu,
+                                  range(model.N), x_star, v)
+        self._close(f_star, ref_star["value"])
+        assert np.linalg.norm(ref_star["gradient"]) <= 1e-9
+
+    def test_full_size_batch_with_repeats_is_not_all_rows(self, model):
+        rng = RngStream(24, 0)
+        x = rng.standard_normal(model.n)
+        idx = np.sort(rng.choice(model.N, size=model.N, replace=True))
+        assert np.unique(idx).size < model.N
+        ref = _reference_ops(model.dataset.features.toarray(),
+                             model.dataset.labels, model.mu, idx, x, x)
+        self._close(model.batch_value(idx, x), ref["value"])
+        self._close(model.batch_gradient(idx, x), ref["gradient"])
+        assert model.batch_value(idx, x) != pytest.approx(model.objective(x),
+                                                          rel=1e-9)
+
+    def test_loss_split_table(self, model):
+        dense = model.dataset.features.toarray()
+        labels = model.dataset.labels
+        rng = RngStream(25, 0)
+        x0, x1, x2 = (rng.standard_normal(model.n) for _ in range(3))
+        table = LogRegSagaTable(model, x0)
+        scalars = _reference_ops(dense, labels, model.mu, range(model.N),
+                                 x0, x0)["factors"]
+        self._close(table.scalars, scalars)
+        self._close(table.loss_sum, dense.T @ scalars)
+        batch = np.sort(rng.choice(model.N, size=6))
+        fresh = _reference_ops(dense, labels, model.mu, batch, x1, x1)["factors"]
+        expected = (dense[batch].T @ (fresh - scalars[batch]) / batch.size
+                    + dense.T @ scalars / model.N + model.mu * x1)
+        self._close(table.estimate(x1, batch), expected)
+        table.update(batch, x2)
+        scalars[batch] = _reference_ops(dense, labels, model.mu, batch,
+                                        x2, x2)["factors"]
+        self._close(table.scalars, scalars)
+        self._close(table.loss_sum, dense.T @ scalars)
