@@ -11,13 +11,10 @@ A seeded benchmark harness reproduces the experiment protocol at desk scale.
 __version__ = "0.1.0"
 
 from .core import (EvalCounts, OracleSample, RngStream, RunTrace, TraceRecord,
-                   gaussian, new_rng_stream, read_trace_csv, write_trace_csv)
+                   read_trace_csv, write_trace_csv)
 from .finitesum import (BatchPartition, FiniteSumProblem, QuadraticSumProblem,
-                        SagaTable, default_batch_size, make_partition,
-                        saga_gradient, saga_update, subsampled_gradient,
-                        subsampled_hvp)
-from .fs_solvers import (FsSolverConfig, run_lsos_bfgs, run_lsos_fs,
-                         run_saga_ls)
+                        SagaTable, default_batch_size, make_partition)
+from .fs_solvers import FsSolverConfig, run_fs_solver
 from .harness import (AggregateCurve, ExperimentSpec, aggregate,
                       grid_search_step, run_experiment)
 from .linalg import (CgResult, NotPositiveDefiniteError, SpdOperator,
@@ -26,8 +23,8 @@ from .logreg import (Dataset, LogRegModel, LogRegSagaTable,
                      generate_synthetic_classification, parse_libsvm)
 from .slbfgs import LbfgsMemory
 from .solvers import (DeltaSchedule, GainParams, SolverConfig, SolverResult,
-                      run_lsos, run_sgd, run_solver, run_sos)
+                      run_solver)
 from .steplen import (BacktrackResult, GainSchedule, LineSearchConfig,
-                      backtrack, next_gain, switch_check)
+                      backtrack, switch_check)
 from .synthetic import (ConvexRandomProblem, HouseholderOperator, NoisyOracle,
                         exact_solution, generate_problem, noisy_eval)

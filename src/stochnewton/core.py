@@ -117,21 +117,12 @@ class RngStream:
         return f"RngStream(seed={self.seed}, key={self.key})"
 
 
-def new_rng_stream(seed: int, stream_id: int) -> RngStream:
-    """Create the stream identified by ``(seed, stream_id)``."""
-    return RngStream(seed, stream_id)
-
-
-def gaussian(rng: RngStream, mean: float, stddev: float) -> float:
-    return rng.gaussian(mean, stddev)
-
-
 @dataclass(frozen=True)
 class EvalCounts:
     """Oracle evaluation counts.
 
-    Cumulative at sampling time on an :class:`OracleSample`; per run on a
-    finite-sum solver result.
+    Cumulative at sampling time on an :class:`OracleSample`; per run on
+    every solver result.
     """
 
     f_evals: int = 0

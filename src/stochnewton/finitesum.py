@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RngStream, Vector
+from .core import EvalCounts, RngStream, Vector
 
 ALL_ROWS = slice(None)
 """``idx`` of the private ``_batch_*`` methods for "every component".
@@ -139,6 +139,10 @@ class FiniteSumProblem:
         self.hvp_evals += idx.size
         return self._batch_hessian(idx, x)
 
+    def counts(self) -> EvalCounts:
+        """The cumulative component-evaluation counters."""
+        return EvalCounts(self.value_evals, self.grad_evals, self.hvp_evals)
+
     # -- uncounted exact queries (instrumentation) ---------------------------
 
     def objective(self, x: Vector) -> float:
@@ -226,16 +230,6 @@ def default_batch_size(N: int) -> int:
 # -- estimators ----------------------------------------------------------------
 
 
-def subsampled_gradient(problem: FiniteSumProblem, x: Vector, batch) -> Vector:
-    """Mean of the component gradients over `batch` (unbiased)."""
-    return problem.batch_gradient(batch, x)
-
-
-def subsampled_hvp(problem: FiniteSumProblem, x: Vector, batch, v: Vector) -> Vector:
-    """Action of the subsampled Hessian over `batch` on ``v`` (unbiased)."""
-    return problem.batch_hvp(batch, x, v)
-
-
 class SagaTable:
     """Stored per-component gradients ``J^(i)`` with an incremental sum.
 
@@ -269,12 +263,3 @@ class SagaTable:
 
     def recompute_sum(self) -> Vector:
         return self.table.sum(axis=0)
-
-
-def saga_gradient(problem: FiniteSumProblem, x: Vector, batch,
-                  table: SagaTable) -> Vector:
-    return table.estimate(x, batch)
-
-
-def saga_update(table: SagaTable, batch, x_new: Vector) -> None:
-    table.update(batch, x_new)

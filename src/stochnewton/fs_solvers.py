@@ -1,8 +1,11 @@
 """Line-search solvers for finite-sum objectives.
 
-Three methods share one loop; all of them line-search the *sampled*
-objective ``f_K`` over the same mini-batch that produced the gradient
-estimate (the Armijo test needs a fixed function within an iteration):
+Three methods run the one LSOS loop of :mod:`stochnewton.solvers`; all of
+them line-search the *sampled* objective ``f_K`` over the same mini-batch
+that produced the gradient estimate (the Armijo test needs a fixed function
+within an iteration).  Batches come from a fresh random partition, or fresh
+uniform draws, each epoch, used in order.  The search never switches off:
+an exhausted search takes its smallest trial step, with one warning per run.
 
 ``lsos_fs``
     Subsampled gradient and subsampled-Hessian Newton direction with the
@@ -11,15 +14,14 @@ estimate (the Armijo test needs a fixed function within an iteration):
 ``lsos_bfgs``
     Mini-batch SAGA gradient estimate, direction ``-H_k g`` from the
     averaged-iterate L-BFGS memory; gradient direction during warmup while
-    the memory is empty.  Batches come from a fresh random partition each
-    epoch and are used in order.
+    the memory is empty.
 ``saga_ls``
     The first-order baseline: SAGA estimate, direction ``-g``, same search.
 """
 
 from __future__ import annotations
 
-import logging
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -27,17 +29,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (PHASE_LINE_SEARCH, EvalCounts, RunTrace, TraceRecord, Vector,
-                   as_vector)
+from .core import Vector, as_vector
 from .finitesum import (FiniteSumProblem, SagaTable, default_batch_size,
                         make_partition)
-from .linalg import NotPositiveDefiniteError, SpdOperator, solve_cg, solve_direct
+# solve_cg, solve_direct and backtrack go unused here; perfbench/tracer.py patches them
+from .linalg import SpdOperator, solve_cg, solve_direct  # noqa: F401
 from .logreg import LogRegModel, LogRegSagaTable
 from .slbfgs import LbfgsMemory
-from .solvers import DeltaSchedule, SolverResult
-from .steplen import LineSearchConfig, backtrack
-
-logger = logging.getLogger(__name__)
+from .solvers import DeltaSchedule, SolverResult, _lsos_loop, _newton_direction
+from .steplen import LineSearchConfig, backtrack  # noqa: F401
 
 METHOD_LSOS_FS = "lsos_fs"
 METHOD_LSOS_BFGS = "lsos_bfgs"
@@ -89,30 +89,72 @@ class FsSolverConfig:
             raise ValueError("need at least one of max_epochs/max_iters/time budget")
 
 
-def run_lsos_fs(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
-                rng, f_star: Optional[float] = None) -> SolverResult:
-    if cfg.method != METHOD_LSOS_FS:
-        raise ValueError(f"run_lsos_fs got method {cfg.method!r}")
-    return _drive_fs(problem, cfg, x0, rng, f_star)
-
-
-def run_lsos_bfgs(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
+def run_fs_solver(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
                   rng, f_star: Optional[float] = None) -> SolverResult:
-    if cfg.method != METHOD_LSOS_BFGS:
-        raise ValueError(f"run_lsos_bfgs got method {cfg.method!r}")
-    return _drive_fs(problem, cfg, x0, rng, f_star)
+    """Run one finite-sum method of :data:`FS_METHODS` from ``x0``.
+
+    ``rng`` owns the batch draws; ``f_star``, when known, gives the trace
+    its true errors.
+    """
+    x = as_vector(x0, problem.n).copy()
+    batch_size = min(cfg.batch_size or default_batch_size(problem.N), problem.N)
+    hess_batch_size = cfg.hess_batch_size or default_batch_size(problem.N)
+    batch_rng = rng.child(0)
+    hess_rng = rng.child(1)
+
+    since = problem.counts()  # the SAGA table's pass counts toward the run
+    tic = time.perf_counter()
+    table = (_make_saga_table(problem, cfg, x) if cfg.method != METHOD_LSOS_FS
+             else None)
+    memory = LbfgsMemory(cfg.m, cfg.l) if cfg.method == METHOD_LSOS_BFGS else None
+    setup_s = time.perf_counter() - tic
+
+    def gradient(x, batch):
+        return problem.batch_gradient(batch, x)
+
+    def newton_step(x, batch, g, k):
+        b = SpdOperator.from_dense(problem.batch_hessian(batch, x))
+        return _newton_direction(b, g, cfg, k)
+
+    def lbfgs_step(x, batch, g, k):
+        return -memory.apply_inverse_hessian(g), None, None, False
+
+    def hvp_fresh_batch(w, s):
+        t_j = np.sort(hess_rng.choice(problem.N, size=min(hess_batch_size, problem.N)))
+        return problem.batch_hvp(t_j, w, s)
+
+    def update(x_next, batch):
+        table.update(batch, x_next)
+        if memory is not None:
+            memory.record_iterate(x_next, hvp_fresh_batch)
+
+    def true_error(x):
+        return problem.objective(x) - f_star
+
+    if table is None:
+        estimate, direction, after_step = gradient, newton_step, None
+    else:
+        estimate, after_step = table.estimate, update
+        direction = lbfgs_step if memory is not None else None
+    return _lsos_loop(
+        cfg, x, _epoch_batches(problem.N, batch_size, cfg, batch_rng),
+        estimate=estimate, direction=direction,
+        objective=lambda x, batch: problem.batch_value(batch, x),
+        after_step=after_step,
+        true_error=None if f_star is None else true_error,
+        counts=problem.counts, since=since, elapsed=setup_s)
 
 
-def run_saga_ls(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
-                rng, f_star: Optional[float] = None) -> SolverResult:
-    if cfg.method != METHOD_SAGA_LS:
-        raise ValueError(f"run_saga_ls got method {cfg.method!r}")
-    return _drive_fs(problem, cfg, x0, rng, f_star)
-
-
-def run_fs_solver(problem, cfg: FsSolverConfig, x0, rng,
-                  f_star: Optional[float] = None) -> SolverResult:
-    return _drive_fs(problem, cfg, x0, rng, f_star)
+def _epoch_batches(N: int, batch_size: int, cfg: FsSolverConfig, rng):
+    """Mini-batches in order, epoch after epoch, until ``cfg.max_epochs``."""
+    n_b = int(np.ceil(N / batch_size))
+    epochs = itertools.count() if cfg.max_epochs is None else range(cfg.max_epochs)
+    for _ in epochs:
+        if cfg.batch_scheme == SCHEME_PARTITION:
+            yield from make_partition(N, n_b, rng)
+        else:
+            for _ in range(n_b):
+                yield np.sort(rng.choice(N, size=batch_size))
 
 
 def _make_saga_table(problem, cfg, x0):
@@ -121,147 +163,3 @@ def _make_saga_table(problem, cfg, x0):
             raise ValueError("loss_split storage requires a logistic model")
         return LogRegSagaTable(problem, x0)
     return SagaTable(problem, x0)
-
-
-def _newton_direction(problem, batch, x, g, cfg, k):
-    delta_k = cfg.delta.at(k)
-    b = SpdOperator.from_dense(problem.batch_hessian(batch, x))
-    try:
-        if delta_k == 0.0:
-            return solve_direct(b, -g), None, None, False
-        rel = min(max(delta_k, cfg.cg_rel_floor), 1.0 - 1e-12)
-        res = solve_cg(b, -g, rel_tol=rel, max_iters=cfg.cg_max_iters)
-        return res.d, res.iters, res.rel_res, False
-    except NotPositiveDefiniteError:
-        return -g, None, None, True
-
-
-def _eval_totals(problem):
-    """The problem's cumulative (value, gradient, HVP) component counters."""
-    return problem.value_evals, problem.grad_evals, problem.hvp_evals
-
-
-def _append_fs_divergence(trace, k, elapsed, gnorm, f_star, t=0.0):
-    trace.append(TraceRecord(iter=k, wall_time_s=elapsed, f_hat=math.inf,
-                             true_error=math.inf if f_star is not None else None,
-                             grad_norm_hat=gnorm, step_len=t,
-                             phase=PHASE_LINE_SEARCH))
-
-
-def _drive_fs(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
-              rng, f_star: Optional[float]) -> SolverResult:
-    x = as_vector(x0, problem.n).copy()
-    batch_size = cfg.batch_size or default_batch_size(problem.N)
-    hess_batch_size = cfg.hess_batch_size or default_batch_size(problem.N)
-    batch_size = min(batch_size, problem.N)
-    n_b = int(np.ceil(problem.N / batch_size))
-
-    batch_rng = rng.child(0)
-    hess_rng = rng.child(1)
-
-    use_saga = cfg.method in (METHOD_LSOS_BFGS, METHOD_SAGA_LS)
-    use_lbfgs = cfg.method == METHOD_LSOS_BFGS
-
-    evals_at_entry = _eval_totals(problem)  # the SAGA table's pass counts too
-    elapsed = 0.0
-    tic = time.perf_counter()
-    table = _make_saga_table(problem, cfg, x) if use_saga else None
-    memory = LbfgsMemory(cfg.m, cfg.l) if use_lbfgs else None
-    elapsed += time.perf_counter() - tic
-
-    def hvp_fresh_batch(w, s):
-        t_j = np.sort(hess_rng.choice(problem.N, size=min(hess_batch_size, problem.N)))
-        return problem.batch_hvp(t_j, w, s)
-
-    trace = RunTrace()
-    stop_reason = "max_epochs"
-    gnorm: Optional[float] = None
-    k = 0
-    epoch = 0
-    done = False
-    exhausted_warned = False
-
-    while not done:
-        if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
-            stop_reason = "max_epochs"
-            break
-        if cfg.batch_scheme == SCHEME_PARTITION:
-            batches = list(make_partition(problem.N, n_b, batch_rng))
-        else:
-            batches = [np.sort(batch_rng.choice(problem.N, size=batch_size))
-                       for _ in range(n_b)]
-        for batch in batches:
-            if cfg.max_iters is not None and k >= cfg.max_iters:
-                stop_reason, done = "max_iters", True
-                break
-            if elapsed >= cfg.time_budget_s:
-                stop_reason, done = "time_budget", True
-                break
-            tic = time.perf_counter()
-
-            if use_saga:
-                g = table.estimate(x, batch)
-            else:
-                g = problem.batch_gradient(batch, x)
-            gnorm = float(np.linalg.norm(g))
-            if not math.isfinite(gnorm):
-                _append_fs_divergence(trace, k, elapsed, gnorm, f_star)
-                stop_reason, done = "diverged", True
-                break
-            if cfg.grad_tol is not None and gnorm <= cfg.grad_tol:
-                stop_reason, done = "grad_tol", True
-                break
-
-            cg_iters = cg_relres = None
-            fallback = False
-            if cfg.method == METHOD_LSOS_FS:
-                d, cg_iters, cg_relres, fallback = _newton_direction(
-                    problem, batch, x, g, cfg, k)
-            elif use_lbfgs:
-                d = -memory.apply_inverse_hessian(g)
-            else:
-                d = -g
-            if not np.any(d):
-                stop_reason, done = "zero_direction", True
-                break
-
-            f0 = problem.batch_value(batch, x)
-
-            def f_trial(t, batch=batch, x=x, d=d):
-                return problem.batch_value(batch, x + t * d)
-
-            res = backtrack(f_trial, f0, float(g @ d), cfg.ls, cfg.ls.zeta(k))
-            if not res.accepted and not exhausted_warned:
-                logger.warning("line search exhausted %d backtracks at k=%d; "
-                               "taking the smallest trial step", cfg.ls.max_backtracks, k)
-                exhausted_warned = True
-            t = res.t
-
-            x_next = x + t * d
-            if not np.all(np.isfinite(x_next)):
-                elapsed += time.perf_counter() - tic
-                _append_fs_divergence(trace, k, elapsed, gnorm, f_star, t)
-                stop_reason, done = "diverged", True
-                break
-            if use_saga:
-                table.update(batch, x_next)
-            if use_lbfgs:
-                memory.record_iterate(x_next, hvp_fresh_batch)
-            elapsed += time.perf_counter() - tic
-
-            true_error = None if f_star is None else problem.objective(x) - f_star
-            trace.append(TraceRecord(
-                iter=k, wall_time_s=elapsed, f_hat=f0, true_error=true_error,
-                grad_norm_hat=gnorm, step_len=t, phase=PHASE_LINE_SEARCH,
-                cg_iters=cg_iters, cg_relres=cg_relres, fallback=fallback,
-            ))
-            x = x_next
-            k += 1
-        epoch += 1
-        if cfg.max_epochs is None and cfg.max_iters is not None and k >= cfg.max_iters:
-            done = True
-
-    evals = EvalCounts(*(now - then for now, then
-                         in zip(_eval_totals(problem), evals_at_entry)))
-    return SolverResult(x=x, trace=trace, stop_reason=stop_reason, iterations=k,
-                        final_grad_norm=gnorm, k_tau=None, eval_counts=evals)

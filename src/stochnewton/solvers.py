@@ -1,7 +1,11 @@
-"""Solver drivers for general noisy oracles.
+"""The LSOS iteration loop, and its noisy-oracle methods.
 
-All methods share one iteration skeleton ``x_{k+1} = x_k + t_k d_k`` and
-differ in how ``d_k`` and ``t_k`` are produced:
+Every method, noisy-oracle or finite-sum (:mod:`stochnewton.fs_solvers`),
+runs the one loop ``x_{k+1} = x_k + t_k d_k`` of :func:`_lsos_loop`.  A
+method family supplies a gradient estimate, a direction, the sampled
+objective its line search evaluates and a post-step update, plus the source
+of its iterations.  The noisy-oracle methods differ in how ``d_k`` and
+``t_k`` are produced:
 
 ====================  =========================  ==============================
 method                direction                  step length
@@ -14,27 +18,35 @@ method                direction                  step length
 ``sgd_ls``            ``-g(x_k)``                line search, then gain sequence
 ====================  =========================  ==============================
 
-The line-search methods start in an active phase and deactivate it -- once,
-irreversibly -- when the accepted displacement drops below ``t_min``; from
-then on steps come from a gain sequence anchored at the switch iteration.
+The two families differ in one policy, what an exhausted search does.  The
+noisy line-search methods start in an active phase and deactivate it --
+once, irreversibly -- when the search is exhausted or the accepted
+displacement drops below ``t_min``; from then on steps come from a gain
+sequence anchored at the switch iteration.  The finite-sum methods keep
+searching and take the smallest trial step of an exhausted search.
 If a sampled Hessian turns out not to be positive definite, that iteration
 falls back to the steepest-descent direction and the trace records it.
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import (PHASE_GAIN, PHASE_LINE_SEARCH, RunTrace, TraceRecord,
-                   Vector, as_vector)
-from .linalg import NotPositiveDefiniteError, solve_cg, solve_direct
+from .core import (PHASE_GAIN, PHASE_LINE_SEARCH, EvalCounts, RunTrace,
+                   TraceRecord, Vector, as_vector)
+from .linalg import (NotPositiveDefiniteError, SpdOperator, solve_cg,
+                     solve_direct)
 from .steplen import (GainSchedule, LineSearchConfig, T_DAMPED,
                       T_DAMPED_ANCHORED, backtrack, switch_check)
+
+_logger = logging.getLogger(__name__)
 
 METHOD_SOS = "sos"
 METHOD_LSOS = "lsos"
@@ -118,42 +130,39 @@ class SolverResult:
     iterations: int
     final_grad_norm: Optional[float]
     k_tau: Optional[int] = None
-    eval_counts: Optional[object] = None
-
-
-def run_sos(oracle, cfg: SolverConfig, x0: Vector) -> SolverResult:
-    """Gain-sequence-only driver with noisy Newton directions."""
-    if cfg.method != METHOD_SOS:
-        raise ValueError(f"run_sos got method {cfg.method!r}")
-    return _drive(oracle, cfg, x0)
-
-
-def run_lsos(oracle, cfg: SolverConfig, x0: Vector) -> SolverResult:
-    """Line-search driver with (inexact) noisy Newton directions."""
-    if cfg.method not in (METHOD_LSOS, METHOD_LSOS_INEXACT):
-        raise ValueError(f"run_lsos got method {cfg.method!r}")
-    return _drive(oracle, cfg, x0)
-
-
-def run_sgd(oracle, cfg: SolverConfig, x0: Vector) -> SolverResult:
-    """Noisy gradient descent, with or without the line-search machinery."""
-    if cfg.method not in (METHOD_SGD, METHOD_SGD_LS):
-        raise ValueError(f"run_sgd got method {cfg.method!r}")
-    return _drive(oracle, cfg, x0)
+    eval_counts: Optional[EvalCounts] = None
 
 
 def run_solver(oracle, cfg: SolverConfig, x0: Vector) -> SolverResult:
-    if cfg.method == METHOD_SOS:
-        return run_sos(oracle, cfg, x0)
-    if cfg.method in (METHOD_LSOS, METHOD_LSOS_INEXACT):
-        return run_lsos(oracle, cfg, x0)
-    return run_sgd(oracle, cfg, x0)
+    """Run one noisy-oracle method of :data:`ALL_METHODS` from ``x0``."""
+    newton = cfg.method in _NEWTON_METHODS
+    sample = None
+
+    def estimate(x, _batch):
+        nonlocal sample
+        sample = oracle.sample(x, want_gradient=True, want_hessian=newton)
+        return sample.gradient
+
+    def newton_step(x, _batch, g, k):
+        # the Hessian of the same oracle sample as g
+        return _newton_direction(sample.hessian, g, cfg, k)
+
+    def objective(x, _batch):
+        return oracle.sample(x, want_value=True).value
+
+    has_ref = getattr(getattr(oracle, "problem", None), "f_star", None) is not None
+    return _lsos_loop(
+        cfg, as_vector(x0, oracle.n).copy(), itertools.repeat(None),
+        estimate=estimate, direction=newton_step if newton else None,
+        objective=objective, after_step=None,
+        true_error=oracle.true_error if has_ref else None,
+        counts=oracle.counts, since=oracle.counts(), gain=cfg.gain,
+        line_search=cfg.method in _LS_METHODS)
 
 
-def _direction(oracle_sample, g, cfg, k):
+def _newton_direction(b: SpdOperator, g: Vector, cfg, k: int):
     """Return (d, cg_iters, cg_relres, fallback) honoring the residual rule."""
     delta_k = cfg.delta.at(k)
-    b = oracle_sample.hessian
     try:
         if delta_k == 0.0 and b.is_explicit:
             return solve_direct(b, -g), None, None, False
@@ -166,104 +175,130 @@ def _direction(oracle_sample, g, cfg, k):
         return -g, None, None, True
 
 
-def _append_divergence_record(trace, oracle, k, elapsed, gnorm, phase, t=0.0):
+def _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref, t=0.0):
     """Mark a diverged run so downstream error curves see an infinite error."""
-    has_ref = getattr(getattr(oracle, "problem", None), "f_star", None) is not None
     trace.append(TraceRecord(iter=k, wall_time_s=elapsed, f_hat=math.inf,
                              true_error=math.inf if has_ref else None,
                              grad_norm_hat=gnorm, step_len=t, phase=phase))
 
 
-def _drive(oracle, cfg: SolverConfig, x0: Vector) -> SolverResult:
-    x = as_vector(x0, oracle.n).copy()
-    needs_newton = cfg.method in _NEWTON_METHODS
-    line_search = cfg.method in _LS_METHODS
+def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
+               objective, after_step, true_error, counts, since: EvalCounts,
+               elapsed: float = 0.0, gain: Optional[GainParams] = None,
+               line_search: bool = True) -> SolverResult:
+    """The LSOS iteration ``x_{k+1} = x_k + t_k d_k`` shared by every method.
 
+    ``batches`` yields one item per iteration (``None`` forever for noisy
+    oracles, mini-batches until the epoch budget for finite sums); the
+    family callables receive it:
+
+    * ``estimate(x, batch) -> g``;
+    * ``direction(x, batch, g, k) -> (d, cg_iters, cg_relres, fallback)``,
+      or ``None`` for ``d = -g``;
+    * ``objective(x, batch)``, the sampled objective of the search;
+    * ``after_step(x_next, batch)`` or ``None``.
+
+    ``gain`` is given by the noisy-oracle family only: an exhausted or
+    too-short search switches once to the anchored gain sequence, and
+    ``line_search=False`` runs the gain sequence throughout.  Without it
+    (finite sums) the search stays on, and an exhausted one takes its
+    smallest trial step with one warning per run.  ``counts`` returns the
+    cumulative evaluation counters; ``since`` is their value at the start of
+    the run and ``elapsed`` the solver time already spent on it.
+    """
     trace = RunTrace()
-    gain: Optional[GainSchedule] = None
+    has_ref = true_error is not None
     phase = PHASE_LINE_SEARCH if line_search else PHASE_GAIN
+    schedule: Optional[GainSchedule] = None
+    if not line_search and not isinstance(gain.alpha0, str):
+        schedule = GainSchedule(T_DAMPED, alpha0=gain.alpha0, T=gain.T)
     k_tau: Optional[int] = None
-    elapsed = 0.0
-    stop_reason = "max_iters"
     gnorm: Optional[float] = None
-
-    if not line_search and not isinstance(cfg.gain.alpha0, str):
-        gain = GainSchedule(T_DAMPED, alpha0=cfg.gain.alpha0, T=cfg.gain.T)
-
+    exhausted_warned = False
     k = 0
-    while k < cfg.max_iters:
+    for batch in itertools.islice(batches, cfg.max_iters):
         if elapsed >= cfg.time_budget_s:
             stop_reason = "time_budget"
             break
         tic = time.perf_counter()
 
-        sample = oracle.sample(x, want_gradient=True, want_hessian=needs_newton)
-        g = sample.gradient
+        g = estimate(x, batch)
         gnorm = float(np.linalg.norm(g))
         if not math.isfinite(gnorm):
             stop_reason = "diverged"
-            _append_divergence_record(trace, oracle, k, elapsed, gnorm, phase)
+            _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref)
             break
         if cfg.grad_tol is not None and gnorm <= cfg.grad_tol:
             stop_reason = "grad_tol"
             break
 
-        if needs_newton:
-            d, cg_iters, cg_relres, fallback = _direction(sample, g, cfg, k)
-        else:
+        if direction is None:
             d, cg_iters, cg_relres, fallback = -g, None, None, False
+        else:
+            d, cg_iters, cg_relres, fallback = direction(x, batch, g, k)
         dnorm = float(np.linalg.norm(d))
         if dnorm == 0.0:
             stop_reason = "zero_direction"
             break
         if not math.isfinite(dnorm):
             stop_reason = "diverged"
-            _append_divergence_record(trace, oracle, k, elapsed, gnorm, phase)
+            _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref)
             break
 
-        if gain is None and not line_search:
+        if schedule is None and phase == PHASE_GAIN:
             # alpha0 = "auto": unit-length first step
-            gain = GainSchedule(T_DAMPED, alpha0=1.0 / dnorm, T=cfg.gain.T)
+            schedule = GainSchedule(T_DAMPED, alpha0=1.0 / dnorm, T=gain.T)
 
         f_hat: Optional[float] = None
         if phase == PHASE_LINE_SEARCH:
-            f0 = oracle.sample(x, want_value=True).value
-            f_hat = f0
-
-            def f_trial(t, x=x, d=d):
-                return oracle.sample(x + t * d, want_value=True).value
-
-            res = backtrack(f_trial, f0, float(g @ d), cfg.ls, cfg.ls.zeta(k))
+            f_hat = objective(x, batch)
+            res = backtrack(lambda t: objective(x + t * d, batch), f_hat,
+                            float(g @ d), cfg.ls, cfg.ls.zeta(k))
             t = res.t
-            if (not res.accepted) or switch_check(t, dnorm, cfg.ls):
+            if gain is None:
+                if not res.accepted and not exhausted_warned:
+                    _logger.warning("line search exhausted %d backtracks at "
+                                    "k=%d; taking the smallest trial step",
+                                    cfg.ls.max_backtracks, k)
+                    exhausted_warned = True
+            elif not res.accepted or switch_check(t, dnorm, cfg.ls):
                 # one-way switch: anchor the gain sequence at this iteration
                 phase = PHASE_GAIN
                 k_tau = k
-                gain = GainSchedule(T_DAMPED_ANCHORED,
-                                    alpha0=cfg.ls.t_min / dnorm,
-                                    T=cfg.gain.T, k_tau=k, current_k=k)
-                t = gain.next_gain()
+                schedule = GainSchedule(T_DAMPED_ANCHORED,
+                                        alpha0=cfg.ls.t_min / dnorm,
+                                        T=gain.T, k_tau=k, current_k=k)
+                t = schedule.next_gain()
         else:
-            t = gain.next_gain()
+            t = schedule.next_gain()
 
         x_next = x + t * d
-        elapsed += time.perf_counter() - tic
         if not np.all(np.isfinite(x_next)):
+            elapsed += time.perf_counter() - tic
             stop_reason = "diverged"
-            _append_divergence_record(trace, oracle, k, elapsed, gnorm, phase, t)
+            _append_divergence_record(trace, k, elapsed, gnorm, phase,
+                                      has_ref, t)
             break
+        if after_step is not None:
+            after_step(x_next, batch)
+        elapsed += time.perf_counter() - tic
 
         if f_hat is None:
-            f_hat = oracle.sample(x, want_value=True).value
+            f_hat = objective(x, batch)
         trace.append(TraceRecord(
             iter=k, wall_time_s=elapsed, f_hat=f_hat,
-            true_error=oracle.true_error(x), grad_norm_hat=gnorm,
-            step_len=t, phase=phase, cg_iters=cg_iters, cg_relres=cg_relres,
-            fallback=fallback,
+            true_error=true_error(x) if has_ref else None,
+            grad_norm_hat=gnorm, step_len=t, phase=phase, cg_iters=cg_iters,
+            cg_relres=cg_relres, fallback=fallback,
         ))
         x = x_next
         k += 1
+    else:
+        stop_reason = "max_iters" if k == cfg.max_iters else "max_epochs"
 
+    now = counts()
+    evals = EvalCounts(now.f_evals - since.f_evals, now.g_evals - since.g_evals,
+                       now.hvp_evals - since.hvp_evals)
     return SolverResult(x=x, trace=trace, stop_reason=stop_reason,
                         iterations=k, final_grad_norm=gnorm, k_tau=k_tau,
-                        eval_counts=oracle.counts())
+                        eval_counts=evals)

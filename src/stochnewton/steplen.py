@@ -70,10 +70,6 @@ class GainSchedule:
         return value
 
 
-def next_gain(schedule: GainSchedule) -> float:
-    return schedule.next_gain()
-
-
 ZETA_GEOMETRIC = "geometric"
 ZETA_ZERO = "zero"
 
@@ -133,10 +129,11 @@ def backtrack(f_hat: Callable[[float], float], f0: float, slope_hat: float,
     """Find the smallest ``j >= 0`` with ``t = t_start * beta**j`` accepted.
 
     Acceptance means ``f_hat(t) <= f0 + eta * t * slope_hat + zeta_k``.
-    ``f_hat`` must evaluate the *same* sampled objective for every trial of
-    this call (one mini-batch / one noise realization per iteration); the
-    Armijo comparison is meaningless across realizations.  Non-finite trial
-    values count as rejections.  If no trial up to ``j = max_backtracks``
+    The finite-sum methods fix the iteration's mini-batch, so ``f0`` and
+    every trial evaluate one sampled objective.  The noisy-oracle methods
+    call the oracle once for ``f0`` and once per trial, each call with
+    fresh value noise; the slack ``zeta_k`` absorbs that noise.  Non-finite
+    trial values count as rejections.  If no trial up to ``j = max_backtracks``
     is accepted, the last (smallest) ``t`` is returned with
     ``accepted=False`` and the caller applies its exhaustion policy.
     """

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from stochnewton.core import RngStream
-from stochnewton.finitesum import SagaTable, subsampled_gradient
+from stochnewton.finitesum import SagaTable
 from stochnewton.fs_solvers import FsSolverConfig, run_fs_solver
 from stochnewton.harness import ExperimentSpec, run_experiment
 from stochnewton.linalg import (SpdOperator, fd_gradient_check, fd_hvp_check,
                                 solve_cg, solve_direct)
 from stochnewton.logreg import LogRegModel, generate_synthetic_classification
 from stochnewton.slbfgs import LbfgsMemory
-from stochnewton.solvers import DeltaSchedule, SolverConfig, run_lsos
+from stochnewton.solvers import DeltaSchedule, SolverConfig, run_solver
 from stochnewton.steplen import LineSearchConfig, backtrack
 from stochnewton.synthetic import (HESS_HOUSEHOLDER, NoisyOracle,
                                    exact_solution, generate_problem)
@@ -49,7 +49,7 @@ class TestCriterion01DeterministicNewton:
                            ls=LineSearchConfig(switch_rule="step_only"),
                            max_iters=50, grad_tol=1e-8)
         tic = time.perf_counter()
-        res = run_lsos(oracle, cfg, x0)
+        res = run_solver(oracle, cfg, x0)
         elapsed = time.perf_counter() - tic
         x_err = float(np.linalg.norm(res.x - x_star))
         ok = (res.stop_reason == "grad_tol" and res.iterations <= 50
@@ -69,7 +69,7 @@ class TestCriterion02EstimatorUnbiasedness:
         full = model.full_gradient_exact(x)
         batches = [np.array(b) for b in combinations(range(6), 2)]
 
-        sub_mean = np.mean([subsampled_gradient(model, x, b) for b in batches],
+        sub_mean = np.mean([model.batch_gradient(b, x) for b in batches],
                            axis=0)
         table = SagaTable(model, rng.standard_normal(4))
         for _ in range(3):  # age the table so the test is not vacuous
@@ -126,7 +126,7 @@ class TestCriterion05CgContract:
         cfg = SolverConfig(method="lsos_inexact",
                            delta=DeltaSchedule("geometric", rho=0.95),
                            max_iters=80)
-        res = run_lsos(oracle, cfg, x0)
+        res = run_solver(oracle, cfg, x0)
         certified = [r for r in res.trace.records if r.cg_relres is not None]
         bound_ok = all(r.cg_relres <= max(0.95 ** r.iter, 1e-6) + 1e-15
                        for r in certified)

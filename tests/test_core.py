@@ -10,61 +10,60 @@ from hypothesis import strategies as st
 
 from stochnewton.core import (EvalCounts, PHASE_GAIN, PHASE_LINE_SEARCH,
                               RngStream, RunTrace, TraceRecord, as_vector,
-                              gaussian, new_rng_stream, read_trace_csv,
-                              trace_to_csv_text)
+                              read_trace_csv, trace_to_csv_text)
 
 
 class TestRngStream:
     def test_same_key_replays_identically(self):
-        a = new_rng_stream(42, 0)
-        b = new_rng_stream(42, 0)
+        a = RngStream(42, 0)
+        b = RngStream(42, 0)
         da = [a.gaussian(0, 1) for _ in range(100)]
         db = [b.gaussian(0, 1) for _ in range(100)]
         assert da == db
 
     def test_distinct_stream_ids_differ(self):
-        a = new_rng_stream(42, 0)
-        b = new_rng_stream(42, 1)
+        a = RngStream(42, 0)
+        b = RngStream(42, 1)
         assert a.gaussian(0, 1) != b.gaussian(0, 1)
 
     def test_stream_independent_of_creation_order(self):
         # stream (42, 7) yields the same draws no matter how many other
         # streams were built first
-        direct = new_rng_stream(42, 7).normal(0, 1, 50)
+        direct = RngStream(42, 7).normal(0, 1, 50)
         for _ in range(10):
-            new_rng_stream(42, 0).normal(0, 1, 3)
-        again = new_rng_stream(42, 7).normal(0, 1, 50)
+            RngStream(42, 0).normal(0, 1, 3)
+        again = RngStream(42, 7).normal(0, 1, 50)
         assert np.array_equal(direct, again)
 
     def test_children_are_independent_and_reproducible(self):
-        parent = new_rng_stream(9, 3)
+        parent = RngStream(9, 3)
         c0 = parent.child(0).normal(0, 1, 20)
         c1 = parent.child(1).normal(0, 1, 20)
         assert not np.allclose(c0, c1)
-        assert np.array_equal(c0, new_rng_stream(9, 3).child(0).normal(0, 1, 20))
+        assert np.array_equal(c0, RngStream(9, 3).child(0).normal(0, 1, 20))
 
     @given(seed=st.integers(0, 2**63 - 1), sid=st.integers(0, 2**63 - 1))
     @settings(max_examples=25, deadline=None)
     def test_replay_property(self, seed, sid):
-        assert new_rng_stream(seed, sid).gaussian(0, 1) == \
-            new_rng_stream(seed, sid).gaussian(0, 1)
+        assert RngStream(seed, sid).gaussian(0, 1) == \
+            RngStream(seed, sid).gaussian(0, 1)
 
 
 class TestGaussian:
     def test_zero_stddev_returns_mean_exactly(self, rng):
-        assert gaussian(rng, 3.0, 0.0) == 3.0
+        assert rng.gaussian(3.0, 0.0) == 3.0
 
     def test_negative_stddev_rejected(self, rng):
         with pytest.raises(ValueError):
-            gaussian(rng, 0.0, -1.0)
+            rng.gaussian(0.0, -1.0)
 
     def test_sample_mean_converges(self):
         # oracle: direct averaging; sd of the mean is 1/sqrt(K)
-        draws = new_rng_stream(7, 0).normal(0.0, 1.0, 10**6)
+        draws = RngStream(7, 0).normal(0.0, 1.0, 10**6)
         assert abs(draws.mean()) < 0.005
 
     def test_sample_variance_converges(self):
-        draws = new_rng_stream(8, 0).normal(0.0, 0.1, 10**6)
+        draws = RngStream(8, 0).normal(0.0, 0.1, 10**6)
         assert abs(draws.var() - 0.01) < 0.01 * 0.03
 
 

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from stochnewton.core import RngStream
 from stochnewton.finitesum import (BatchPartition, SagaTable,
-                                   default_batch_size, make_partition,
-                                   saga_gradient, saga_update,
-                                   subsampled_gradient, subsampled_hvp)
+                                   default_batch_size, make_partition)
 from stochnewton.linalg import fd_hvp_check
 
 from conftest import quadratic_sum_problem
@@ -74,29 +72,29 @@ class TestSubsampledEstimators:
 
     def test_full_batch_equals_full_gradient(self):
         full = self.prob.full_gradient_exact(self.x)
-        got = subsampled_gradient(self.prob, self.x, np.arange(6))
+        got = self.prob.batch_gradient(np.arange(6), self.x)
         np.testing.assert_allclose(got, full, atol=1e-12)
 
     def test_singleton_batch_is_component(self):
-        got = subsampled_gradient(self.prob, self.x, [1])
+        got = self.prob.batch_gradient([1], self.x)
         expected = self.prob.hessians[1] @ self.x - self.prob.rhs[1]
         np.testing.assert_allclose(got, expected, atol=0)
 
     def test_exhaustive_mean_is_unbiased(self):
         full = self.prob.full_gradient_exact(self.x)
         batches = list(combinations(range(6), 2))
-        mean = np.mean([subsampled_gradient(self.prob, self.x, np.array(b))
+        mean = np.mean([self.prob.batch_gradient(np.array(b), self.x)
                         for b in batches], axis=0)
         np.testing.assert_allclose(mean, full, atol=1e-12)
 
     def test_hvp_equals_mean_hessian_action(self):
         v = RngStream(5, 0).standard_normal(4)
-        got = subsampled_hvp(self.prob, self.x, [0, 2, 4], v)
+        got = self.prob.batch_hvp([0, 2, 4], self.x, v)
         mean_h = np.mean([self.prob.hessians[i] for i in (0, 2, 4)], axis=0)
         np.testing.assert_allclose(got, mean_h @ v, atol=1e-12)
 
     def test_hvp_zero_vector(self):
-        got = subsampled_hvp(self.prob, self.x, [0, 1], np.zeros(4))
+        got = self.prob.batch_hvp([0, 1], self.x, np.zeros(4))
         assert np.array_equal(got, np.zeros(4))
 
     def test_hvp_agrees_with_gradient_differences(self):
@@ -110,11 +108,11 @@ class TestSubsampledEstimators:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            subsampled_gradient(self.prob, self.x, [])
+            self.prob.batch_gradient([], self.x)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            subsampled_gradient(self.prob, self.x, [6])
+            self.prob.batch_gradient([6], self.x)
 
     def test_full_quantities_equal_component_means(self):
         # direct summation over all components, N <= 100
@@ -133,7 +131,7 @@ class TestSagaTable:
         table = SagaTable(prob, x0)
         full = prob.full_gradient_exact(x0)
         for batch in ([0], [2, 4], np.arange(6)):
-            np.testing.assert_allclose(saga_gradient(prob, x0, batch, table),
+            np.testing.assert_allclose(table.estimate(x0, batch),
                                        full, atol=1e-12)
 
     def test_exhaustive_unbiasedness_with_stale_table(self):
@@ -146,7 +144,7 @@ class TestSagaTable:
         x = rng.standard_normal(4)
         full = prob.full_gradient_exact(x)
         batches = list(combinations(range(6), 2))
-        mean = np.mean([saga_gradient(prob, x, np.array(b), table)
+        mean = np.mean([table.estimate(x, np.array(b))
                         for b in batches], axis=0)
         np.testing.assert_allclose(mean, full, atol=1e-12)
 
@@ -156,12 +154,12 @@ class TestSagaTable:
         table = SagaTable(prob, rng.standard_normal(4))
         x = rng.standard_normal(4)
         for batch in make_partition(6, 3, rng):
-            saga_update(table, batch, x)
+            table.update(batch, x)
         full = prob.full_gradient_exact(x)
         np.testing.assert_allclose(table.table,
                                    prob._component_gradients(np.arange(6), x),
                                    atol=1e-12)
-        np.testing.assert_allclose(saga_gradient(prob, x, [3], table), full,
+        np.testing.assert_allclose(table.estimate(x, [3]), full,
                                    atol=1e-12)
 
     def test_running_sum_consistency_under_random_updates(self):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from stochnewton.core import EvalCounts, RngStream
-from stochnewton.fs_solvers import (FsSolverConfig, run_fs_solver,
-                                    run_lsos_bfgs, run_lsos_fs, run_saga_ls)
+from stochnewton import solvers
+from stochnewton.core import EvalCounts, PHASE_LINE_SEARCH, RngStream
+from stochnewton.fs_solvers import FsSolverConfig, run_fs_solver
 from stochnewton.logreg import LogRegModel, generate_synthetic_classification
 from stochnewton.solvers import DeltaSchedule
-from stochnewton.steplen import LineSearchConfig
+from stochnewton.steplen import BacktrackResult, LineSearchConfig, backtrack
 
 from conftest import quadratic_sum_problem
 
@@ -33,7 +33,7 @@ class TestDeterministicReduction:
             method="lsos_bfgs", batch_size=N, hess_batch_size=N,
             m=m, l=l, max_iters=K, max_epochs=None,
             ls=LineSearchConfig(zeta_kind="zero", t_start=1.0))
-        res = run_lsos_bfgs(prob, cfg, x0, RngStream(62, 0))
+        res = run_fs_solver(prob, cfg, x0, RngStream(62, 0))
 
         # reference: explicit BFGS product updates, same averaging windows
         mean_h = np.mean(prob.hessians, axis=0)
@@ -94,7 +94,7 @@ class TestLsosBfgs:
             m = LogRegModel(model.dataset)
             cfg = FsSolverConfig(method="lsos_bfgs", max_epochs=6,
                                  ls=LineSearchConfig(theta=0.999, t_start=0.1))
-            res = run_lsos_bfgs(m, cfg, np.zeros(model.n),
+            res = run_fs_solver(m, cfg, np.zeros(model.n),
                                 RngStream(70, rep).child(1), f_star=f_star)
             errs = res.trace.column("true_error")
             for ep in at_epoch:
@@ -109,7 +109,7 @@ class TestLsosBfgs:
         bs = 6
         cfg = FsSolverConfig(method="lsos_bfgs", batch_size=bs,
                              hess_batch_size=10, max_iters=20, max_epochs=None)
-        run_lsos_bfgs(prob, cfg, np.zeros(4), RngStream(72, 0))
+        run_fs_solver(prob, cfg, np.zeros(4), RngStream(72, 0))
         assert prob.grad_evals == 30 + 2 * bs * 20
         assert prob.hvp_evals > 0
 
@@ -119,7 +119,7 @@ class TestLsosBfgs:
         cfg = FsSolverConfig(method="lsos_bfgs", batch_size=8, l=3, m=2,
                              max_iters=4, max_epochs=None,
                              ls=LineSearchConfig(zeta_kind="zero"))
-        res = run_lsos_bfgs(prob, cfg, np.zeros(5), RngStream(74, 0))
+        res = run_fs_solver(prob, cfg, np.zeros(5), RngStream(74, 0))
         # full-batch SAGA estimate equals the full gradient; check the first
         # update is collinear with it
         g0 = prob.full_gradient_exact(np.zeros(5))
@@ -134,8 +134,8 @@ class TestLsosFs:
                              delta=DeltaSchedule("geometric", rho=0.9),
                              max_iters=30, max_epochs=None,
                              ls=LineSearchConfig(zeta_kind="zero", t_start=0.5))
-        res = run_lsos_fs(model, cfg, np.zeros(model.n), RngStream(52, 0),
-                          f_star=model.f_star)
+        res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(52, 0),
+                            f_star=model.f_star)
         for rec in res.trace.records:
             assert rec.cg_relres is not None
             assert rec.cg_relres <= max(0.9 ** rec.iter, 1e-6) + 1e-15
@@ -147,8 +147,8 @@ class TestLsosFs:
         cfg = FsSolverConfig(method="lsos_fs", batch_size=40,
                              max_iters=80, max_epochs=None,
                              ls=LineSearchConfig(zeta_kind="zero", t_start=0.5))
-        res = run_lsos_fs(model, cfg, np.zeros(model.n), RngStream(54, 0),
-                          f_star=model.f_star)
+        res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(54, 0),
+                            f_star=model.f_star)
         errs = res.trace.column("true_error")
         assert errs[-1] < 0.25 * errs[0]
         assert min(errs) < 0.15 * errs[0]
@@ -158,8 +158,8 @@ class TestSagaLs:
     def test_converges_on_logistic(self):
         model = _logistic(seed=55)
         cfg = FsSolverConfig(method="saga_ls", max_epochs=8)
-        res = run_saga_ls(model, cfg, np.zeros(model.n), RngStream(56, 0),
-                          f_star=model.f_star)
+        res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(56, 0),
+                            f_star=model.f_star)
         errs = res.trace.column("true_error")
         assert errs[-1] < 1e-3 * errs[0]
 
@@ -170,9 +170,9 @@ class TestSagaLs:
         for storage, model in (("dense", model_a), ("loss_split", model_b)):
             cfg = FsSolverConfig(method="saga_ls", max_epochs=6,
                                  saga_storage=storage)
-            res = run_saga_ls(model, cfg, np.zeros(model.n),
-                              RngStream(58, 0).child(1),
-                              f_star=model_a.f_star)
+            res = run_fs_solver(model, cfg, np.zeros(model.n),
+                                RngStream(58, 0).child(1),
+                                f_star=model_a.f_star)
             out[storage] = res.trace.records[-1].true_error
         assert out["loss_split"] < 10 * out["dense"] + 1e-9
         assert out["dense"] < 10 * out["loss_split"] + 1e-9
@@ -183,8 +183,8 @@ class TestSagaLs:
         model = _logistic(N=100, n=4, seed=59)
         bs = 10
         cfg = FsSolverConfig(method="saga_ls", batch_size=bs, max_epochs=2)
-        counts = [run_saga_ls(model, cfg, np.zeros(model.n),
-                              RngStream(60, 0)).eval_counts
+        counts = [run_fs_solver(model, cfg, np.zeros(model.n),
+                                RngStream(60, 0)).eval_counts
                   for _ in range(3)]
         assert isinstance(counts[0], EvalCounts)
         assert counts[0] == counts[1] == counts[2]
@@ -194,26 +194,47 @@ class TestSagaLs:
         assert counts[0].f_evals >= 2 * bs * iters
         assert counts[0].hvp_evals == 0
 
+    def test_exhausted_search_keeps_searching_and_warns_once(self, monkeypatch,
+                                                             caplog):
+        # every search reports exhaustion: the finite-sum family takes the
+        # smallest trial step and never switches to a gain sequence
+        def exhausted(*args, **kwargs):
+            res = backtrack(*args, **kwargs)
+            return BacktrackResult(res.t, False, res.n_trials)
+
+        monkeypatch.setattr(solvers, "backtrack", exhausted)
+        prob = quadratic_sum_problem(10, 3, seed=64)
+        cfg = FsSolverConfig(method="saga_ls", batch_size=2, max_iters=6,
+                             max_epochs=None)
+        with caplog.at_level("WARNING"):
+            res = run_fs_solver(prob, cfg, np.zeros(3), RngStream(65, 0))
+        assert res.iterations == 6 and res.k_tau is None
+        assert set(res.trace.column("phase")) == {PHASE_LINE_SEARCH}
+        assert sum("exhausted" in r.getMessage() for r in caplog.records) == 1
+
     def test_loss_split_requires_logistic(self):
         prob = quadratic_sum_problem(6, 3, seed=59)
         cfg = FsSolverConfig(method="saga_ls", max_epochs=1,
                              saga_storage="loss_split")
         with pytest.raises(ValueError):
-            run_saga_ls(prob, cfg, np.zeros(3), RngStream(0, 0))
+            run_fs_solver(prob, cfg, np.zeros(3), RngStream(0, 0))
 
 
 class TestBudgetsAndValidation:
     def test_max_iters_budget(self):
-        prob = quadratic_sum_problem(10, 3, seed=80)
-        cfg = FsSolverConfig(method="saga_ls", batch_size=2, max_iters=7,
-                             max_epochs=None)
-        res = run_saga_ls(prob, cfg, np.zeros(3), RngStream(81, 0))
-        assert res.iterations == 7 and res.stop_reason == "max_iters"
+        # (N, batch_size, max_iters); 16 / 4 = 4 batches per epoch, so the
+        # second case ends exactly on an epoch boundary
+        for N, bs, max_iters in ((10, 2, 7), (16, 4, 8)):
+            prob = quadratic_sum_problem(N, 3, seed=80)
+            cfg = FsSolverConfig(method="saga_ls", batch_size=bs,
+                                 max_iters=max_iters, max_epochs=None)
+            res = run_fs_solver(prob, cfg, np.zeros(3), RngStream(81, 0))
+            assert res.iterations == max_iters and res.stop_reason == "max_iters"
 
     def test_max_epochs_budget(self):
         prob = quadratic_sum_problem(10, 3, seed=82)
         cfg = FsSolverConfig(method="saga_ls", batch_size=5, max_epochs=3)
-        res = run_saga_ls(prob, cfg, np.zeros(3), RngStream(83, 0))
+        res = run_fs_solver(prob, cfg, np.zeros(3), RngStream(83, 0))
         assert res.iterations == 6  # two batches per epoch, three epochs
         assert res.stop_reason == "max_epochs"
 
@@ -221,7 +242,7 @@ class TestBudgetsAndValidation:
         model = _logistic(seed=84)
         cfg = FsSolverConfig(method="saga_ls", max_epochs=10**6,
                              time_budget_s=0.05)
-        res = run_saga_ls(model, cfg, np.zeros(model.n), RngStream(85, 0))
+        res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(85, 0))
         assert res.stop_reason == "time_budget"
 
     def test_grad_tol_stop(self):
@@ -229,15 +250,9 @@ class TestBudgetsAndValidation:
         cfg = FsSolverConfig(method="saga_ls", batch_size=6, max_epochs=500,
                              grad_tol=1e-6,
                              ls=LineSearchConfig(zeta_kind="zero"))
-        res = run_saga_ls(prob, cfg, np.zeros(3), RngStream(87, 0))
+        res = run_fs_solver(prob, cfg, np.zeros(3), RngStream(87, 0))
         assert res.stop_reason == "grad_tol"
         assert res.final_grad_norm <= 1e-6
-
-    def test_method_mismatch_rejected(self):
-        prob = quadratic_sum_problem(4, 2, seed=88)
-        with pytest.raises(ValueError):
-            run_lsos_fs(prob, FsSolverConfig(method="saga_ls", max_epochs=1),
-                        np.zeros(2), RngStream(0, 0))
 
     def test_requires_some_budget(self):
         with pytest.raises(ValueError):

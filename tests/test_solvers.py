@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from stochnewton import solvers
 from stochnewton.core import PHASE_GAIN, PHASE_LINE_SEARCH, RngStream
 from stochnewton.linalg import SpdOperator, solve_cg
 from stochnewton.solvers import (DeltaSchedule, GainParams, SolverConfig,
-                                 run_lsos, run_sgd, run_solver, run_sos)
-from stochnewton.steplen import LineSearchConfig
+                                 run_solver)
+from stochnewton.steplen import BacktrackResult, LineSearchConfig, backtrack
 from stochnewton.synthetic import (HESS_HOUSEHOLDER, NoisyOracle,
                                    exact_solution, generate_problem)
 
@@ -30,20 +31,15 @@ class TestSos:
         oracle = ExactQuadraticOracle(random_spd(8, rng), rng.standard_normal(8))
         cfg = SolverConfig(method="sos", gain=GainParams(alpha0=1.0),
                            max_iters=5, grad_tol=1e-12)
-        res = run_sos(oracle, cfg, rng.standard_normal(8))
+        res = run_solver(oracle, cfg, rng.standard_normal(8))
         assert res.iterations == 1
         assert np.linalg.norm(res.x - oracle.x_star) <= 1e-10
-
-    def test_method_validation(self, rng):
-        oracle = ExactQuadraticOracle(np.eye(2))
-        with pytest.raises(ValueError):
-            run_sos(oracle, SolverConfig(method="lsos"), np.zeros(2))
 
     def test_gain_steps_match_schedule_exactly(self, rng):
         oracle = ExactQuadraticOracle(random_spd(5, rng))
         cfg = SolverConfig(method="sos", gain=GainParams(alpha0=0.3, T=100.0),
                            max_iters=6)
-        res = run_sos(oracle, cfg, rng.standard_normal(5))
+        res = run_solver(oracle, cfg, rng.standard_normal(5))
         for rec in res.trace.records:
             assert rec.phase == PHASE_GAIN
             assert rec.step_len == pytest.approx(0.3 * 100 / (100 + rec.iter),
@@ -56,7 +52,7 @@ class TestLsosDeterministic:
         cfg = SolverConfig(method="lsos",
                            ls=LineSearchConfig(switch_rule="step_only"),
                            max_iters=50, grad_tol=1e-8)
-        res = run_lsos(oracle, cfg, x0)
+        res = run_solver(oracle, cfg, x0)
         assert res.stop_reason == "grad_tol"
         assert res.final_grad_norm <= 1e-8
 
@@ -77,7 +73,7 @@ class TestLsosDeterministic:
             method="lsos",
             ls=LineSearchConfig(zeta_kind="zero", t_min=1e-30, t_start=1.0),
             max_iters=25, grad_tol=1e-9)
-        run_lsos(oracle, cfg, x0)
+        run_solver(oracle, cfg, x0)
 
         x = x0.copy()
         reference = [x.copy()]
@@ -99,8 +95,8 @@ class TestLsosDeterministic:
         _, oracle1, x0 = _noisy_setup(20, 100.0, 0.3, seed=3)
         _, oracle2, _ = _noisy_setup(20, 100.0, 0.3, seed=3)
         cfg = SolverConfig(method="lsos", max_iters=60)
-        r1 = run_lsos(oracle1, cfg, x0)
-        r2 = run_lsos(oracle2, cfg, x0)
+        r1 = run_solver(oracle1, cfg, x0)
+        r2 = run_solver(oracle2, cfg, x0)
         assert np.array_equal(r1.x, r2.x)
         assert r1.trace.column("f_hat") == r2.trace.column("f_hat")
         assert r1.trace.column("step_len") == r2.trace.column("step_len")
@@ -110,17 +106,47 @@ class TestLsosNoisy:
     def test_phase_flips_once_and_stays(self):
         _, oracle, x0 = _noisy_setup(20, 100.0, 0.5, seed=4)
         cfg = SolverConfig(method="lsos", max_iters=150)
-        res = run_lsos(oracle, cfg, x0)
+        res = run_solver(oracle, cfg, x0)
         phases = res.trace.column("phase")
         assert res.k_tau is not None
         switch = phases.index(PHASE_GAIN)
         assert all(p == PHASE_LINE_SEARCH for p in phases[:switch])
         assert all(p == PHASE_GAIN for p in phases[switch:])
 
+    def test_search_spends_one_value_for_f0_and_one_per_trial(self,
+                                                               monkeypatch):
+        # f0 and every trial are separate oracle calls, each with fresh
+        # value noise; the slack zeta_k absorbs that noise
+        _, oracle, x0 = _noisy_setup(20, 100.0, 0.5, seed=10)
+        searches = []
+
+        def recording(*args, **kwargs):
+            searches.append(backtrack(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(solvers, "backtrack", recording)
+        cfg = SolverConfig(method="lsos", ls=LineSearchConfig(t_start=8.0),
+                           max_iters=1)
+        res = run_solver(oracle, cfg, x0)
+        assert len(searches) == 1 and searches[0].n_trials > 1
+        assert res.eval_counts.f_evals == 1 + searches[0].n_trials
+
+    def test_exhausted_search_switches_to_gain_sequence(self, monkeypatch):
+        # the noisy family's exhaustion policy: deactivate the search at once
+        def exhausted(*args, **kwargs):
+            res = backtrack(*args, **kwargs)
+            return BacktrackResult(res.t, False, res.n_trials)
+
+        monkeypatch.setattr(solvers, "backtrack", exhausted)
+        _, oracle, x0 = _noisy_setup(20, 100.0, 0.5, seed=11)
+        res = run_solver(oracle, SolverConfig(method="lsos", max_iters=5), x0)
+        assert res.k_tau == 0
+        assert set(res.trace.column("phase")) == {PHASE_GAIN}
+
     def test_anchored_gain_steps_follow_schedule(self):
         _, oracle, x0 = _noisy_setup(20, 100.0, 0.5, seed=5)
         cfg = SolverConfig(method="lsos", max_iters=150)
-        res = run_lsos(oracle, cfg, x0)
+        res = run_solver(oracle, cfg, x0)
         recs = res.trace.records
         k_tau = res.k_tau
         t_anchor = next(r.step_len for r in recs if r.iter == k_tau)
@@ -135,7 +161,8 @@ class TestLsosNoisy:
         errors = []
         for rep in range(5):
             _, oracle, x0 = _noisy_setup(20, 100.0, 0.1, seed=100 + rep)
-            res = run_lsos(oracle, SolverConfig(method="lsos", max_iters=80), x0)
+            res = run_solver(oracle, SolverConfig(method="lsos", max_iters=80),
+                             x0)
             errors.append(res.trace.records[-1].true_error /
                           res.trace.records[0].true_error)
         assert np.mean(errors) < 1e-3
@@ -151,7 +178,7 @@ class TestLsosInexact:
         cfg = SolverConfig(method="lsos_inexact",
                            delta=DeltaSchedule("geometric", rho=0.95),
                            max_iters=80)
-        res = run_lsos(oracle, cfg, x0)
+        res = run_solver(oracle, cfg, x0)
         checked = 0
         for rec in res.trace.records:
             if rec.cg_relres is not None:
@@ -169,7 +196,7 @@ class TestLsosInexact:
                            delta=DeltaSchedule("geometric", rho=0.95),
                            max_iters=1)
         x0 = np.zeros(30)
-        res = run_lsos(oracle, cfg, x0)
+        res = run_solver(oracle, cfg, x0)
         assert res.trace.records[0].cg_iters >= 1
         assert not np.array_equal(res.x, x0)
 
@@ -191,7 +218,7 @@ class TestDescentBound:
 class TestSgd:
     def test_first_step_has_unit_length(self):
         _, oracle, x0 = _noisy_setup(20, 100.0, 0.1, seed=8)
-        res = run_sgd(oracle, SolverConfig(method="sgd", max_iters=3), x0)
+        res = run_solver(oracle, SolverConfig(method="sgd", max_iters=3), x0)
         first = res.trace.records[0]
         assert first.step_len * first.grad_norm_hat == pytest.approx(1.0,
                                                                      rel=1e-12)
@@ -201,7 +228,7 @@ class TestSgd:
         oracle = ExactQuadraticOracle(h, rng.standard_normal(6))
         cfg = SolverConfig(method="sgd", gain=GainParams(alpha0=0.2, T=1e12),
                            max_iters=50)
-        res = run_sgd(oracle, cfg, rng.standard_normal(6))
+        res = run_solver(oracle, cfg, rng.standard_normal(6))
         errs = [r.true_error for r in res.trace.records]
         assert errs[-1] < 1e-6 * errs[0]
         ratios = [b / a for a, b in zip(errs, errs[1:]) if a > 1e-14]
@@ -215,8 +242,8 @@ class TestSgd:
             finals = {}
             for method in ("sgd", "sgd_ls"):
                 oracle = NoisyOracle(problem, RngStream(300 + rep, 1).child(2))
-                res = run_sgd(oracle, SolverConfig(method=method, max_iters=40),
-                              x0)
+                res = run_solver(oracle,
+                                 SolverConfig(method=method, max_iters=40), x0)
                 finals[method] = res.trace.records[-1].true_error
             per_seed.append(finals)
         mean_ls = np.mean([f["sgd_ls"] for f in per_seed])
@@ -240,7 +267,7 @@ class TestRobustness:
         cfg = SolverConfig(method="lsos",
                            ls=LineSearchConfig(zeta_kind="zero"), max_iters=30,
                            grad_tol=1e-6)
-        res = run_lsos(oracle, cfg, rng.standard_normal(5))
+        res = run_solver(oracle, cfg, rng.standard_normal(5))
         assert all(r.fallback for r in res.trace.records)
         assert res.trace.records[-1].true_error < res.trace.records[0].true_error
 
@@ -248,7 +275,7 @@ class TestRobustness:
         oracle = ExactQuadraticOracle(random_spd(4, rng), rng.standard_normal(4))
         cfg = SolverConfig(method="sos", gain=GainParams(alpha0=1e6, T=1e12),
                            max_iters=100)
-        res = run_sos(oracle, cfg, rng.standard_normal(4))
+        res = run_solver(oracle, cfg, rng.standard_normal(4))
         assert res.stop_reason == "diverged"
         assert res.trace.records[-1].f_hat == math.inf
         assert res.trace.records[-1].true_error == math.inf
@@ -256,7 +283,7 @@ class TestRobustness:
     def test_time_budget_respected(self):
         _, oracle, x0 = _noisy_setup(150, 100.0, 0.5, seed=9)
         cfg = SolverConfig(method="lsos", max_iters=10**6, time_budget_s=0.05)
-        res = run_lsos(oracle, cfg, x0)
+        res = run_solver(oracle, cfg, x0)
         assert res.stop_reason == "time_budget"
         assert res.iterations < 10**6
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from stochnewton.core import RngStream
 from stochnewton.steplen import (GainSchedule, HARMONIC, LineSearchConfig,
                                  T_DAMPED, T_DAMPED_ANCHORED, backtrack,
-                                 next_gain, switch_check)
+                                 switch_check)
 
 from conftest import random_spd
 
@@ -18,7 +18,7 @@ from conftest import random_spd
 class TestGainSchedule:
     def test_t_damped_at_zero(self):
         s = GainSchedule(T_DAMPED, alpha0=0.5, T=1e6)
-        assert next_gain(s) == 0.5
+        assert s.next_gain() == 0.5
 
     def test_t_damped_halves_at_k_equals_T(self):
         s = GainSchedule(T_DAMPED, alpha0=0.5, T=1e6)
@@ -46,7 +46,7 @@ class TestGainSchedule:
 
     def test_counter_advances(self):
         s = GainSchedule(T_DAMPED, alpha0=1.0, T=10.0)
-        assert [next_gain(s) for _ in range(3)] == [1.0, 10 / 11, 10 / 12]
+        assert [s.next_gain() for _ in range(3)] == [1.0, 10 / 11, 10 / 12]
 
     def test_validation(self):
         with pytest.raises(ValueError):
