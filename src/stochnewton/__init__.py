@@ -27,4 +27,4 @@ from .solvers import (DeltaSchedule, GainParams, SolverConfig, SolverResult,
 from .steplen import (BacktrackResult, GainSchedule, LineSearchConfig,
                       backtrack, switch_check)
 from .synthetic import (ConvexRandomProblem, HouseholderOperator, NoisyOracle,
-                        exact_solution, generate_problem, noisy_eval)
+                        exact_solution, generate_problem)

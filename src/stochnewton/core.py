@@ -4,7 +4,7 @@ Everything downstream (problem generators, solvers, the experiment harness)
 builds on the three contracts defined here:
 
 * :class:`RngStream` -- splittable, replication-safe random streams,
-* :class:`OracleSample` -- one noisy evaluation of (f, g, B) with accounting,
+* :class:`OracleSample` -- one noisy evaluation of (f, g, B),
 * :class:`RunTrace` -- the per-iteration record emitted by every solver run.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -121,8 +121,8 @@ class RngStream:
 class EvalCounts:
     """Oracle evaluation counts.
 
-    Cumulative at sampling time on an :class:`OracleSample`; per run on
-    every solver result.
+    Cumulative from the ``counts()`` of a noisy oracle or a finite-sum
+    problem; per run on every solver result.
     """
 
     f_evals: int = 0
@@ -148,7 +148,6 @@ class OracleSample:
     value: Optional[float] = None
     gradient: Optional[Vector] = None
     hessian: Optional[object] = None
-    eval_counts: EvalCounts = field(default_factory=EvalCounts)
 
 
 @dataclass

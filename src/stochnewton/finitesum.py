@@ -1,10 +1,11 @@
 """Finite-sum objectives: mini-batch machinery and variance-reduced estimators.
 
 The objective is the sample mean ``phi(x) = (1/N) sum_i phi_i(x)`` of ``N``
-component functions.  Concrete problems subclass :class:`FiniteSumProblem`
-and implement the per-component oracle; the base class provides mean-over-
-batch defaults and component-level evaluation accounting (the accounting is
-what the SAGA cost contract is asserted against).
+component functions.  The mini-batch is the only oracle granularity:
+concrete problems subclass :class:`FiniteSumProblem` and implement the
+private batch methods; the base class validates batches and keeps the
+component-evaluation accounting (the accounting is what the SAGA cost
+contract is asserted against).
 
 Two gradient estimators are provided:
 
@@ -31,11 +32,13 @@ array, even one of size ``N``, which may repeat components."""
 
 
 class FiniteSumProblem:
-    """Base class for ``phi = (1/N) sum phi_i`` with per-component access.
+    """Base class for ``phi = (1/N) sum phi_i``, evaluated by mini-batches.
 
-    Subclasses must implement the ``_component_*`` methods; overriding the
-    ``_batch_*`` implementations with vectorized versions is encouraged.
-    Public methods maintain the component-evaluation counters.
+    Subclasses implement, for an index array or :data:`ALL_ROWS` ``idx``,
+    the batch means ``_batch_value(idx, x)``, ``_batch_gradient(idx, x)``,
+    ``_batch_hvp(idx, x, v)`` and ``_batch_hessian(idx, x)`` (dense), and
+    the stacked rows ``_component_gradients(idx, x)``.  The public methods
+    validate the batch and count one evaluation per component in it.
 
     ``mu_strong`` / ``grad_lipschitz`` hold the strong-convexity and gradient
     Lipschitz constants when the problem knows them (otherwise ``None``).
@@ -53,44 +56,6 @@ class FiniteSumProblem:
         self.grad_evals = 0
         self.hvp_evals = 0
 
-    # -- per-component oracle (abstract) ------------------------------------
-
-    def _component_value(self, i: int, x: Vector) -> float:
-        raise NotImplementedError
-
-    def _component_gradient(self, i: int, x: Vector) -> Vector:
-        raise NotImplementedError
-
-    def _component_hvp(self, i: int, x: Vector, v: Vector) -> Vector:
-        raise NotImplementedError
-
-    # -- batch implementations (override for speed) --------------------------
-
-    def _batch_value(self, idx, x: Vector) -> float:
-        idx = np.arange(self.N)[idx]
-        return float(np.mean([self._component_value(i, x) for i in idx]))
-
-    def _batch_gradient(self, idx, x: Vector) -> Vector:
-        idx = np.arange(self.N)[idx]
-        g = np.zeros(self.n)
-        for i in idx:
-            g += self._component_gradient(i, x)
-        return g / len(idx)
-
-    def _batch_hvp(self, idx, x: Vector, v: Vector) -> Vector:
-        hv = np.zeros(self.n)
-        for i in idx:
-            hv += self._component_hvp(i, x, v)
-        return hv / len(idx)
-
-    def _component_gradients(self, idx, x: Vector) -> np.ndarray:
-        return np.stack([self._component_gradient(i, x) for i in idx])
-
-    def _batch_hessian(self, idx, x: Vector) -> np.ndarray:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose dense subsampled Hessians"
-        )
-
     # -- public, counted oracle ----------------------------------------------
 
     def _check_batch(self, idx):
@@ -100,18 +65,6 @@ class FiniteSumProblem:
         if idx.min() < 0 or idx.max() >= self.N:
             raise ValueError(f"batch indices out of range 0..{self.N - 1}")
         return idx
-
-    def component_value(self, i: int, x: Vector) -> float:
-        self.value_evals += 1
-        return self._component_value(int(i), x)
-
-    def component_gradient(self, i: int, x: Vector) -> Vector:
-        self.grad_evals += 1
-        return self._component_gradient(int(i), x)
-
-    def component_hvp(self, i: int, x: Vector, v: Vector) -> Vector:
-        self.hvp_evals += 1
-        return self._component_hvp(int(i), x, v)
 
     def batch_value(self, idx, x: Vector) -> float:
         idx = self._check_batch(idx)
@@ -155,33 +108,36 @@ class FiniteSumProblem:
 
 
 class QuadraticSumProblem(FiniteSumProblem):
-    """``phi_i(x) = 0.5 x^T H_i x - b_i^T x`` with SPD mean Hessian (test/demo)."""
+    """``phi_i(x) = 0.5 x^T H_i x - b_i^T x`` with SPD mean Hessian (test/demo).
+
+    ``hessians`` has shape ``(N, n, n)`` and ``rhs`` shape ``(N, n)``.
+    """
 
     def __init__(self, hessians: Sequence[np.ndarray], rhs: Sequence[Vector]):
-        hessians = [np.asarray(h, dtype=np.float64) for h in hessians]
-        rhs = [np.asarray(b, dtype=np.float64) for b in rhs]
-        if len(hessians) != len(rhs):
+        self.hessians = np.asarray(hessians, dtype=np.float64)
+        self.rhs = np.asarray(rhs, dtype=np.float64)
+        if len(self.hessians) != len(self.rhs):
             raise ValueError("need one rhs per Hessian")
-        n = hessians[0].shape[0]
-        self.hessians = hessians
-        self.rhs = rhs
-        mean_h = np.mean(hessians, axis=0)
-        eigs = np.linalg.eigvalsh(mean_h)
-        super().__init__(len(hessians), n, mu_strong=float(eigs[0]),
-                         grad_lipschitz=float(max(np.linalg.eigvalsh(h)[-1]
-                                                  for h in hessians)))
+        mu = np.linalg.eigvalsh(self.hessians.mean(axis=0))[0]
+        L = np.linalg.eigvalsh(self.hessians).max()
+        super().__init__(len(self.hessians), self.rhs.shape[1],
+                         mu_strong=float(mu), grad_lipschitz=float(L))
 
-    def _component_value(self, i, x):
-        return float(0.5 * x @ self.hessians[i] @ x - self.rhs[i] @ x)
+    def _batch_value(self, idx, x):
+        hx = self.hessians[idx] @ x
+        return float(np.mean(0.5 * (hx @ x) - self.rhs[idx] @ x))
 
-    def _component_gradient(self, i, x):
-        return self.hessians[i] @ x - self.rhs[i]
+    def _component_gradients(self, idx, x):
+        return self.hessians[idx] @ x - self.rhs[idx]
 
-    def _component_hvp(self, i, x, v):
-        return self.hessians[i] @ v
+    def _batch_gradient(self, idx, x):
+        return self._component_gradients(idx, x).mean(axis=0)
+
+    def _batch_hvp(self, idx, x, v):
+        return (self.hessians[idx] @ v).mean(axis=0)
 
     def _batch_hessian(self, idx, x):
-        return np.mean([self.hessians[i] for i in idx], axis=0)
+        return self.hessians[idx].mean(axis=0)
 
 
 # -- mini-batch plumbing ------------------------------------------------------

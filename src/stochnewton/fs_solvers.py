@@ -51,15 +51,12 @@ STORAGE_DENSE = "dense"
 STORAGE_LOSS_SPLIT = "loss_split"
 
 
-def default_fs_line_search() -> LineSearchConfig:
-    # theta = 0.999 keeps the nonmonotone slack alive over whole epochs
-    return LineSearchConfig(theta=0.999)
-
-
 @dataclass
 class FsSolverConfig:
     method: str = METHOD_LSOS_BFGS
-    ls: LineSearchConfig = field(default_factory=default_fs_line_search)
+    # theta = 0.999 keeps the nonmonotone slack alive over whole epochs
+    ls: LineSearchConfig = field(
+        default_factory=lambda: LineSearchConfig(theta=0.999))
     delta: DeltaSchedule = field(default_factory=DeltaSchedule)
     batch_size: Optional[int] = None        # default ceil(sqrt(N))
     hess_batch_size: Optional[int] = None   # default ceil(sqrt(N))

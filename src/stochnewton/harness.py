@@ -17,7 +17,7 @@ import concurrent.futures
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -30,7 +30,6 @@ from .fs_solvers import (FS_METHODS, FsSolverConfig, run_fs_solver)
 from .logreg import LogRegModel, generate_synthetic_classification, parse_libsvm
 from .solvers import (ALL_METHODS, AUTO_ALPHA0, DeltaSchedule, GainParams,
                       SolverConfig, run_solver)
-from .steplen import LineSearchConfig
 from .synthetic import (HESS_DENSE, HESS_HOUSEHOLDER, NoisyOracle,
                         exact_solution, generate_problem)
 
@@ -258,76 +257,69 @@ def build_problem(spec: ExperimentSpec):
     raise SpecError(f"problem.kind: unknown kind {kind!r}")
 
 
-def _parse_delta(raw: Optional[str], method: str) -> DeltaSchedule:
-    if raw is None:
-        if method == "lsos_inexact":
-            return DeltaSchedule("geometric", rho=0.95)
-        return DeltaSchedule("zero")
+def _parse_delta(raw: str) -> DeltaSchedule:
     if raw == "zero":
         return DeltaSchedule("zero")
     if raw.startswith("geometric"):
-        rho = float(raw.split(":", 1)[1]) if ":" in raw else 0.95
-        return DeltaSchedule("geometric", rho=rho)
+        if ":" in raw:
+            return DeltaSchedule("geometric", rho=float(raw.split(":", 1)[1]))
+        return DeltaSchedule("geometric")
     if raw.startswith("constant"):
         return DeltaSchedule("constant", value=float(raw.split(":", 1)[1]))
     raise SpecError(f"bad delta spec {raw!r}")
 
 
-def _line_search_config(spec: ExperimentSpec, name: str, method: str) -> LineSearchConfig:
-    theta_default = 0.999 if method in FS_METHODS else 0.9
-    zeta = spec.solver_get(name, "zeta", "geometric")
-    t_ini = spec.solver_get(name, "t_ini", "1.0")
-    return LineSearchConfig(
-        eta=spec.solver_get(name, "eta", 1e-4),
-        beta=spec.solver_get(name, "beta", 0.5),
-        zeta_kind=zeta,
-        theta=spec.solver_get(name, "theta", theta_default),
-        t_start=float(t_ini),
-        max_backtracks=spec.solver_get(name, "max_backtracks", 60),
-        t_min=spec.solver_get(name, "t_min", 1e-3),
-        switch_rule=spec.solver_get(name, "switch_rule", "step_norm"),
-    )
+# solver key -> config field, for the keys whose names differ
+_FIELD_OF_KEY = {"zeta": "zeta_kind", "t_ini": "t_start"}
+_LS_KEYS = ("eta", "beta", "zeta", "theta", "t_ini", "t_min",
+            "max_backtracks", "switch_rule")
+_FS_KEYS = ("batch_size", "hess_batch_size", "batch_scheme", "m", "l",
+            "saga_storage")
+
+
+def _given(spec: ExperimentSpec, name: str, keys) -> dict:
+    """Config fields for the solver keys of `keys` that the spec sets."""
+    values = {}
+    for key in keys:
+        value = spec.solver_get(name, key)
+        if value is not None:
+            values[_FIELD_OF_KEY.get(key, key)] = value
+    return values
 
 
 def build_solver_config(spec: ExperimentSpec, name: str):
-    """Resolve one solver block into a SolverConfig / FsSolverConfig."""
+    """Resolve one solver block into a SolverConfig / FsSolverConfig.
+
+    Only the keys the spec sets are passed on; every other field keeps the
+    default of its config class.
+    """
     method = spec.solver_method(name)
-    if spec.solver_get(name, "t_ini", "1.0") == "grid":
+    ls = _given(spec, name, _LS_KEYS)
+    if ls.get("t_start") == "grid":
         raise SpecError(f"solver.{name}.t_ini: unresolved grid request")
+    if "t_start" in ls:
+        ls["t_start"] = float(ls["t_start"])
+    kwargs = _given(spec, name, ("cg_rel_floor", "cg_max_iters"))
+    delta = spec.solver_get(name, "delta")
+    if delta is not None:
+        kwargs["delta"] = _parse_delta(delta)
+    kwargs.update(time_budget_s=spec.get("run.time_budget_s"),
+                  grad_tol=spec.get("run.grad_tol") or None)
     if method in ALL_METHODS:
-        alpha0_raw = spec.solver_get(name, "alpha0", AUTO_ALPHA0)
-        alpha0 = alpha0_raw if alpha0_raw == AUTO_ALPHA0 else float(alpha0_raw)
-        max_iters = spec.get("run.max_iters")
-        return SolverConfig(
-            method=method,
-            gain=GainParams(alpha0=alpha0, T=spec.solver_get(name, "T", 1e6)),
-            ls=_line_search_config(spec, name, method),
-            delta=_parse_delta(spec.solver_get(name, "delta"), method),
-            cg_rel_floor=spec.solver_get(name, "cg_rel_floor", 1e-6),
-            cg_max_iters=spec.solver_get(name, "cg_max_iters"),
-            max_iters=max_iters,
-            time_budget_s=spec.get("run.time_budget_s"),
-            grad_tol=spec.get("run.grad_tol") or None,
-        )
-    max_epochs = spec.get("run.max_epochs") or None
-    max_iters = None if max_epochs else spec.get("run.max_iters")
-    return FsSolverConfig(
-        method=method,
-        ls=_line_search_config(spec, name, method),
-        delta=_parse_delta(spec.solver_get(name, "delta"), method),
-        batch_size=spec.solver_get(name, "batch_size"),
-        hess_batch_size=spec.solver_get(name, "hess_batch_size"),
-        batch_scheme=spec.solver_get(name, "batch_scheme"),
-        m=spec.solver_get(name, "m", 10),
-        l=spec.solver_get(name, "l", 5),
-        saga_storage=spec.solver_get(name, "saga_storage", "dense"),
-        cg_rel_floor=spec.solver_get(name, "cg_rel_floor", 1e-6),
-        cg_max_iters=spec.solver_get(name, "cg_max_iters"),
-        max_epochs=max_epochs,
-        max_iters=max_iters,
-        time_budget_s=spec.get("run.time_budget_s"),
-        grad_tol=spec.get("run.grad_tol") or None,
-    )
+        gain = _given(spec, name, ("alpha0", "T"))
+        if gain.get("alpha0", AUTO_ALPHA0) != AUTO_ALPHA0:
+            gain["alpha0"] = float(gain["alpha0"])
+        cfg = SolverConfig(method=method, gain=GainParams(**gain),
+                           max_iters=spec.get("run.max_iters"), **kwargs)
+    else:
+        max_epochs = spec.get("run.max_epochs") or None
+        cfg = FsSolverConfig(
+            method=method, max_epochs=max_epochs,
+            max_iters=None if max_epochs else spec.get("run.max_iters"),
+            **_given(spec, name, _FS_KEYS), **kwargs)
+    if ls:
+        cfg.ls = replace(cfg.ls, **ls)
+    return cfg
 
 
 def initial_point(spec: ExperimentSpec, problem, kind: str, rep_stream: RngStream):

@@ -5,10 +5,13 @@ plain conjugate-gradient loop with a *relative* residual stopping rule (the
 achieved residual is always recomputed from scratch before being reported, so
 the returned certificate can be trusted).  Indefiniteness surfaces as
 :class:`NotPositiveDefiniteError`; the solver drivers decide the fallback.
+:func:`damped_newton` is the exact Newton loop behind every reference
+optimum; each problem family passes its own Newton solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,11 +28,12 @@ class NotPositiveDefiniteError(Exception):
 class SpdOperator:
     """A symmetric positive definite linear map ``v -> B v``.
 
-    Either backed by an explicit dense matrix (``dense is not None``) or by a
-    matvec closure.  ``n`` is the dimension.
+    Backed by an explicit dense matrix (``dense is not None``), a matvec
+    closure, or both; :meth:`apply` prefers the closure.  ``n`` is the
+    dimension.
     """
 
-    __slots__ = ("n", "dense", "_matvec", "n_applies")
+    __slots__ = ("n", "dense", "_matvec")
 
     def __init__(self, n: int, matvec: Optional[Callable[[Vector], Vector]] = None,
                  dense: Optional[np.ndarray] = None):
@@ -38,7 +42,6 @@ class SpdOperator:
         self.n = int(n)
         self.dense = dense
         self._matvec = matvec
-        self.n_applies = 0
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SpdOperator":
@@ -56,13 +59,9 @@ class SpdOperator:
         return self.dense is not None
 
     def apply(self, v: Vector) -> Vector:
-        self.n_applies += 1
         if self._matvec is not None:
             return self._matvec(v)
         return self.dense @ v
-
-    def __call__(self, v: Vector) -> Vector:
-        return self.apply(v)
 
 
 def solve_direct(op: SpdOperator, rhs: Vector) -> Vector:
@@ -141,6 +140,43 @@ def solve_cg(op: SpdOperator, rhs: Vector, rel_tol: float,
 
     final = float(np.linalg.norm(rhs - op.apply(d))) / rhs_norm
     return CgResult(d, final, iters)
+
+
+def damped_newton(value: Callable[[Vector], float],
+                  gradient: Callable[[Vector], Vector],
+                  newton_solve: Callable[[Vector, Vector], Vector],
+                  x: Vector, tol: float, max_iters: int) -> Vector:
+    """Minimize a smooth convex function by Newton steps from ``x``.
+
+    ``newton_solve(x, g)`` returns the direction ``d`` solving
+    ``H(x) d = -g``.  Each step backtracks by halving from ``t = 1``, at
+    most 60 times, until the Armijo test with parameter 1e-4 holds;
+    non-finite trial values are rejected.  Returns the first iterate with
+    ``||g|| <= tol`` and raises :class:`RuntimeError` if none is reached
+    within ``max_iters`` iterations.
+    """
+    gnorm = math.inf
+    for _ in range(max_iters):
+        g = gradient(x)
+        gnorm = np.linalg.norm(g)
+        if gnorm <= tol:
+            return x
+        d = newton_solve(x, g)
+        f0 = value(x)
+        slope = float(g @ d)
+        # rounding slack: near the optimum the predicted decrease drops below
+        # the float resolution of f, which must not stall the full Newton step
+        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(f0))
+        t = 1.0
+        for _ in range(60):
+            ft = value(x + t * d)
+            if math.isfinite(ft) and ft <= f0 + 1e-4 * t * slope + slack:
+                break
+            t *= 0.5
+        x = x + t * d
+    raise RuntimeError(
+        f"damped Newton did not reach ||grad|| <= {tol} in {max_iters} "
+        f"iterations (last ||grad|| = {gnorm:.3e})")
 
 
 def fd_gradient_check(f: Callable[[Vector], float], grad: Callable[[Vector], Vector],

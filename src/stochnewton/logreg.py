@@ -27,6 +27,7 @@ import scipy.sparse as sp
 
 from .core import RngStream, Vector
 from .finitesum import ALL_ROWS, FiniteSumProblem
+from .linalg import damped_newton
 
 
 class LibsvmFormatError(ValueError):
@@ -251,15 +252,6 @@ class LogRegModel(FiniteSumProblem):
             return self.store, self.dataset.labels
         return self.store[idx], self.dataset.labels[idx]
 
-    def _component_value(self, i, x):
-        return self._batch_value(np.asarray([i]), x)
-
-    def _component_gradient(self, i, x):
-        return self._component_gradients(np.asarray([i]), x)[0]
-
-    def _component_hvp(self, i, x, v):
-        return self._batch_hvp(np.asarray([i]), x, v)
-
     def _batch_value(self, idx, x):
         rows, labels = self._rows(idx)
         m = labels * (rows @ x)
@@ -305,24 +297,11 @@ class LogRegModel(FiniteSumProblem):
         """Deterministic full-gradient damped Newton reference; cached."""
         if self._x_star is not None:
             return self._x_star, self._f_star
-        x = np.zeros(self.n)
-        for _ in range(max_iters):
-            g = self._batch_gradient(ALL_ROWS, x)
-            if np.linalg.norm(g) <= tol:
-                break
-            h = self._batch_hessian(ALL_ROWS, x)
-            d = np.linalg.solve(h, -g)
-            f0 = self._batch_value(ALL_ROWS, x)
-            slope = float(g @ d)
-            slack = 8.0 * np.finfo(float).eps * max(1.0, abs(f0))
-            t = 1.0
-            for _ in range(60):
-                if self._batch_value(ALL_ROWS, x + t * d) <= f0 + 1e-4 * t * slope + slack:
-                    break
-                t *= 0.5
-            x = x + t * d
-        else:
-            raise RuntimeError(f"reference Newton did not reach ||grad|| <= {tol}")
+        x = damped_newton(
+            lambda x: self._batch_value(ALL_ROWS, x),
+            lambda x: self._batch_gradient(ALL_ROWS, x),
+            lambda x, g: np.linalg.solve(self._batch_hessian(ALL_ROWS, x), -g),
+            np.zeros(self.n), tol, max_iters)
         self._x_star = x
         self._f_star = self._batch_value(ALL_ROWS, x)
         return self._x_star, self._f_star

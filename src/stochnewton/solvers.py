@@ -43,8 +43,7 @@ from .core import (PHASE_GAIN, PHASE_LINE_SEARCH, EvalCounts, RunTrace,
                    TraceRecord, Vector, as_vector)
 from .linalg import (NotPositiveDefiniteError, SpdOperator, solve_cg,
                      solve_direct)
-from .steplen import (GainSchedule, LineSearchConfig, T_DAMPED,
-                      T_DAMPED_ANCHORED, backtrack, switch_check)
+from .steplen import GainSchedule, LineSearchConfig, backtrack, switch_check
 
 _logger = logging.getLogger(__name__)
 
@@ -108,7 +107,7 @@ class SolverConfig:
     method: str = METHOD_LSOS
     gain: GainParams = field(default_factory=GainParams)
     ls: LineSearchConfig = field(default_factory=LineSearchConfig)
-    delta: DeltaSchedule = field(default_factory=DeltaSchedule)
+    delta: Optional[DeltaSchedule] = None  # default: the method's own
     cg_rel_floor: float = 1e-6
     cg_max_iters: Optional[int] = None
     max_iters: int = 100
@@ -118,6 +117,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ALL_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.delta is None:
+            # lsos_inexact is lsos with a geometric forcing term
+            self.delta = DeltaSchedule(DELTA_GEOMETRIC
+                                       if self.method == METHOD_LSOS_INEXACT
+                                       else DELTA_ZERO)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -211,7 +215,7 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     phase = PHASE_LINE_SEARCH if line_search else PHASE_GAIN
     schedule: Optional[GainSchedule] = None
     if not line_search and not isinstance(gain.alpha0, str):
-        schedule = GainSchedule(T_DAMPED, alpha0=gain.alpha0, T=gain.T)
+        schedule = GainSchedule(alpha0=gain.alpha0, T=gain.T)
     k_tau: Optional[int] = None
     gnorm: Optional[float] = None
     exhausted_warned = False
@@ -247,7 +251,7 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
 
         if schedule is None and phase == PHASE_GAIN:
             # alpha0 = "auto": unit-length first step
-            schedule = GainSchedule(T_DAMPED, alpha0=1.0 / dnorm, T=gain.T)
+            schedule = GainSchedule(alpha0=1.0 / dnorm, T=gain.T)
 
         f_hat: Optional[float] = None
         if phase == PHASE_LINE_SEARCH:
@@ -262,12 +266,10 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
                                     cfg.ls.max_backtracks, k)
                     exhausted_warned = True
             elif not res.accepted or switch_check(t, dnorm, cfg.ls):
-                # one-way switch: anchor the gain sequence at this iteration
+                # one-way switch: a fresh gain sequence from this iteration
                 phase = PHASE_GAIN
                 k_tau = k
-                schedule = GainSchedule(T_DAMPED_ANCHORED,
-                                        alpha0=cfg.ls.t_min / dnorm,
-                                        T=gain.T, k_tau=k, current_k=k)
+                schedule = GainSchedule(alpha0=cfg.ls.t_min / dnorm, T=gain.T)
                 t = schedule.next_gain()
         else:
             t = schedule.next_gain()

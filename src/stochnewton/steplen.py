@@ -13,55 +13,33 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-HARMONIC = "harmonic"
-T_DAMPED = "t_damped"
-T_DAMPED_ANCHORED = "t_damped_anchored"
-
 SWITCH_STEP_NORM = "step_norm"   # deactivate when t * ||d|| < t_min
 SWITCH_STEP_ONLY = "step_only"   # deactivate when t < t_min
 
 
 @dataclass
 class GainSchedule:
-    """A positive step-length sequence ``alpha_k`` with an internal counter.
+    """The gain sequence ``alpha_k = alpha0 * T / (T + k)`` with a counter.
 
-    Kinds
-    -----
-    ``harmonic``
-        ``alpha_k = alpha0 / (k + 1)`` (non-summable, square-summable).
-    ``t_damped``
-        ``alpha_k = alpha0 * T / (T + k)``; decays like ``1/k`` only for
-        ``k >> T``, which keeps early steps close to ``alpha0``.
-    ``t_damped_anchored``
-        ``alpha_k = alpha_ktau * T / (T + k - k_tau)`` for ``k >= k_tau``;
-        used after the line search deactivates at iteration ``k_tau`` with
-        ``alpha_ktau = t_min / ||d_ktau||``.
+    It decays like ``1/k`` only for ``k >> T``, which keeps early steps
+    close to ``alpha0``.  When the line search deactivates at iteration
+    ``k_tau`` the solvers start a fresh schedule with
+    ``alpha0 = t_min / ||d_ktau||``, so its ``k``-th gain is the anchored
+    ``alpha_ktau * T / (T + k - k_tau)`` of the outer iteration ``k_tau + k``.
     """
 
-    kind: str = T_DAMPED
     alpha0: float = 1.0
     T: float = 1e6
-    k_tau: int = 0
     current_k: int = 0
 
     def __post_init__(self):
-        if self.kind not in (HARMONIC, T_DAMPED, T_DAMPED_ANCHORED):
-            raise ValueError(f"unknown gain kind {self.kind!r}")
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
-        if self.kind != HARMONIC and self.T <= 0:
+        if self.T <= 0:
             raise ValueError("T must be positive")
-        if self.kind == T_DAMPED_ANCHORED:
-            self.current_k = max(self.current_k, self.k_tau)
 
     def peek(self, k: int) -> float:
-        if self.kind == HARMONIC:
-            return self.alpha0 / (k + 1)
-        if self.kind == T_DAMPED:
-            return self.alpha0 * self.T / (self.T + k)
-        if k < self.k_tau:
-            raise ValueError(f"anchored schedule starts at k_tau={self.k_tau}, got k={k}")
-        return self.alpha0 * self.T / (self.T + (k - self.k_tau))
+        return self.alpha0 * self.T / (self.T + k)
 
     def next_gain(self) -> float:
         """Return ``alpha_k`` for the current ``k`` and advance the counter."""

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import EvalCounts, OracleSample, RngStream, Vector, as_vector
-from .linalg import SpdOperator, solve_cg, solve_direct
+from .linalg import SpdOperator, damped_newton, solve_cg, solve_direct
 
 HESS_DENSE = "dense"
 HESS_HOUSEHOLDER = "householder"
@@ -213,41 +213,8 @@ def _sparsify_spd(a: np.ndarray, density: float):
     return a_thr, achieved
 
 
-def noisy_eval(problem: ConvexRandomProblem, x: Vector, rng: RngStream, *,
-               want_value: bool = False, want_gradient: bool = False,
-               want_hessian: bool = False) -> OracleSample:
-    """One noisy oracle evaluation; draws happen in a fixed (f, g, B) order.
-
-    With ``sigma == 0`` the exact quantities are returned.  The Hessian
-    handle freezes its diagonal noise realization, so all matvecs within one
-    sample see the same perturbed matrix.
-    """
-    x = as_vector(x, problem.n)
-    sigma = problem.sigma
-    value = gradientv = hess = None
-    if want_value:
-        value = problem.value(x) + rng.gaussian(0.0, sigma)
-    if want_gradient:
-        gradientv = problem.gradient(x) + rng.normal(0.0, sigma, problem.n)
-    if want_hessian:
-        noise = rng.normal(0.0, sigma, problem.n)
-        if problem.a_dense is not None:
-            b = problem.hess_dense(x)
-            b[np.diag_indices(problem.n)] += noise
-            hess = SpdOperator.from_dense(b)
-        else:
-            diag = problem.hess_diag_part(x) + noise
-            fac = problem.a_factored
-
-            def matvec(v, diag=diag, fac=fac):
-                return diag * v + 2.0 * fac.apply(v)
-
-            hess = SpdOperator.from_matvec(problem.n, matvec)
-    return OracleSample(value=value, gradient=gradientv, hessian=hess)
-
-
 class NoisyOracle:
-    """Stateful wrapper around :func:`noisy_eval` with evaluation accounting.
+    """The counted noisy oracle of one problem, drawing from one stream.
 
     Also carries the exact objective and the reference optimum (when
     computed), which the harness uses for true-error traces; those exact
@@ -264,32 +231,44 @@ class NoisyOracle:
 
     def sample(self, x: Vector, *, want_value=False, want_gradient=False,
                want_hessian=False) -> OracleSample:
-        s = noisy_eval(self.problem, x, self.rng, want_value=want_value,
-                       want_gradient=want_gradient, want_hessian=want_hessian)
+        """One noisy evaluation; draws happen in a fixed (f, g, B) order.
+
+        With ``sigma == 0`` the exact quantities are returned.  The Hessian
+        handle freezes its diagonal noise realization, so all matvecs within
+        one sample see the same perturbed matrix; each matvec counts one
+        Hessian-vector product.
+        """
+        p = self.problem
+        x = as_vector(x, p.n)
+        value = gradient = hess = None
         if want_value:
             self._f_evals += 1
+            value = p.value(x) + self.rng.gaussian(0.0, p.sigma)
         if want_gradient:
             self._g_evals += 1
-        hess = s.hessian
-        if hess is not None:
-            # route matvec counting into this oracle's hvp counter
-            inner_apply = hess.apply
+            gradient = p.gradient(x) + self.rng.normal(0.0, p.sigma, p.n)
+        if want_hessian:
+            noise = self.rng.normal(0.0, p.sigma, p.n)
+            dense = None
+            if p.a_dense is not None:
+                dense = p.hess_dense(x)
+                dense[np.diag_indices(p.n)] += noise
+            else:
+                diag = p.hess_diag_part(x) + noise
 
-            def counted(v, _inner=inner_apply):
+            def matvec(v):
                 self._hvp_evals += 1
-                return _inner(v)
+                if dense is not None:
+                    return dense @ v
+                return diag * v + 2.0 * p.a_factored.apply(v)
 
-            hess = SpdOperator(hess.n, matvec=counted, dense=hess.dense)
-        return OracleSample(value=s.value, gradient=s.gradient, hessian=hess,
-                            eval_counts=self.counts())
+            hess = SpdOperator(p.n, matvec=matvec, dense=dense)
+        return OracleSample(value=value, gradient=gradient, hessian=hess)
 
     def counts(self) -> EvalCounts:
         return EvalCounts(self._f_evals, self._g_evals, self._hvp_evals)
 
-    # exact-side queries (instrumentation, never noisy)
-    def true_value(self, x: Vector) -> float:
-        return self.problem.value(x)
-
+    # exact-side query (instrumentation, never noisy)
     def true_error(self, x: Vector) -> Optional[float]:
         if self.problem.f_star is None:
             return None
@@ -301,43 +280,24 @@ def exact_solution(problem: ConvexRandomProblem, tol: float = 1e-8,
     """Minimize the exact objective by damped Newton; caches the result.
 
     Newton systems are solved directly for dense problems and by tightly
-    converged CG for factored ones.  Fails loudly if the gradient norm does
-    not drop below ``tol`` within ``max_iters`` iterations.
+    converged CG for factored ones.  Fails loudly (see
+    :func:`~stochnewton.linalg.damped_newton`) if the gradient norm does not
+    drop below ``tol`` within ``max_iters`` iterations.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if problem.x_star is not None and problem.f_star is not None:
         return problem.x_star, problem.f_star
 
-    x = np.zeros(problem.n)
-    for _ in range(max_iters):
-        g = problem.gradient(x)
-        gnorm = np.linalg.norm(g)
-        if gnorm <= tol:
-            break
+    def newton_solve(x, g):
         if problem.a_dense is not None:
-            d = solve_direct(SpdOperator.from_dense(problem.hess_dense(x)), -g)
-        else:
-            op = SpdOperator.from_matvec(problem.n,
-                                         lambda v, x=x: problem.hess_matvec(x, v))
-            d = solve_cg(op, -g, rel_tol=1e-12, max_iters=4 * problem.n).d
-        f0 = problem.value(x)
-        slope = float(g @ d)
-        # rounding slack: near the optimum the predicted decrease drops below
-        # the float resolution of f, which must not stall the full Newton step
-        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(f0))
-        t = 1.0
-        for _ in range(60):
-            fx = problem.value(x + t * d)
-            if math.isfinite(fx) and fx <= f0 + 1e-4 * t * slope + slack:
-                break
-            t *= 0.5
-        x = x + t * d
-    else:
-        raise RuntimeError(
-            f"exact Newton did not reach ||grad|| <= {tol} in {max_iters} iterations "
-            f"(last ||grad|| = {gnorm:.3e})"
-        )
+            return solve_direct(SpdOperator.from_dense(problem.hess_dense(x)), -g)
+        op = SpdOperator.from_matvec(problem.n,
+                                     lambda v: problem.hess_matvec(x, v))
+        return solve_cg(op, -g, rel_tol=1e-12, max_iters=4 * problem.n).d
+
+    x = damped_newton(problem.value, problem.gradient, newton_solve,
+                      np.zeros(problem.n), tol, max_iters)
     problem.x_star = x
     problem.f_star = problem.value(x)
     return problem.x_star, problem.f_star

@@ -327,8 +327,8 @@ class TestCriterion12DerivativeChecks:
             i = int(rng.integers(0, model.N))
             worst = max(
                 worst,
-                fd_gradient_check(lambda z: model._component_value(i, z),
-                                  lambda z: model._component_gradient(i, z),
+                fd_gradient_check(lambda z: model._batch_value([i], z),
+                                  lambda z: model._batch_gradient([i], z),
                                   x, 1e-6),
                 fd_gradient_check(lambda z: model._batch_value(all_idx, z),
                                   lambda z: model._batch_gradient(all_idx, z),

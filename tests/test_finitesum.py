@@ -118,9 +118,9 @@ class TestSubsampledEstimators:
         # direct summation over all components, N <= 100
         prob = quadratic_sum_problem(20, 3, seed=9)
         x = RngStream(7, 0).standard_normal(3)
-        fv = np.mean([prob._component_value(i, x) for i in range(20)])
+        fv = np.mean([prob._batch_value([i], x) for i in range(20)])
         assert prob.objective(x) == pytest.approx(fv, rel=1e-12)
-        gv = np.mean([prob._component_gradient(i, x) for i in range(20)], axis=0)
+        gv = np.mean([prob._batch_gradient([i], x) for i in range(20)], axis=0)
         np.testing.assert_allclose(prob.full_gradient_exact(x), gv, atol=1e-12)
 
 

@@ -15,6 +15,9 @@ from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  build_problem, build_solver_config,
                                  grid_search_step, run_experiment,
                                  run_replication)
+from stochnewton.fs_solvers import FsSolverConfig
+from stochnewton.solvers import DeltaSchedule, GainParams, SolverConfig
+from stochnewton.steplen import LineSearchConfig
 
 
 def _small_spec(**extra):
@@ -94,6 +97,50 @@ class TestSpecParsing:
         assert cfg.ls.theta == 0.999
         noisy = _small_spec()
         assert build_solver_config(noisy, "lsos").ls.theta == 0.9
+
+    def test_preset_configs_are_unchanged(self):
+        # every field written out, so a default moving between the harness
+        # and the config classes cannot change what a preset runs
+        def ls(theta, t_start=1.0):
+            return LineSearchConfig(eta=1e-4, beta=0.5, zeta_kind="geometric",
+                                    theta=theta, t_start=t_start,
+                                    max_backtracks=60, t_min=1e-3,
+                                    switch_rule="step_norm")
+
+        def noisy(method, max_iters, delta=DeltaSchedule("zero")):
+            return SolverConfig(method=method,
+                                gain=GainParams(alpha0="auto", T=1e6),
+                                ls=ls(0.9), delta=delta, cg_rel_floor=1e-6,
+                                cg_max_iters=None, max_iters=max_iters,
+                                time_budget_s=math.inf, grad_tol=None)
+
+        def finite_sum(method):
+            return FsSolverConfig(method=method, ls=ls(0.999, t_start=0.1),
+                                  delta=DeltaSchedule("zero"), batch_size=None,
+                                  hess_batch_size=None, batch_scheme="partition",
+                                  m=10, l=5, saga_storage="dense",
+                                  cg_rel_floor=1e-6, cg_max_iters=None,
+                                  max_epochs=10, max_iters=None,
+                                  time_budget_s=math.inf, grad_tol=None)
+
+        expected = {
+            "fig1-small": {m: noisy(m, 50) for m in ("lsos", "sos", "sgd")},
+            "fig2-small": {
+                "lsos": noisy("lsos", 250),
+                "lsos_inexact": noisy("lsos_inexact", 250,
+                                      DeltaSchedule("geometric", rho=0.95)),
+                "sgd_ls": noisy("sgd_ls", 250)},
+            "fig3-synthetic": {m: finite_sum(m)
+                               for m in ("lsos_bfgs", "saga_ls")},
+        }
+        for preset, configs in expected.items():
+            spec = ExperimentSpec.from_preset(preset)
+            if preset == "fig3-synthetic":  # a resolved grid request
+                spec = spec.override(**{f"solver.{m}.t_ini": "0.1"
+                                        for m in configs})
+            assert spec.solver_names() == list(configs)
+            for name, cfg in configs.items():
+                assert build_solver_config(spec, name) == cfg, (preset, name)
 
 
 class TestAggregate:

@@ -31,16 +31,16 @@ class TestComponentFormulas:
         # z_i = 2 at x = 0: value log 2, gradient -b_i a_i / 2
         model = _tiny_model(mu=0.1)
         x = np.zeros(3)
-        assert model._component_value(0, x) == pytest.approx(np.log(2.0))
+        assert model._batch_value([0], x) == pytest.approx(np.log(2.0))
         a0 = model.dataset.features[0].toarray().ravel()
-        np.testing.assert_allclose(model._component_gradient(0, x), -0.5 * a0,
+        np.testing.assert_allclose(model._batch_gradient([0], x), -0.5 * a0,
                                    atol=1e-15)
 
     def test_gradient_asymptote_at_large_margin(self):
         # when b_i a_i^T x is large the loss term vanishes, leaving mu x
         model = _tiny_model(mu=0.25)
         x = np.array([40.0, 0.0, 0.0])  # margin 40 for component 0
-        g = model._component_gradient(0, x)
+        g = model._batch_gradient([0], x)
         np.testing.assert_allclose(g, 0.25 * x, atol=1e-14)
 
     def test_hessian_factor_in_unit_quarter_interval(self, rng):
@@ -55,8 +55,8 @@ class TestComponentFormulas:
         model = _tiny_model()
         for i in range(model.N):
             x = rng.standard_normal(3)
-            err = fd_gradient_check(lambda z: model._component_value(i, z),
-                                    lambda z: model._component_gradient(i, z),
+            err = fd_gradient_check(lambda z: model._batch_value([i], z),
+                                    lambda z: model._batch_gradient([i], z),
                                     x, h=1e-6)
             assert err <= 1e-5
 
@@ -84,14 +84,14 @@ class TestComponentFormulas:
         # margin +-700 for component 0 (a0 . x = 700 with b0 = +1)
         for sign in (+1.0, -1.0):
             x = sign * np.array([700.0, 0.0, 0.0])
-            f = model._component_value(0, x)
-            g = model._component_gradient(0, x)
+            f = model._batch_value([0], x)
+            g = model._batch_gradient([0], x)
             assert np.isfinite(f) and np.all(np.isfinite(g))
 
     def test_mean_consistency(self):
         model = _tiny_model()
         x = np.array([0.3, -0.7, 1.1])
-        comp_mean = np.mean([model._component_gradient(i, x)
+        comp_mean = np.mean([model._batch_gradient([i], x)
                              for i in range(model.N)], axis=0)
         np.testing.assert_allclose(model._batch_gradient(np.arange(4), x),
                                    comp_mean, atol=1e-14)

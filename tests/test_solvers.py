@@ -201,6 +201,33 @@ class TestLsosInexact:
         assert not np.array_equal(res.x, x0)
 
 
+    def test_library_default_delta_is_geometric(self):
+        # without an explicit delta, lsos_inexact must not run plain lsos
+        assert SolverConfig(method="lsos_inexact").delta.kind == "geometric"
+        assert SolverConfig(method="lsos_inexact").delta == \
+            DeltaSchedule("geometric", rho=0.95)
+        assert SolverConfig(method="lsos").delta == DeltaSchedule("zero")
+
+
+class TestHvpAccounting:
+    def test_hvp_evals_count_every_matvec_of_the_sampled_hessian(self):
+        # solve_cg applies B once per iteration, once per 50-iteration
+        # residual refresh and once for its final certificate
+        problem, _, x0 = _noisy_setup(300, 100.0, 0.1, seed=3,
+                                      form=HESS_HOUSEHOLDER)
+        for method in ("lsos", "lsos_inexact", "sos"):
+            oracle = NoisyOracle(problem, RngStream(3, 0).child(1))
+            res = run_solver(oracle, SolverConfig(method=method, max_iters=40),
+                             x0)
+            expected = sum(r.cg_iters + r.cg_iters // 50 + 1
+                           for r in res.trace.records)
+            assert res.eval_counts.hvp_evals == expected > 0
+        # dense sampled Hessians are factorized, never applied
+        _, oracle, x0 = _noisy_setup(30, 100.0, 0.1, seed=4)
+        res = run_solver(oracle, SolverConfig(method="lsos", max_iters=20), x0)
+        assert res.eval_counts.hvp_evals == 0
+
+
 class TestDescentBound:
     def test_inexact_directions_satisfy_expected_descent(self, rng):
         # with residual <= mu/(2L) ||g||, directions obey

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochnewton.core import RngStream
-from stochnewton.steplen import (GainSchedule, HARMONIC, LineSearchConfig,
-                                 T_DAMPED, T_DAMPED_ANCHORED, backtrack,
+from stochnewton.steplen import (GainSchedule, LineSearchConfig, backtrack,
                                  switch_check)
 
 from conftest import random_spd
@@ -17,44 +16,38 @@ from conftest import random_spd
 
 class TestGainSchedule:
     def test_t_damped_at_zero(self):
-        s = GainSchedule(T_DAMPED, alpha0=0.5, T=1e6)
+        s = GainSchedule(alpha0=0.5, T=1e6)
         assert s.next_gain() == 0.5
 
     def test_t_damped_halves_at_k_equals_T(self):
-        s = GainSchedule(T_DAMPED, alpha0=0.5, T=1e6)
+        s = GainSchedule(alpha0=0.5, T=1e6)
         assert s.peek(10**6) == 0.25
 
     def test_t_damped_identity_surrogate(self):
         # alpha_k * (T + k) / T recovers alpha0 for every k
-        s = GainSchedule(T_DAMPED, alpha0=0.37, T=1e6)
+        s = GainSchedule(alpha0=0.37, T=1e6)
         for k in (0, 1, 17, 10**5, 10**7):
             assert s.peek(k) * (1e6 + k) / 1e6 == pytest.approx(0.37, rel=1e-14)
 
     def test_anchored_starts_at_anchor_value(self):
-        s = GainSchedule(T_DAMPED_ANCHORED, alpha0=1e-3 / 0.42, T=1e6, k_tau=37)
-        assert s.peek(37) == 1e-3 / 0.42
-        assert s.peek(37 + 10**6) == pytest.approx(0.5 * 1e-3 / 0.42)
-        with pytest.raises(ValueError):
-            s.peek(36)
-
-    def test_harmonic_square_sum_bounded(self):
-        s = GainSchedule(HARMONIC, alpha0=2.0)
-        ks = np.arange(10**6)
-        partial = np.sum((2.0 / (ks + 1)) ** 2)
-        assert partial <= 4.0 * math.pi ** 2 / 6
-        assert s.peek(0) == 2.0 and s.peek(1) == 1.0
+        # the solvers start a fresh schedule at the switch iteration k_tau;
+        # its gains are the anchored alpha_ktau * T / (T + k - k_tau)
+        k_tau, anchor, T = 37, 1e-3 / 0.42, 1e6
+        s = GainSchedule(alpha0=anchor, T=T)
+        assert s.peek(37 - k_tau) == anchor
+        assert s.peek(37 + 10**6 - k_tau) == pytest.approx(0.5 * anchor)
+        for k in range(k_tau, k_tau + 100_000):
+            assert s.next_gain() == anchor * T / (T + (k - k_tau))
 
     def test_counter_advances(self):
-        s = GainSchedule(T_DAMPED, alpha0=1.0, T=10.0)
+        s = GainSchedule(alpha0=1.0, T=10.0)
         assert [s.next_gain() for _ in range(3)] == [1.0, 10 / 11, 10 / 12]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GainSchedule("warp")
+            GainSchedule(alpha0=0.0)
         with pytest.raises(ValueError):
-            GainSchedule(T_DAMPED, alpha0=0.0)
-        with pytest.raises(ValueError):
-            GainSchedule(T_DAMPED, alpha0=1.0, T=0.0)
+            GainSchedule(alpha0=1.0, T=0.0)
 
 
 class TestLineSearchConfig:

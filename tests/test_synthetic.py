@@ -9,7 +9,7 @@ from stochnewton.linalg import fd_gradient_check
 from stochnewton.synthetic import (ConvexRandomProblem, HESS_DENSE,
                                    HESS_HOUSEHOLDER, HouseholderOperator,
                                    NoisyOracle, exact_solution,
-                                   generate_problem, noisy_eval)
+                                   generate_problem)
 
 
 def _problem(n=10, kappa=100.0, sigma=0.0, form=HESS_DENSE, seed=0, density=1.0):
@@ -91,7 +91,8 @@ class TestNoisyEval:
     def test_exact_at_ones_vector(self):
         p = _problem(n=6, kappa=10.0, sigma=0.0)
         e = np.ones(6)
-        s = noisy_eval(p, e, RngStream(0, 0), want_value=True, want_gradient=True)
+        s = NoisyOracle(p, RngStream(0, 0)).sample(e, want_value=True,
+                                                   want_gradient=True)
         expected_f = float(np.sum(p.lambdas) * (np.e - 1.0))
         assert s.value == pytest.approx(expected_f, rel=1e-13)
         np.testing.assert_allclose(s.gradient, p.lambdas * (np.e - 1.0),
@@ -103,17 +104,18 @@ class TestNoisyEval:
         p = ConvexRandomProblem(n=5, kappa=2.0, sigma=0.0,
                                 lambdas=np.ones(5), hess_form=HESS_DENSE,
                                 a_dense=np.eye(5))
-        s = noisy_eval(p, np.zeros(5), RngStream(0, 0), want_gradient=True)
+        s = NoisyOracle(p, RngStream(0, 0)).sample(np.zeros(5),
+                                                   want_gradient=True)
         np.testing.assert_allclose(s.gradient, -2.0 * np.ones(5), atol=1e-14)
 
     def test_value_noise_unbiased(self):
         p = _problem(n=5, kappa=10.0, sigma=0.5, seed=7)
         x0 = RngStream(1, 0).standard_normal(5)
         exact = p.value(x0)
-        rng = RngStream(2, 0)
+        oracle = NoisyOracle(p, RngStream(2, 0))
         k = 10**5
         draws = np.array([
-            noisy_eval(p, x0, rng, want_value=True).value for _ in range(k)
+            oracle.sample(x0, want_value=True).value for _ in range(k)
         ])
         assert abs(draws.mean() - exact) < 3 * 0.5 / np.sqrt(k)
 
@@ -121,17 +123,17 @@ class TestNoisyEval:
         p = _problem(n=5, kappa=10.0, sigma=0.5, seed=8)
         x0 = RngStream(3, 0).standard_normal(5)
         exact = p.gradient(x0)
-        rng = RngStream(4, 0)
+        oracle = NoisyOracle(p, RngStream(4, 0))
         k = 10**5
         acc = np.zeros(5)
         for _ in range(k):
-            acc += noisy_eval(p, x0, rng, want_gradient=True).gradient
+            acc += oracle.sample(x0, want_gradient=True).gradient
         assert np.max(np.abs(acc / k - exact)) < 4 * 0.5 / np.sqrt(k)
 
     def test_hessian_noise_is_symmetric_diagonal(self):
         p = _problem(n=6, kappa=10.0, sigma=0.8, seed=9)
         x = RngStream(5, 0).standard_normal(6)
-        s = noisy_eval(p, x, RngStream(6, 0), want_hessian=True)
+        s = NoisyOracle(p, RngStream(6, 0)).sample(x, want_hessian=True)
         b = s.hessian.dense
         assert np.array_equal(b, b.T)
         offdiag = b - np.diag(np.diag(b))
@@ -141,22 +143,23 @@ class TestNoisyEval:
     def test_hessian_noise_redrawn_per_evaluation(self):
         p = _problem(n=4, kappa=10.0, sigma=1.0, seed=10)
         x = np.zeros(4)
-        rng = RngStream(7, 0)
-        b1 = noisy_eval(p, x, rng, want_hessian=True).hessian.dense
-        b2 = noisy_eval(p, x, rng, want_hessian=True).hessian.dense
+        oracle = NoisyOracle(p, RngStream(7, 0))
+        b1 = oracle.sample(x, want_hessian=True).hessian.dense
+        b2 = oracle.sample(x, want_hessian=True).hessian.dense
         assert not np.array_equal(np.diag(b1), np.diag(b2))
 
     def test_factored_hessian_handle_freezes_noise(self):
         p = _problem(n=8, kappa=10.0, sigma=1.0, form=HESS_HOUSEHOLDER, seed=11)
         x = np.zeros(8)
-        h = noisy_eval(p, x, RngStream(8, 0), want_hessian=True).hessian
+        h = NoisyOracle(p, RngStream(8, 0)).sample(x, want_hessian=True).hessian
         v = np.ones(8)
         assert np.array_equal(h.apply(v), h.apply(v))
 
     def test_dimension_mismatch(self):
         p = _problem(n=4, kappa=10.0)
         with pytest.raises(ValueError):
-            noisy_eval(p, np.zeros(5), RngStream(0, 0), want_value=True)
+            NoisyOracle(p, RngStream(0, 0)).sample(np.zeros(5),
+                                                   want_value=True)
 
     def test_non_finite_inputs_rejected(self, rng):
         # fuzz: any NaN/Inf in the query point is a typed error, not a
@@ -167,8 +170,8 @@ class TestNoisyEval:
             x[int(rng.integers(0, 6))] = [np.nan, np.inf, -np.inf][
                 int(rng.integers(0, 3))]
             with pytest.raises(ValueError):
-                noisy_eval(p, x, RngStream(0, 0), want_value=True,
-                           want_gradient=True, want_hessian=True)
+                NoisyOracle(p, RngStream(0, 0)).sample(
+                    x, want_value=True, want_gradient=True, want_hessian=True)
 
 
 class TestNoisyOracle:
@@ -178,8 +181,8 @@ class TestNoisyOracle:
         oracle.sample(np.zeros(4), want_value=True)
         s = oracle.sample(np.zeros(4), want_value=True, want_gradient=True,
                           want_hessian=True)
-        assert s.eval_counts.f_evals == 2
-        assert s.eval_counts.g_evals == 1
+        assert oracle.counts().f_evals == 2
+        assert oracle.counts().g_evals == 1
         s.hessian.apply(np.ones(4))
         assert oracle.counts().hvp_evals == 1
 
