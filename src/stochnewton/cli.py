@@ -13,8 +13,9 @@ import argparse
 import sys
 
 from .checks import run_checks
-from .harness import (ExperimentSpec, PRESETS, aggregate_directory,
-                      build_problem, resolve_grid_searches, run_experiment)
+from .harness import (AGG_BY_ITERATION, AGG_BY_TIME, ExperimentSpec, PRESETS,
+                      aggregate_directory, build_problem, build_solver_config,
+                      resolve_grid_searches, run_experiment, write_manifest)
 
 
 def _load_spec(args) -> ExperimentSpec:
@@ -34,6 +35,14 @@ def _load_spec(args) -> ExperimentSpec:
     if getattr(args, "max_iters", None) is not None:
         overrides["run.max_iters"] = args.max_iters
     return spec.override(**overrides) if overrides else spec
+
+
+def _print_finals(curves: dict) -> None:
+    """One line per solver: runs and the final mean error with its CI."""
+    for name, curve in curves.items():
+        print(f"{name}: {curve.n_runs} runs, "
+              f"final mean error {curve.mean_error[-1]:.6e} "
+              f"(+- {curve.ci_half[-1]:.1e})")
 
 
 def _add_common(p):
@@ -73,10 +82,7 @@ def main(argv=None) -> int:
 
     if args.command == "aggregate":
         curves = aggregate_directory(args.directory, args.mode)
-        for name, curve in sorted(curves.items()):
-            print(f"{name}: {curve.n_runs} runs, "
-                  f"final mean error {curve.mean_error[-1]:.6e} "
-                  f"(+- {curve.ci_half[-1]:.1e})")
+        _print_finals(dict(sorted(curves.items())))
         return 0
 
     if args.command == "grid":
@@ -84,24 +90,21 @@ def main(argv=None) -> int:
         problem, kind = build_problem(spec)
         resolved = resolve_grid_searches(spec, problem, kind)
         for name in resolved.solver_names():
-            t_ini = resolved.solver_get(name, "t_ini", "1.0")
+            t_ini = build_solver_config(resolved, name).ls.t_start
             print(f"solver.{name}.t_ini = {t_ini}")
         if args.out:
             with open(args.out, "w") as fh:
-                for key in sorted(resolved.values):
-                    fh.write(f"{key} = {resolved.values[key]}\n")
+                write_manifest(resolved, problem, fh)
             print(f"resolved spec written to {args.out}")
         return 0
 
     # run
     spec = _load_spec(args)
     result = run_experiment(spec, out_dir=args.out)
-    for name in result.spec.solver_names():
-        curve = result.aggregates.get((name, "iter")) \
-            or next(c for (n, _), c in result.aggregates.items() if n == name)
-        print(f"{name}: {curve.n_runs} runs, "
-              f"final mean error {curve.mean_error[-1]:.6e} "
-              f"(+- {curve.ci_half[-1]:.1e})")
+    mode = (AGG_BY_TIME if spec.get("run.aggregate") == AGG_BY_TIME
+            else AGG_BY_ITERATION)
+    _print_finals({name: result.aggregates[name, mode]
+                   for name in spec.solver_names()})
     print(f"outputs in {result.out_dir}")
     return 0
 

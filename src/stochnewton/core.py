@@ -75,10 +75,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    @property
-    def stream_id(self) -> int:
-        return self.key[0]
-
     def child(self, tag: int) -> "RngStream":
         """Split off an independent stream; never reuses this stream's draws."""
         return RngStream(self.seed, _key=self.key + (int(tag),))
@@ -198,11 +194,6 @@ class RunTrace:
 
     def __iter__(self):
         return iter(self.records)
-
-    def final(self) -> TraceRecord:
-        if not self.records:
-            raise ValueError("empty trace")
-        return self.records[-1]
 
     def column(self, name: str) -> list:
         return [getattr(r, name) for r in self.records]

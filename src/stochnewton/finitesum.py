@@ -40,17 +40,15 @@ class FiniteSumProblem:
     the stacked rows ``_component_gradients(idx, x)``.  The public methods
     validate the batch and count one evaluation per component in it.
 
-    ``mu_strong`` / ``grad_lipschitz`` hold the strong-convexity and gradient
-    Lipschitz constants when the problem knows them (otherwise ``None``).
+    ``grad_lipschitz`` holds the gradient Lipschitz constant when the
+    problem knows it (otherwise ``None``).
     """
 
-    def __init__(self, N: int, n: int, mu_strong: Optional[float] = None,
-                 grad_lipschitz: Optional[float] = None):
+    def __init__(self, N: int, n: int, grad_lipschitz: Optional[float] = None):
         if N < 1 or n < 1:
             raise ValueError("N and n must be >= 1")
         self.N = N
         self.n = n
-        self.mu_strong = mu_strong
         self.grad_lipschitz = grad_lipschitz
         self.value_evals = 0
         self.grad_evals = 0
@@ -118,10 +116,9 @@ class QuadraticSumProblem(FiniteSumProblem):
         self.rhs = np.asarray(rhs, dtype=np.float64)
         if len(self.hessians) != len(self.rhs):
             raise ValueError("need one rhs per Hessian")
-        mu = np.linalg.eigvalsh(self.hessians.mean(axis=0))[0]
         L = np.linalg.eigvalsh(self.hessians).max()
         super().__init__(len(self.hessians), self.rhs.shape[1],
-                         mu_strong=float(mu), grad_lipschitz=float(L))
+                         grad_lipschitz=float(L))
 
     def _batch_value(self, idx, x):
         hx = self.hessians[idx] @ x
@@ -145,10 +142,9 @@ class QuadraticSumProblem(FiniteSumProblem):
 
 @dataclass
 class BatchPartition:
-    """Disjoint index batches covering ``0..N-1``, consumed cyclically."""
+    """Disjoint index batches covering ``0..N-1``, iterated in order."""
 
     batches: list
-    cursor: int = 0
 
     def __post_init__(self):
         sizes = [len(b) for b in self.batches]
@@ -157,15 +153,6 @@ class BatchPartition:
         all_idx = np.concatenate(self.batches)
         if np.unique(all_idx).size != all_idx.size:
             raise ValueError("batches must be disjoint")
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.batches)
-
-    def next_batch(self) -> np.ndarray:
-        b = self.batches[self.cursor]
-        self.cursor = (self.cursor + 1) % len(self.batches)
-        return b
 
     def __iter__(self):
         return iter(self.batches)

@@ -16,70 +16,28 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import math
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .core import RngStream, RunTrace, read_trace_csv, write_trace_csv
-from .finitesum import FiniteSumProblem
-from .fs_solvers import (FS_METHODS, FsSolverConfig, run_fs_solver)
+from .fs_solvers import FS_METHODS, FsSolverConfig, run_fs_solver
 from .logreg import LogRegModel, generate_synthetic_classification, parse_libsvm
-from .solvers import (ALL_METHODS, AUTO_ALPHA0, DeltaSchedule, GainParams,
-                      SolverConfig, run_solver)
+from .solvers import (ALL_METHODS, AUTO_ALPHA0, DELTA_CONSTANT, DELTA_GEOMETRIC,
+                      DELTA_ZERO, DeltaSchedule, SolverConfig, run_solver)
 from .synthetic import (HESS_DENSE, HESS_HOUSEHOLDER, NoisyOracle,
                         exact_solution, generate_problem)
 
 PROBLEM_STREAM_ID = 2 ** 32  # outside the replication id range
 
 GRID_DEFAULT = "1,5e-1,1e-1,5e-2,1e-2,5e-3,1e-3,5e-4,1e-4,5e-5,1e-5"
+GRID = "grid"  # the t_ini value that asks for the step-length grid search
 
-_PROBLEM_KEYS = {
-    "kind": str, "n": int, "kappa": float, "sigma": float, "sigma_pct": float,
-    "hess_form": str, "density": float, "N": int, "features": int,
-    "separation": float, "feature_condition": float, "mu": float, "path": str,
-}
-_RUN_KEYS = {
-    "solvers": str, "reps": int, "seed": int, "max_iters": int,
-    "max_epochs": int, "time_budget_s": float, "grad_tol": float,
-    "x0": str, "aggregate": str, "workers": int,
-}
-_GRID_KEYS = {"candidates": str}
-_SOLVER_KEYS = {
-    "method": str, "alpha0": str, "T": float,
-    "delta": str, "eta": float, "beta": float, "zeta": str, "theta": float,
-    "t_ini": str, "t_min": float, "max_backtracks": int, "switch_rule": str,
-    "cg_rel_floor": float, "cg_max_iters": int,
-    "batch_size": int, "hess_batch_size": int, "batch_scheme": str,
-    "m": int, "l": int, "saga_storage": str,
-}
-
-DEFAULTS = {
-    "problem.kind": "synthetic",
-    "problem.n": "200",
-    "problem.kappa": "100.0",
-    "problem.sigma_pct": "0.1",
-    "problem.hess_form": HESS_DENSE,
-    "problem.density": "1.0",
-    "problem.N": "2000",
-    "problem.features": "50",
-    "problem.separation": "2.0",
-    "problem.feature_condition": "1.0",
-    "run.solvers": "lsos",
-    "run.reps": "20",
-    "run.seed": "20200731",
-    "run.max_iters": "50",
-    "run.max_epochs": "0",
-    "run.time_budget_s": "inf",
-    "run.grad_tol": "0.0",
-    "run.x0": "auto",
-    "run.aggregate": "iter",
-    "run.workers": "1",
-    "grid.candidates": GRID_DEFAULT,
-}
+AGG_BY_ITERATION = "iter"
+AGG_BY_TIME = "time"
 
 PRESETS = {
     # desk-scale noisy convex comparison: line search vs pre-defined gains
@@ -114,21 +72,160 @@ class SpecError(ValueError):
     """Spec-file validation failure; the message names the offending key."""
 
 
+# -- the spec schema -------------------------------------------------------------
+
+
+def _int_min(low: int) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+    return parse
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected {' | '.join(options)}")
+        return raw
+    return parse
+
+
+def _float_or(word: str) -> Callable[[str], object]:
+    return lambda raw: raw if raw == word else float(raw)
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(c) for c in raw.split(","))
+
+
+def _names(raw: str) -> tuple:
+    names = tuple(s.strip() for s in raw.split(",") if s.strip())
+    if not names:
+        raise ValueError("empty solver list")
+    if len(set(names)) < len(names):
+        raise ValueError("a solver name is repeated")
+    return names
+
+
+def _delta(raw: str) -> DeltaSchedule:
+    kind, colon, arg = raw.partition(":")
+    if kind == DELTA_ZERO and not colon:
+        return DeltaSchedule(kind)
+    if kind == DELTA_GEOMETRIC:
+        return DeltaSchedule(kind, rho=float(arg)) if colon else DeltaSchedule(kind)
+    if kind == DELTA_CONSTANT and colon:
+        return DeltaSchedule(kind, value=float(arg))
+    raise ValueError("expected zero | geometric[:rho] | constant:value")
+
+
+class _Key(NamedTuple):
+    parse: Callable[[str], object]
+    default: Optional[str] = None  # the raw value a spec starts from
+    field: str = ""  # solver params: the config field set ("ls.<f>", "gain.<f>")
+
+
+# Every spec key, once.  ``solver.*.<param>`` stands for any solver name;
+# solver params default to their config class.  Solver rows apply in this
+# order (zeta before theta: theta is checked only for the geometric slack).
+SCHEMA = {
+    "problem.kind": _Key(_choice("synthetic", "logistic_synthetic", "libsvm"),
+                         "synthetic"),
+    "problem.n": _Key(_int_min(1), "200"),
+    "problem.kappa": _Key(float, "100.0"),
+    "problem.sigma": _Key(float),
+    "problem.sigma_pct": _Key(float, "0.1"),
+    "problem.hess_form": _Key(_choice(HESS_DENSE, HESS_HOUSEHOLDER), HESS_DENSE),
+    "problem.density": _Key(float, "1.0"),
+    "problem.N": _Key(_int_min(1), "2000"),
+    "problem.features": _Key(_int_min(1), "50"),
+    "problem.separation": _Key(float, "2.0"),
+    "problem.feature_condition": _Key(float, "1.0"),
+    "problem.mu": _Key(float),
+    "problem.path": _Key(str),
+    "run.solvers": _Key(_names, "lsos"),
+    "run.reps": _Key(_int_min(1), "20"),
+    "run.seed": _Key(int, "20200731"),
+    "run.max_iters": _Key(_int_min(1), "50"),
+    "run.max_epochs": _Key(_int_min(0), "0"),
+    "run.time_budget_s": _Key(float, "inf"),
+    "run.grad_tol": _Key(float, "0.0"),
+    "run.x0": _Key(_choice("auto", "gauss5", "zeros"), "auto"),
+    "run.aggregate": _Key(_choice(AGG_BY_ITERATION, AGG_BY_TIME, "both"), "iter"),
+    "run.workers": _Key(_int_min(1), "1"),
+    "grid.candidates": _Key(_floats, GRID_DEFAULT),
+    "solver.*.method": _Key(_choice(*ALL_METHODS, *FS_METHODS)),
+    "solver.*.alpha0": _Key(_float_or(AUTO_ALPHA0), field="gain.alpha0"),
+    "solver.*.T": _Key(float, field="gain.T"),
+    "solver.*.delta": _Key(_delta, field="delta"),
+    "solver.*.eta": _Key(float, field="ls.eta"),
+    "solver.*.beta": _Key(float, field="ls.beta"),
+    "solver.*.zeta": _Key(str, field="ls.zeta_kind"),
+    "solver.*.theta": _Key(float, field="ls.theta"),
+    "solver.*.t_ini": _Key(_float_or(GRID), field="ls.t_start"),
+    "solver.*.t_min": _Key(float, field="ls.t_min"),
+    "solver.*.max_backtracks": _Key(int, field="ls.max_backtracks"),
+    "solver.*.switch_rule": _Key(str, field="ls.switch_rule"),
+    "solver.*.cg_rel_floor": _Key(float, field="cg_rel_floor"),
+    "solver.*.cg_max_iters": _Key(_int_min(1), field="cg_max_iters"),
+    "solver.*.batch_size": _Key(_int_min(1), field="batch_size"),
+    "solver.*.hess_batch_size": _Key(_int_min(1), field="hess_batch_size"),
+    "solver.*.batch_scheme": _Key(str, field="batch_scheme"),
+    "solver.*.m": _Key(_int_min(1), field="m"),
+    "solver.*.l": _Key(_int_min(1), field="l"),
+    "solver.*.saga_storage": _Key(str, field="saga_storage"),
+}
+DEFAULTS = {key: row.default for key, row in SCHEMA.items() if row.default}
+
+
+def _schema_key(key: str) -> str:
+    section, *rest = key.split(".")
+    return f"solver.*.{rest[1]}" if section == "solver" and len(rest) == 2 else key
+
+
 @dataclass
 class ExperimentSpec:
-    """A fully resolved flat configuration."""
+    """A fully resolved flat configuration, checked when it is made.
+
+    ``values`` keeps the raw strings (the manifest writes them back);
+    :meth:`get` returns the values the schema parsed from them.  Every key
+    and value is checked here, every solver config is built and must fit
+    ``problem.kind``; each failure is a :class:`SpecError` naming its key.
+    """
 
     values: dict
+    _parsed: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._parsed = {}
+        for key, raw in self.values.items():
+            row = SCHEMA.get(_schema_key(key))
+            if row is None:
+                raise SpecError(f"unknown configuration key {key!r}")
+            try:
+                self._parsed[key] = row.parse(raw)
+            except ValueError as exc:
+                raise SpecError(f"{key} = {raw}: {exc}") from None
+        kind = self.get("problem.kind")
+        if kind == "libsvm" and not self.get("problem.path"):
+            raise SpecError("problem.path: required for problem.kind = libsvm")
+        names = self.solver_names()
+        blocks = {key.split(".")[1] for key in self.values if key.startswith("solver.")}
+        for name in names + sorted(blocks - set(names)):
+            method = self.solver_method(name)
+            if method not in ALL_METHODS + FS_METHODS:
+                raise SpecError(f"solver.{name}.method: unknown method {method!r}")
+            _solver_config(self, name)
+            if name in names and (method in ALL_METHODS) != (kind == "synthetic"):
+                family = "noisy-oracle" if method in ALL_METHODS else "finite-sum"
+                raise SpecError(f"run.solvers: {name} runs the {family} method "
+                                f"{method!r}, which does not fit "
+                                f"problem.kind = {kind}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentSpec":
-        values = dict(DEFAULTS)
-        for key, value in mapping.items():
-            _validate_key(str(key))
-            values[str(key)] = str(value)
-        spec = cls(values)
-        spec.solver_names()  # validates solver list and methods
-        return spec
+        return cls({**DEFAULTS, **{str(k): str(v) for k, v in mapping.items()}})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
@@ -151,72 +248,58 @@ class ExperimentSpec:
         return cls.from_mapping(PRESETS[name])
 
     def override(self, **kv) -> "ExperimentSpec":
-        mapping = dict(self.values)
-        for key, value in kv.items():
-            mapping[key] = str(value)
-        return ExperimentSpec.from_mapping(mapping)
-
-    # typed accessors ------------------------------------------------------
+        return ExperimentSpec.from_mapping({**self.values, **kv})
 
     def get(self, key: str):
-        if key not in self.values:
-            return None
-        raw = self.values[key]
-        typ = _key_type(key)
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw
+        """The parsed value of `key`, or None when the spec does not set it."""
+        return self._parsed.get(key)
 
     def solver_names(self) -> list[str]:
-        names = [s.strip() for s in self.values["run.solvers"].split(",") if s.strip()]
-        if not names:
-            raise SpecError("run.solvers: empty solver list")
-        for name in names:
-            method = self.values.get(f"solver.{name}.method", name)
-            if method not in ALL_METHODS + FS_METHODS:
-                raise SpecError(f"solver.{name}.method: unknown method {method!r}")
-        return names
+        return list(self.get("run.solvers"))
 
     def solver_method(self, name: str) -> str:
-        return self.values.get(f"solver.{name}.method", name)
-
-    def solver_get(self, name: str, param: str, default=None):
-        key = f"solver.{name}.{param}"
-        if key in self.values:
-            raw = self.values[key]
-            typ = _SOLVER_KEYS[param]
-            if typ is int:
-                return int(raw)
-            if typ is float:
-                return float(raw)
-            return raw
-        return default
+        return self.get(f"solver.{name}.method") or name
 
 
-def _key_type(key: str):
-    parts = key.split(".")
-    if parts[0] == "problem":
-        return _PROBLEM_KEYS.get(parts[1], str)
-    if parts[0] == "run":
-        return _RUN_KEYS.get(parts[1], str)
-    if parts[0] == "grid":
-        return _GRID_KEYS.get(parts[1], str)
-    return str
+def _solver_config(spec: ExperimentSpec, name: str):
+    """The config of solver `name`, with a ``t_ini = grid`` request left out."""
+    method = spec.solver_method(name)
+    budget = dict(time_budget_s=spec.get("run.time_budget_s"),
+                  grad_tol=spec.get("run.grad_tol") or None)
+    if method in ALL_METHODS:
+        cfg = SolverConfig(method=method, max_iters=spec.get("run.max_iters"),
+                           **budget)
+    else:
+        max_epochs = spec.get("run.max_epochs") or None
+        cfg = FsSolverConfig(
+            method=method, max_epochs=max_epochs,
+            max_iters=None if max_epochs else spec.get("run.max_iters"), **budget)
+    for row_key, row in SCHEMA.items():
+        key = row_key.replace("*", name)
+        value = spec.get(key)
+        if not row.field or value is None or value == GRID:
+            continue
+        owner, _, attr = row.field.rpartition(".")
+        if not hasattr(cfg, owner or attr):
+            raise SpecError(f"{key}: method {method!r} has no such setting")
+        try:
+            if owner:
+                value = replace(getattr(cfg, owner), **{attr: value})
+            cfg = replace(cfg, **{owner or attr: value})
+        except ValueError as exc:
+            raise SpecError(f"{key} = {spec.values[key]}: {exc}") from None
+    return cfg
 
 
-def _validate_key(key: str) -> None:
-    parts = key.split(".")
-    if parts[0] == "problem" and len(parts) == 2 and parts[1] in _PROBLEM_KEYS:
-        return
-    if parts[0] == "run" and len(parts) == 2 and parts[1] in _RUN_KEYS:
-        return
-    if parts[0] == "grid" and len(parts) == 2 and parts[1] in _GRID_KEYS:
-        return
-    if parts[0] == "solver" and len(parts) == 3 and parts[2] in _SOLVER_KEYS:
-        return
-    raise SpecError(f"unknown configuration key {key!r}")
+def build_solver_config(spec: ExperimentSpec, name: str):
+    """Resolve one solver block into a SolverConfig / FsSolverConfig.
+
+    Only the keys the spec sets are applied; every other field keeps the
+    default of its config class.
+    """
+    if spec.get(f"solver.{name}.t_ini") == GRID:
+        raise SpecError(f"solver.{name}.t_ini: unresolved grid request")
+    return _solver_config(spec, name)
 
 
 # -- problem construction ------------------------------------------------------
@@ -244,82 +327,11 @@ def build_problem(spec: ExperimentSpec):
             spec.get("problem.N"), spec.get("problem.features"),
             spec.get("problem.separation"), rng,
             feature_condition=spec.get("problem.feature_condition"))
-        model = LogRegModel(dataset, mu=spec.get("problem.mu"))
-        model.reference_optimum()
-        return model, kind
-    if kind == "libsvm":
-        path = spec.get("problem.path")
-        if not path:
-            raise SpecError("problem.path: required for kind=libsvm")
-        model = LogRegModel(parse_libsvm(path), mu=spec.get("problem.mu"))
-        model.reference_optimum()
-        return model, kind
-    raise SpecError(f"problem.kind: unknown kind {kind!r}")
-
-
-def _parse_delta(raw: str) -> DeltaSchedule:
-    if raw == "zero":
-        return DeltaSchedule("zero")
-    if raw.startswith("geometric"):
-        if ":" in raw:
-            return DeltaSchedule("geometric", rho=float(raw.split(":", 1)[1]))
-        return DeltaSchedule("geometric")
-    if raw.startswith("constant"):
-        return DeltaSchedule("constant", value=float(raw.split(":", 1)[1]))
-    raise SpecError(f"bad delta spec {raw!r}")
-
-
-# solver key -> config field, for the keys whose names differ
-_FIELD_OF_KEY = {"zeta": "zeta_kind", "t_ini": "t_start"}
-_LS_KEYS = ("eta", "beta", "zeta", "theta", "t_ini", "t_min",
-            "max_backtracks", "switch_rule")
-_FS_KEYS = ("batch_size", "hess_batch_size", "batch_scheme", "m", "l",
-            "saga_storage")
-
-
-def _given(spec: ExperimentSpec, name: str, keys) -> dict:
-    """Config fields for the solver keys of `keys` that the spec sets."""
-    values = {}
-    for key in keys:
-        value = spec.solver_get(name, key)
-        if value is not None:
-            values[_FIELD_OF_KEY.get(key, key)] = value
-    return values
-
-
-def build_solver_config(spec: ExperimentSpec, name: str):
-    """Resolve one solver block into a SolverConfig / FsSolverConfig.
-
-    Only the keys the spec sets are passed on; every other field keeps the
-    default of its config class.
-    """
-    method = spec.solver_method(name)
-    ls = _given(spec, name, _LS_KEYS)
-    if ls.get("t_start") == "grid":
-        raise SpecError(f"solver.{name}.t_ini: unresolved grid request")
-    if "t_start" in ls:
-        ls["t_start"] = float(ls["t_start"])
-    kwargs = _given(spec, name, ("cg_rel_floor", "cg_max_iters"))
-    delta = spec.solver_get(name, "delta")
-    if delta is not None:
-        kwargs["delta"] = _parse_delta(delta)
-    kwargs.update(time_budget_s=spec.get("run.time_budget_s"),
-                  grad_tol=spec.get("run.grad_tol") or None)
-    if method in ALL_METHODS:
-        gain = _given(spec, name, ("alpha0", "T"))
-        if gain.get("alpha0", AUTO_ALPHA0) != AUTO_ALPHA0:
-            gain["alpha0"] = float(gain["alpha0"])
-        cfg = SolverConfig(method=method, gain=GainParams(**gain),
-                           max_iters=spec.get("run.max_iters"), **kwargs)
     else:
-        max_epochs = spec.get("run.max_epochs") or None
-        cfg = FsSolverConfig(
-            method=method, max_epochs=max_epochs,
-            max_iters=None if max_epochs else spec.get("run.max_iters"),
-            **_given(spec, name, _FS_KEYS), **kwargs)
-    if ls:
-        cfg.ls = replace(cfg.ls, **ls)
-    return cfg
+        dataset = parse_libsvm(spec.get("problem.path"))
+    model = LogRegModel(dataset, mu=spec.get("problem.mu"))
+    model.reference_optimum()
+    return model, kind
 
 
 def initial_point(spec: ExperimentSpec, problem, kind: str, rep_stream: RngStream):
@@ -328,9 +340,7 @@ def initial_point(spec: ExperimentSpec, problem, kind: str, rep_stream: RngStrea
         policy = "gauss5" if kind == "synthetic" else "zeros"
     if policy == "gauss5":
         return rep_stream.child(0).normal(0.0, 5.0, problem.n)
-    if policy == "zeros":
-        return np.zeros(problem.n)
-    raise SpecError(f"run.x0: unknown policy {policy!r}")
+    return np.zeros(problem.n)
 
 
 def run_replication(problem, kind: str, spec: ExperimentSpec, name: str,
@@ -340,17 +350,9 @@ def run_replication(problem, kind: str, spec: ExperimentSpec, name: str,
     x0 = initial_point(spec, problem, kind, rep_stream)
     cfg = build_solver_config(spec, name)
     if isinstance(cfg, FsSolverConfig):
-        if not isinstance(problem, FiniteSumProblem):
-            raise SpecError(f"solver.{name}: finite-sum method "
-                            f"{cfg.method!r} needs a finite-sum problem, "
-                            f"got problem.kind = {kind!r}")
         f_star = problem.f_star if isinstance(problem, LogRegModel) else None
         result = run_fs_solver(problem, cfg, x0, rep_stream.child(1), f_star=f_star)
     else:
-        if kind != "synthetic":
-            raise SpecError(f"solver.{name}: noisy-oracle method "
-                            f"{cfg.method!r} needs problem.kind = synthetic, "
-                            f"got {kind!r}")
         oracle = NoisyOracle(problem, rep_stream.child(1))
         result = run_solver(oracle, cfg, x0)
     result.trace.run_id = f"{name}-rep{rep:02d}"
@@ -358,9 +360,6 @@ def run_replication(problem, kind: str, spec: ExperimentSpec, name: str,
 
 
 # -- aggregation ---------------------------------------------------------------
-
-AGG_BY_ITERATION = "iter"
-AGG_BY_TIME = "time"
 
 
 @dataclass
@@ -471,10 +470,9 @@ def resolve_grid_searches(spec: ExperimentSpec, problem, kind: str,
     `pool` (see :func:`run_experiment`) when given, else here one after
     another; the selection does not depend on where they ran.
     """
-    candidates = sorted({float(c) for c in spec.get("grid.candidates").split(",")},
-                        reverse=True)
+    candidates = sorted(set(spec.get("grid.candidates")), reverse=True)
     names = [name for name in spec.solver_names()
-             if spec.solver_get(name, "t_ini", "1.0") == "grid"]
+             if spec.get(f"solver.{name}.t_ini") == GRID]
     pilots = [(name, t_ini) for name in names for t_ini in candidates]
     jobs = [(spec.override(**{f"solver.{name}.t_ini": repr(t_ini)}), name, 0)
             for name, t_ini in pilots]
@@ -502,8 +500,8 @@ class ExperimentResult:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(values: dict):
-    problem, kind = build_problem(ExperimentSpec(dict(values)))
+def _worker_init(spec: ExperimentSpec):
+    problem, kind = build_problem(spec)
     _WORKER_STATE["problem"] = problem
     _WORKER_STATE["kind"] = kind
 
@@ -534,12 +532,10 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     """
     problem, kind = build_problem(spec)
     reps = spec.get("run.reps")
-    if reps < 1:
-        raise SpecError("run.reps must be >= 1")
     workers = spec.get("run.workers")
     opened = (concurrent.futures.ProcessPoolExecutor(
                   max_workers=workers, initializer=_worker_init,
-                  initargs=(spec.values,))
+                  initargs=(spec,))
               if workers > 1 else contextlib.nullcontext())
     with opened as pool:
         spec = resolve_grid_searches(spec, problem, kind, pool)
@@ -550,8 +546,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     for (_, name, _), trace in zip(jobs, traces):
         result.traces.setdefault(name, []).append(trace)
 
-    modes = {"iter": [AGG_BY_ITERATION], "time": [AGG_BY_TIME],
-             "both": [AGG_BY_ITERATION, AGG_BY_TIME]}[spec.get("run.aggregate")]
+    mode = spec.get("run.aggregate")
+    modes = [AGG_BY_ITERATION, AGG_BY_TIME] if mode == "both" else [mode]
     for name in names:
         for mode in modes:
             result.aggregates[(name, mode)] = aggregate(result.traces[name], mode)

@@ -236,7 +236,7 @@ class LogRegModel(FiniteSumProblem):
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         L = self.mu + dataset.max_row_norm_sq
-        super().__init__(dataset.N, dataset.n, mu_strong=self.mu, grad_lipschitz=L)
+        super().__init__(dataset.N, dataset.n, grad_lipschitz=L)
         features = dataset.features
         dense = 8 * self.N * self.n <= 12 * features.nnz + 4 * (self.N + 1)
         self.store = features.toarray() if dense else features

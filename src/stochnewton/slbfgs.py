@@ -23,23 +23,23 @@ import numpy as np
 
 from .core import Vector
 
+# a pair is rejected unless s^T y >= CURVATURE_FLOOR * ||s|| ||y||
+CURVATURE_FLOOR = 1e-12
+
 
 class LbfgsMemory:
     """FIFO of at most ``m`` correction pairs plus the averaging state."""
 
-    def __init__(self, m: int = 10, update_interval: int = 5,
-                 curvature_floor: float = 1e-12):
+    def __init__(self, m: int = 10, update_interval: int = 5):
         if m < 1:
             raise ValueError("memory size m must be >= 1")
         if update_interval < 1:
             raise ValueError("update interval l must be >= 1")
         self.m = m
         self.l = update_interval
-        self.curvature_floor = curvature_floor
         self.pairs: list[tuple[Vector, Vector, float]] = []  # (s, y, rho)
         self._window: list[Vector] = []
         self._w_prev: Optional[Vector] = None
-        self.records = 0
         self.pairs_rejected = 0
         self.last_apply_blas1 = 0  # length-n dot/axpy count of the last apply
 
@@ -52,7 +52,7 @@ class LbfgsMemory:
         sy = float(s @ y)
         ns = float(np.linalg.norm(s))
         ny = float(np.linalg.norm(y))
-        if sy <= 0.0 or sy < self.curvature_floor * ns * ny:
+        if sy <= 0.0 or sy < CURVATURE_FLOOR * ns * ny:
             self.pairs_rejected += 1
             return False
         self.pairs.append((s.copy(), y.copy(), 1.0 / sy))
@@ -69,7 +69,6 @@ class LbfgsMemory:
         pair was stored.
         """
         self._window.append(np.asarray(x, dtype=np.float64).copy())
-        self.records += 1
         if len(self._window) < self.l:
             return False
         w = np.mean(self._window, axis=0)
@@ -128,9 +127,3 @@ class LbfgsMemory:
         lhs = self.apply_inverse_hessian(y_m)
         scale = max(1.0, float(np.linalg.norm(s_m)))
         return bool(np.linalg.norm(lhs - s_m) <= tol * scale)
-
-    def reset(self) -> None:
-        self.pairs.clear()
-        self._window.clear()
-        self._w_prev = None
-        self.records = 0

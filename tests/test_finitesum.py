@@ -35,13 +35,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             make_partition(4, 0, rng)
 
-    def test_cyclic_consumption(self, rng):
-        part = make_partition(6, 3, rng)
-        seen = [part.next_batch() for _ in range(6)]
-        # wraps around after one epoch in the same order
-        for a, b in zip(seen[:3], seen[3:]):
-            assert np.array_equal(a, b)
-
     def test_constructor_rejects_uneven_batches(self):
         with pytest.raises(ValueError):
             BatchPartition([np.arange(4), np.array([4])])

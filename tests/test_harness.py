@@ -3,6 +3,8 @@ output files and the manifest contract."""
 
 import csv
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,10 @@ from stochnewton.core import (PHASE_LINE_SEARCH, RngStream, RunTrace,
                               TraceRecord)
 from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  ExperimentSpec, GridSearchError, PRESETS,
-                                 SpecError, aggregate, aggregate_directory,
-                                 build_problem, build_solver_config,
-                                 grid_search_step, run_experiment,
-                                 run_replication)
+                                 SCHEMA, SpecError, aggregate,
+                                 aggregate_directory, build_problem,
+                                 build_solver_config, grid_search_step,
+                                 run_experiment, run_replication)
 from stochnewton.fs_solvers import FsSolverConfig
 from stochnewton.solvers import DeltaSchedule, GainParams, SolverConfig
 from stochnewton.steplen import LineSearchConfig
@@ -141,6 +143,47 @@ class TestSpecParsing:
             assert spec.solver_names() == list(configs)
             for name, cfg in configs.items():
                 assert build_solver_config(spec, name) == cfg, (preset, name)
+
+    @pytest.mark.parametrize("mapping, key", [
+        ({"run.reps": "abc"}, "run.reps"),
+        ({"run.reps": "0"}, "run.reps"),
+        ({"run.workers": "0"}, "run.workers"),
+        ({"run.max_iters": "0"}, "run.max_iters"),
+        ({"run.aggregate": "foo"}, "run.aggregate"),
+        ({"grid.candidates": "a,b"}, "grid.candidates"),
+        ({"problem.hess_form": "foo"}, "problem.hess_form"),
+        ({"solver.lsos.delta": "constant"}, "solver.lsos.delta"),
+        ({"solver.lsos.delta": "geometricfoo"}, "solver.lsos.delta"),
+        ({"solver.lsos.eta": "big"}, "solver.lsos.eta"),
+        ({"solver.lsos.eta": "2"}, "solver.lsos.eta"),
+        ({"solver.lsos.batch_size": "7"}, "solver.lsos.batch_size"),
+        ({"solver.saga_ls.alpha0": "0.5"}, "solver.saga_ls.alpha0"),
+        ({"run.solvers": "lsos", "problem.kind": "logistic_synthetic"},
+         "run.solvers"),
+        ({"run.solvers": "lsos,lsos"}, "run.solvers"),
+    ])
+    def test_bad_input_names_the_key_at_load(self, mapping, key):
+        with pytest.raises(SpecError) as info:
+            ExperimentSpec.from_mapping(mapping)
+        assert key in str(info.value)
+
+    @pytest.mark.parametrize("raw, schedule", [
+        ("zero", DeltaSchedule("zero")),
+        ("geometric", DeltaSchedule("geometric")),
+        ("geometric:0.8", DeltaSchedule("geometric", rho=0.8)),
+        ("constant:0.01", DeltaSchedule("constant", value=0.01)),
+    ])
+    def test_delta_grammar(self, raw, schedule):
+        spec = _small_spec(**{"solver.lsos.delta": raw})
+        assert build_solver_config(spec, "lsos").delta == schedule
+
+    def test_readme_lists_exactly_the_schema_keys(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("### Spec files", 1)[1].split("```")[1]
+        keys = {re.sub(r"^solver\.[^.]+\.", "solver.*.",
+                       line.split("=", 1)[0].strip())
+                for line in block.splitlines() if line.split("#", 1)[0].strip()}
+        assert keys == set(SCHEMA)
 
 
 class TestAggregate:
@@ -275,8 +318,8 @@ class TestRunExperiment:
         spec = _small_spec(**{"solver.lsos.t_ini": "grid",
                               "grid.candidates": "1.0,0.5"})
         res = run_experiment(spec, out_dir=tmp_path)
-        resolved = res.spec.solver_get("lsos", "t_ini", None)
-        assert resolved in ("1.0", "0.5")
+        resolved = res.spec.get("solver.lsos.t_ini")
+        assert resolved in (1.0, 0.5)
         # and the manifest carries the resolved value, not the request
         text = (tmp_path / "manifest.txt").read_text()
         assert "solver.lsos.t_ini = grid" not in text
@@ -300,13 +343,13 @@ class TestRunExperiment:
             seq = run_experiment(spec)
             par = run_experiment(spec.override(**{"run.workers": "2"}))
             for name in spec.solver_names():
-                assert (seq.spec.solver_get(name, "t_ini", None)
-                        == par.spec.solver_get(name, "t_ini", None))
+                assert (seq.spec.get(f"solver.{name}.t_ini")
+                        == par.spec.get(f"solver.{name}.t_ini"))
                 assert len(par.traces[name]) == 2
                 for t1, t2 in zip(seq.traces[name], par.traces[name]):
                     for column in iterate_columns:
                         assert t1.column(column) == t2.column(column)
-        assert seq.spec.solver_get("saga_ls", "t_ini", None) != "grid"
+        assert seq.spec.get("solver.saga_ls.t_ini") != "grid"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_divergent_pilots_raise_in_pool(self):
@@ -333,16 +376,14 @@ class TestRunExperiment:
         assert math.isfinite(final)
 
     def test_solver_problem_kind_mismatch_is_named(self):
-        fs_on_synth = _small_spec(**{"run.solvers": "lsos_bfgs",
-                                     "run.max_epochs": "1"})
+        # rejected when the spec loads, before any problem is built
         with pytest.raises(SpecError, match="finite-sum"):
-            run_experiment(fs_on_synth)
-        noisy_on_logistic = ExperimentSpec.from_mapping({
-            "problem.kind": "logistic_synthetic", "problem.N": "40",
-            "problem.features": "3", "run.solvers": "lsos",
-            "run.max_iters": "2", "run.reps": "1"})
+            _small_spec(**{"run.solvers": "lsos_bfgs", "run.max_epochs": "1"})
         with pytest.raises(SpecError, match="noisy-oracle"):
-            run_experiment(noisy_on_logistic)
+            ExperimentSpec.from_mapping({
+                "problem.kind": "logistic_synthetic", "problem.N": "40",
+                "problem.features": "3", "run.solvers": "lsos",
+                "run.max_iters": "2", "run.reps": "1"})
 
     def test_libsvm_kind(self, tmp_path):
         data = tmp_path / "toy.libsvm"
