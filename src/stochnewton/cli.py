@@ -4,7 +4,6 @@ Subcommands:
   run        run an experiment spec (or preset) and write CSV outputs
   grid       resolve step-length grid searches only, print selections
   aggregate  (re)build aggregate curves from a directory of trace CSVs
-  check      run the built-in invariant suite
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import run_checks
 from .harness import (AGG_BY_ITERATION, AGG_BY_TIME, ExperimentSpec, PRESETS,
                       aggregate_directory, build_problem, build_solver_config,
                       resolve_grid_searches, run_experiment, write_manifest)
@@ -38,8 +36,12 @@ def _load_spec(args) -> ExperimentSpec:
 
 
 def _print_finals(curves: dict) -> None:
-    """One line per solver: runs and the final mean error with its CI."""
+    """One line per solver: runs and the final mean error with its CI, or
+    a note that no run recorded an iteration."""
     for name, curve in curves.items():
+        if not len(curve.mean_error):
+            print(f"{name}: {curve.n_runs} runs, no iteration recorded")
+            continue
         print(f"{name}: {curve.n_runs} runs, "
               f"final mean error {curve.mean_error[-1]:.6e} "
               f"(+- {curve.ci_half[-1]:.1e})")
@@ -73,12 +75,7 @@ def main(argv=None) -> int:
     p_agg.add_argument("directory")
     p_agg.add_argument("--mode", choices=["iter", "time"], default="iter")
 
-    sub.add_parser("check", help="run the invariant suite")
-
     args = parser.parse_args(argv)
-
-    if args.command == "check":
-        return 0 if run_checks() else 1
 
     if args.command == "aggregate":
         curves = aggregate_directory(args.directory, args.mode)

@@ -188,7 +188,8 @@ class SagaTable:
 
     def __init__(self, problem: FiniteSumProblem, x0: Vector):
         self.problem = problem
-        self.table = problem.component_gradients(np.arange(problem.N), x0)
+        self.table = problem._component_gradients(ALL_ROWS, x0)
+        problem.grad_evals += problem.N
         self.running_sum = self.table.sum(axis=0)
 
     def estimate(self, x: Vector, batch) -> Vector:

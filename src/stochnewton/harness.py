@@ -84,6 +84,18 @@ def _int_min(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _float_min(low: float, *, strict: bool = False,
+               high: float = math.inf) -> Callable[[str], float]:
+    def parse(raw: str) -> float:
+        value = float(raw)
+        if not (value > low if strict else value >= low):  # NaN fails too
+            raise ValueError(f"must be {'>' if strict else '>='} {low:g}")
+        if value > high:
+            raise ValueError(f"must be <= {high:g}")
+        return value
+    return parse
+
+
 def _choice(*options: str) -> Callable[[str], str]:
     def parse(raw: str) -> str:
         if raw not in options:
@@ -96,8 +108,11 @@ def _float_or(word: str) -> Callable[[str], object]:
     return lambda raw: raw if raw == word else float(raw)
 
 
-def _floats(raw: str) -> tuple:
-    return tuple(float(c) for c in raw.split(","))
+_positive = _float_min(0, strict=True)
+
+
+def _positives(raw: str) -> tuple:
+    return tuple(_positive(c) for c in raw.split(","))
 
 
 def _names(raw: str) -> tuple:
@@ -133,28 +148,28 @@ SCHEMA = {
     "problem.kind": _Key(_choice("synthetic", "logistic_synthetic", "libsvm"),
                          "synthetic"),
     "problem.n": _Key(_int_min(1), "200"),
-    "problem.kappa": _Key(float, "100.0"),
-    "problem.sigma": _Key(float),
-    "problem.sigma_pct": _Key(float, "0.1"),
+    "problem.kappa": _Key(_float_min(1, strict=True), "100.0"),
+    "problem.sigma": _Key(_float_min(0)),
+    "problem.sigma_pct": _Key(_float_min(0), "0.1"),
     "problem.hess_form": _Key(_choice(HESS_DENSE, HESS_HOUSEHOLDER), HESS_DENSE),
-    "problem.density": _Key(float, "1.0"),
+    "problem.density": _Key(_float_min(0, strict=True, high=1), "1.0"),
     "problem.N": _Key(_int_min(1), "2000"),
     "problem.features": _Key(_int_min(1), "50"),
     "problem.separation": _Key(float, "2.0"),
-    "problem.feature_condition": _Key(float, "1.0"),
-    "problem.mu": _Key(float),
+    "problem.feature_condition": _Key(_float_min(1), "1.0"),
+    "problem.mu": _Key(_positive),
     "problem.path": _Key(str),
     "run.solvers": _Key(_names, "lsos"),
     "run.reps": _Key(_int_min(1), "20"),
     "run.seed": _Key(int, "20200731"),
     "run.max_iters": _Key(_int_min(1), "50"),
     "run.max_epochs": _Key(_int_min(0), "0"),
-    "run.time_budget_s": _Key(float, "inf"),
+    "run.time_budget_s": _Key(_positive, "inf"),
     "run.grad_tol": _Key(float, "0.0"),
     "run.x0": _Key(_choice("auto", "gauss5", "zeros"), "auto"),
     "run.aggregate": _Key(_choice(AGG_BY_ITERATION, AGG_BY_TIME, "both"), "iter"),
     "run.workers": _Key(_int_min(1), "1"),
-    "grid.candidates": _Key(_floats, GRID_DEFAULT),
+    "grid.candidates": _Key(_positives, GRID_DEFAULT),
     "solver.*.method": _Key(_choice(*ALL_METHODS, *FS_METHODS)),
     "solver.*.alpha0": _Key(_float_or(AUTO_ALPHA0), field="gain.alpha0"),
     "solver.*.T": _Key(float, field="gain.T"),

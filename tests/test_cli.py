@@ -1,4 +1,8 @@
-"""Command-line interface: run / grid / aggregate / check."""
+"""Command-line interface: run / grid / aggregate, and the README's
+Command line block."""
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,14 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run"])
 
+    def test_runs_without_records_print_no_final_error(self, tmp_path, capsys):
+        # every run meets grad_tol before its first record
+        spec = tmp_path / "stop.spec"
+        spec.write_text(TINY_SPEC + "run.grad_tol = 1e9\n")
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 0
+        text = capsys.readouterr().out
+        assert "lsos: 2 runs, no iteration recorded" in text
+
 
 class TestGrid:
     def test_grid_resolves_and_writes_spec(self, tmp_path, capsys):
@@ -68,9 +80,14 @@ class TestAggregate:
         assert "final mean error" in capsys.readouterr().out
 
 
-class TestCheck:
-    def test_invariant_suite_passes(self, capsys):
-        assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 10
+class TestReadme:
+    def test_command_line_block_lists_exactly_the_subcommands(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+        listed = {line.split()[1] for line in block.splitlines()
+                  if line.startswith("stochnewton ")}
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out
+        parsed = set(re.search(r"\{([^}]*)\}", usage).group(1).split(","))
+        assert listed == parsed

@@ -161,6 +161,14 @@ class TestSpecParsing:
         ({"run.solvers": "lsos", "problem.kind": "logistic_synthetic"},
          "run.solvers"),
         ({"run.solvers": "lsos,lsos"}, "run.solvers"),
+        ({"problem.kappa": "0.5"}, "problem.kappa"),
+        ({"problem.sigma": "-1"}, "problem.sigma"),
+        ({"problem.sigma_pct": "-1"}, "problem.sigma_pct"),
+        ({"problem.density": "2"}, "problem.density"),
+        ({"problem.feature_condition": "0.5"}, "problem.feature_condition"),
+        ({"problem.mu": "0"}, "problem.mu"),
+        ({"grid.candidates": "-1,0.5"}, "grid.candidates"),
+        ({"run.time_budget_s": "0"}, "run.time_budget_s"),
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:

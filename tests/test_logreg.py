@@ -53,10 +53,10 @@ class TestComponentFormulas:
 
     def test_gradient_matches_finite_differences(self, rng):
         model = _tiny_model()
-        for i in range(model.N):
+        for idx in [[i] for i in range(model.N)] + [np.arange(model.N)]:
             x = rng.standard_normal(3)
-            err = fd_gradient_check(lambda z: model._batch_value([i], z),
-                                    lambda z: model._batch_gradient([i], z),
+            err = fd_gradient_check(lambda z: model._batch_value(idx, z),
+                                    lambda z: model._batch_gradient(idx, z),
                                     x, h=1e-6)
             assert err <= 1e-5
 
