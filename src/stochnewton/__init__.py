@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .core import (EvalCounts, OracleSample, RngStream, RunTrace, TraceRecord,
                    read_trace_csv, write_trace_csv)
-from .finitesum import (BatchPartition, FiniteSumProblem, QuadraticSumProblem,
-                        SagaTable, default_batch_size, make_partition)
+from .finitesum import (FiniteSumProblem, QuadraticSumProblem, SagaTable,
+                        default_batch_size, make_partition)
 from .fs_solvers import FsSolverConfig, run_fs_solver
 from .harness import (AggregateCurve, ExperimentSpec, aggregate,
                       grid_search_step, run_experiment)

@@ -236,20 +236,20 @@ def trace_to_csv_text(trace: RunTrace) -> str:
 
 
 def read_trace_csv(fh) -> RunTrace:
-    """Parse a trace written by :func:`write_trace_csv` (invariants re-checked)."""
+    """Parse a trace written by :func:`write_trace_csv` (invariants re-checked);
+    a header-only file (no iteration recorded) gives an empty trace."""
     rd = csv.reader(fh)
     header = next(rd, None)
     if header is None:
         raise ValueError("empty trace file")
     if tuple(header) != TRACE_CSV_COLUMNS:
         raise ValueError(f"unexpected trace header: {header}")
-    trace: Optional[RunTrace] = None
+    trace = RunTrace()
     for row in rd:
         if not row:
             continue
         run_id, it, t, f_hat, true_err, gnorm, step, phase = row
-        if trace is None:
-            trace = RunTrace(run_id)
+        trace.run_id = run_id
         trace.append(
             TraceRecord(
                 iter=int(it),
@@ -261,6 +261,4 @@ def read_trace_csv(fh) -> RunTrace:
                 phase=phase,
             )
         )
-    if trace is None:
-        raise ValueError("trace file has no records")
     return trace

@@ -16,8 +16,7 @@ Two gradient estimators are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,17 +38,13 @@ class FiniteSumProblem:
     ``_batch_hvp(idx, x, v)`` and ``_batch_hessian(idx, x)`` (dense), and
     the stacked rows ``_component_gradients(idx, x)``.  The public methods
     validate the batch and count one evaluation per component in it.
-
-    ``grad_lipschitz`` holds the gradient Lipschitz constant when the
-    problem knows it (otherwise ``None``).
     """
 
-    def __init__(self, N: int, n: int, grad_lipschitz: Optional[float] = None):
+    def __init__(self, N: int, n: int):
         if N < 1 or n < 1:
             raise ValueError("N and n must be >= 1")
         self.N = N
         self.n = n
-        self.grad_lipschitz = grad_lipschitz
         self.value_evals = 0
         self.grad_evals = 0
         self.hvp_evals = 0
@@ -116,9 +111,7 @@ class QuadraticSumProblem(FiniteSumProblem):
         self.rhs = np.asarray(rhs, dtype=np.float64)
         if len(self.hessians) != len(self.rhs):
             raise ValueError("need one rhs per Hessian")
-        L = np.linalg.eigvalsh(self.hessians).max()
-        super().__init__(len(self.hessians), self.rhs.shape[1],
-                         grad_lipschitz=float(L))
+        super().__init__(len(self.hessians), self.rhs.shape[1])
 
     def _batch_value(self, idx, x):
         hx = self.hessians[idx] @ x
@@ -140,30 +133,12 @@ class QuadraticSumProblem(FiniteSumProblem):
 # -- mini-batch plumbing ------------------------------------------------------
 
 
-@dataclass
-class BatchPartition:
-    """Disjoint index batches covering ``0..N-1``, iterated in order."""
-
-    batches: list
-
-    def __post_init__(self):
-        sizes = [len(b) for b in self.batches]
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError("batch sizes must differ by at most 1")
-        all_idx = np.concatenate(self.batches)
-        if np.unique(all_idx).size != all_idx.size:
-            raise ValueError("batches must be disjoint")
-
-    def __iter__(self):
-        return iter(self.batches)
-
-
-def make_partition(N: int, n_b: int, rng: RngStream) -> BatchPartition:
-    """Random equi-partition of ``{0..N-1}`` into ``n_b`` batches (sizes +-1)."""
+def make_partition(N: int, n_b: int, rng: RngStream) -> list:
+    """Random equi-partition of ``{0..N-1}`` into ``n_b`` sorted batches (sizes +-1)."""
     if not (1 <= n_b <= N):
         raise ValueError(f"need 1 <= n_b <= N, got n_b={n_b}, N={N}")
     perm = rng.permutation(N)
-    return BatchPartition([np.sort(b) for b in np.array_split(perm, n_b)])
+    return [np.sort(b) for b in np.array_split(perm, n_b)]
 
 
 def default_batch_size(N: int) -> int:

@@ -84,6 +84,8 @@ class FsSolverConfig:
         if self.max_epochs is None and self.max_iters is None \
                 and not math.isfinite(self.time_budget_s):
             raise ValueError("need at least one of max_epochs/max_iters/time budget")
+        if not (0.0 < self.cg_rel_floor < 1.0):
+            raise ValueError("cg_rel_floor must lie in (0, 1)")
 
 
 def run_fs_solver(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,

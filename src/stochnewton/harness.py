@@ -26,8 +26,9 @@ from . import __version__
 from .core import RngStream, RunTrace, read_trace_csv, write_trace_csv
 from .fs_solvers import FS_METHODS, FsSolverConfig, run_fs_solver
 from .logreg import LogRegModel, generate_synthetic_classification, parse_libsvm
-from .solvers import (ALL_METHODS, AUTO_ALPHA0, DELTA_CONSTANT, DELTA_GEOMETRIC,
-                      DELTA_ZERO, DeltaSchedule, SolverConfig, run_solver)
+from .solvers import (_LS_METHODS, ALL_METHODS, AUTO_ALPHA0, DELTA_CONSTANT,
+                      DELTA_GEOMETRIC, DELTA_ZERO, DeltaSchedule, SolverConfig,
+                      run_solver)
 from .synthetic import (HESS_DENSE, HESS_HOUSEHOLDER, NoisyOracle,
                         exact_solution, generate_problem)
 
@@ -292,11 +293,16 @@ def _solver_config(spec: ExperimentSpec, name: str):
     for row_key, row in SCHEMA.items():
         key = row_key.replace("*", name)
         value = spec.get(key)
-        if not row.field or value is None or value == GRID:
+        if not row.field or value is None:
             continue
         owner, _, attr = row.field.rpartition(".")
-        if not hasattr(cfg, owner or attr):
+        # noisy methods read ls.* only with a search, alpha0 only without one
+        unread = method in ALL_METHODS and (
+            row.field == "gain.alpha0" if method in _LS_METHODS else owner == "ls")
+        if not hasattr(cfg, owner or attr) or unread:
             raise SpecError(f"{key}: method {method!r} has no such setting")
+        if value == GRID:
+            continue
         try:
             if owner:
                 value = replace(getattr(cfg, owner), **{attr: value})
@@ -412,7 +418,8 @@ def aggregate(traces: list[RunTrace], mode: str = AGG_BY_ITERATION,
     ``iter`` mode aligns runs on the iteration counter (truncated to the
     shortest run); ``time`` mode interpolates each run's error onto a common
     grid of ``time_buckets`` points spanning the shortest run's horizon.
-    Input order does not matter: traces are sorted by ``run_id`` first.
+    In either mode a run with no record gives an empty curve.  Input order
+    does not matter: traces are sorted by ``run_id`` first.
     """
     if not traces:
         raise ValueError("no traces to aggregate")
@@ -435,6 +442,9 @@ def aggregate(traces: list[RunTrace], mode: str = AGG_BY_ITERATION,
                               times.mean(axis=0), R)
 
     if mode == AGG_BY_TIME:
+        if not all(t.records for t in traces):
+            empty = np.zeros(0)
+            return AggregateCurve(mode, empty, empty, empty, None, R)
         horizon = min(t.records[-1].wall_time_s for t in traces)
         grid = np.linspace(0.0, horizon, time_buckets)
         interp = np.stack([
@@ -455,26 +465,18 @@ class GridSearchError(RuntimeError):
     pass
 
 
-def grid_search_step(run_candidate, candidates) -> tuple[float, dict]:
-    """Pick the candidate with the lowest pilot-run final error.
+def grid_search_step(final_errors: dict) -> float:
+    """The ``t_ini`` of ``{t_ini: pilot's final error}`` with the lowest error.
 
-    ``run_candidate(t_ini)`` returns the pilot's final error (non-finite
-    marks divergence).  Ties break toward the larger step.  If every
-    candidate diverges a :class:`GridSearchError` lists the diagnostics.
+    A non-finite error (divergence, or a pilot with no record) is never
+    selected, and ties break toward the larger step.  If no error is finite
+    a :class:`GridSearchError` lists them all.
     """
-    candidates = sorted(set(float(c) for c in candidates), reverse=True)
-    if not candidates:
-        raise ValueError("empty candidate set")
-    results = {}
-    best, best_err = None, math.inf
-    for cand in candidates:
-        err = float(run_candidate(cand))
-        results[cand] = err
-        if math.isfinite(err) and err < best_err:
-            best, best_err = cand, err
-    if best is None:
-        raise GridSearchError(f"all step candidates diverged: {results}")
-    return best, results
+    finite = [t for t, err in final_errors.items() if math.isfinite(err)]
+    if not finite:
+        raise GridSearchError("all step candidates diverged or recorded "
+                              f"no iteration: {final_errors}")
+    return min(finite, key=lambda t: (final_errors[t], -t))
 
 
 def resolve_grid_searches(spec: ExperimentSpec, problem, kind: str,
@@ -491,14 +493,12 @@ def resolve_grid_searches(spec: ExperimentSpec, problem, kind: str,
     pilots = [(name, t_ini) for name in names for t_ini in candidates]
     jobs = [(spec.override(**{f"solver.{name}.t_ini": repr(t_ini)}), name, 0)
             for name, t_ini in pilots]
-    final_error = {pilot: _trace_errors(trace)[-1] for pilot, trace
-                   in zip(pilots, _run_jobs(problem, kind, jobs, pool))}
-    resolved = spec
-    for name in names:
-        best, _ = grid_search_step(lambda t_ini, name=name: final_error[name, t_ini],
-                                   candidates)
-        resolved = resolved.override(**{f"solver.{name}.t_ini": repr(best)})
-    return resolved
+    final_errors = {name: {} for name in names}
+    for (name, t_ini), trace in zip(pilots, _run_jobs(problem, kind, jobs, pool)):
+        errors = _trace_errors(trace)
+        final_errors[name][t_ini] = float(errors[-1]) if errors.size else math.nan
+    return spec.override(**{f"solver.{name}.t_ini": repr(grid_search_step(by_t))
+                            for name, by_t in final_errors.items()})
 
 
 # -- experiment driver ----------------------------------------------------------
@@ -601,7 +601,9 @@ def aggregate_directory(directory, mode: str = AGG_BY_ITERATION) -> dict:
     for path in sorted(directory.glob("*_rep*.csv")):
         with open(path, "r") as fh:
             trace = read_trace_csv(fh)
-        groups.setdefault(path.name.rsplit("_rep", 1)[0], []).append(trace)
+        name, rep = path.stem.rsplit("_rep", 1)
+        trace.run_id = f"{name}-rep{rep}"
+        groups.setdefault(name, []).append(trace)
     if not groups:
         raise FileNotFoundError(f"no trace CSVs found under {directory}")
     curves = {}

@@ -6,7 +6,8 @@ achieved residual is always recomputed from scratch before being reported, so
 the returned certificate can be trusted).  Indefiniteness surfaces as
 :class:`NotPositiveDefiniteError`; the solver drivers decide the fallback.
 :func:`damped_newton` is the exact Newton loop behind every reference
-optimum; each problem family passes its own Newton solve.
+optimum; each problem family passes its own Newton solve, and its steps
+come from the solvers' Armijo search, :func:`~stochnewton.steplen.backtrack`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import Vector
+from .steplen import LineSearchConfig, backtrack
 
 
 class NotPositiveDefiniteError(Exception):
@@ -49,10 +51,6 @@ class SpdOperator:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         return cls(a.shape[0], dense=a)
-
-    @classmethod
-    def from_matvec(cls, n: int, matvec: Callable[[Vector], Vector]) -> "SpdOperator":
-        return cls(n, matvec=matvec)
 
     @property
     def is_explicit(self) -> bool:
@@ -142,6 +140,10 @@ def solve_cg(op: SpdOperator, rhs: Vector, rel_tol: float,
     return CgResult(d, final, iters)
 
 
+# halving from t = 1 down to 2**-59; an exhausted search takes the last trial
+_NEWTON_SEARCH = LineSearchConfig(eta=1e-4, beta=0.5, max_backtracks=59)
+
+
 def damped_newton(value: Callable[[Vector], float],
                   gradient: Callable[[Vector], Vector],
                   newton_solve: Callable[[Vector, Vector], Vector],
@@ -149,11 +151,11 @@ def damped_newton(value: Callable[[Vector], float],
     """Minimize a smooth convex function by Newton steps from ``x``.
 
     ``newton_solve(x, g)`` returns the direction ``d`` solving
-    ``H(x) d = -g``.  Each step backtracks by halving from ``t = 1``, at
-    most 60 times, until the Armijo test with parameter 1e-4 holds;
-    non-finite trial values are rejected.  Returns the first iterate with
-    ``||g|| <= tol`` and raises :class:`RuntimeError` if none is reached
-    within ``max_iters`` iterations.
+    ``H(x) d = -g``.  Each step length comes from :func:`backtrack`: halving
+    from ``t = 1`` for at most 60 trials until the Armijo test with
+    parameter 1e-4 holds, non-finite trial values rejected.  Returns the
+    first iterate with ``||g|| <= tol`` and raises :class:`RuntimeError` if
+    none is reached within ``max_iters`` iterations.
     """
     gnorm = math.inf
     for _ in range(max_iters):
@@ -163,16 +165,11 @@ def damped_newton(value: Callable[[Vector], float],
             return x
         d = newton_solve(x, g)
         f0 = value(x)
-        slope = float(g @ d)
         # rounding slack: near the optimum the predicted decrease drops below
         # the float resolution of f, which must not stall the full Newton step
         slack = 8.0 * np.finfo(float).eps * max(1.0, abs(f0))
-        t = 1.0
-        for _ in range(60):
-            ft = value(x + t * d)
-            if math.isfinite(ft) and ft <= f0 + 1e-4 * t * slope + slack:
-                break
-            t *= 0.5
+        t = backtrack(lambda t: value(x + t * d), f0, float(g @ d),
+                      _NEWTON_SEARCH, slack).t
         x = x + t * d
     raise RuntimeError(
         f"damped Newton did not reach ||grad|| <= {tol} in {max_iters} "

@@ -60,11 +60,6 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def max_row_norm_sq(self) -> float:
-        sq = self.features.multiply(self.features).sum(axis=1)
-        return float(np.max(sq)) if self.N else 0.0
-
     def to_libsvm(self, fh) -> None:
         """Serialize in LIBSVM text format (1-based indices, +1/-1 labels)."""
         indptr, indices, data = (self.features.indptr, self.features.indices,
@@ -235,8 +230,7 @@ class LogRegModel(FiniteSumProblem):
         self.mu = float(mu) if mu is not None else 1.0 / dataset.N
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        L = self.mu + dataset.max_row_norm_sq
-        super().__init__(dataset.N, dataset.n, grad_lipschitz=L)
+        super().__init__(dataset.N, dataset.n)
         features = dataset.features
         dense = 8 * self.N * self.n <= 12 * features.nnz + 4 * (self.N + 1)
         self.store = features.toarray() if dense else features

@@ -28,7 +28,7 @@ CURVATURE_FLOOR = 1e-12
 
 
 class LbfgsMemory:
-    """FIFO of at most ``m`` correction pairs plus the averaging state."""
+    """FIFO ``pairs`` of at most ``m`` ``(s, y, 1/s^T y)``, plus the averaging state."""
 
     def __init__(self, m: int = 10, update_interval: int = 5):
         if m < 1:
@@ -41,11 +41,6 @@ class LbfgsMemory:
         self._window: list[Vector] = []
         self._w_prev: Optional[Vector] = None
         self.pairs_rejected = 0
-        self.last_apply_blas1 = 0  # length-n dot/axpy count of the last apply
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.pairs)
 
     def insert_pair(self, s: Vector, y: Vector) -> bool:
         """Insert ``(s, y)`` unless the curvature guard rejects it."""
@@ -86,26 +81,20 @@ class LbfgsMemory:
 
     def apply_inverse_hessian(self, v: Vector) -> Vector:
         """Return ``H v`` via the two-loop recursion (O(m n) per call)."""
-        ops = 0
-        if not self.pairs:
-            self.last_apply_blas1 = ops
-            return np.asarray(v, dtype=np.float64).copy()
         q = np.asarray(v, dtype=np.float64).copy()
+        if not self.pairs:
+            return q
         alphas = []
         for s, y, rho in reversed(self.pairs):
             a = rho * float(s @ q)
             q -= a * y
             alphas.append(a)
-            ops += 2
         s_m, y_m, _ = self.pairs[-1]
         gamma = float(s_m @ y_m) / float(y_m @ y_m)
         r = gamma * q
-        ops += 3
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
             b = rho * float(y @ r)
             r += (a - b) * s
-            ops += 2
-        self.last_apply_blas1 = ops
         return r
 
     def materialize(self, n: int) -> np.ndarray:

@@ -95,11 +95,18 @@ class GainParams:
     """Parameters of the pre-defined gain sequence ``alpha_k = alpha0 T/(T+k)``.
 
     ``alpha0 = "auto"`` resolves to ``1 / ||d_0||`` at the first iteration,
-    which makes the very first step have unit length.
+    which makes the very first step have unit length.  Methods with a
+    line search never read it: a switch anchors the gains at ``t_min``.
     """
 
     alpha0: object = AUTO_ALPHA0
     T: float = 1e6
+
+    def __post_init__(self):
+        if self.alpha0 != AUTO_ALPHA0 and not float(self.alpha0) > 0:
+            raise ValueError(f"alpha0 must be > 0 or {AUTO_ALPHA0!r}")
+        if not self.T > 0:
+            raise ValueError("T must be > 0")
 
 
 @dataclass
@@ -124,6 +131,8 @@ class SolverConfig:
                                        else DELTA_ZERO)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not (0.0 < self.cg_rel_floor < 1.0):
+            raise ValueError("cg_rel_floor must lie in (0, 1)")
 
 
 @dataclass
@@ -214,8 +223,6 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     has_ref = true_error is not None
     phase = PHASE_LINE_SEARCH if line_search else PHASE_GAIN
     schedule: Optional[GainSchedule] = None
-    if not line_search and not isinstance(gain.alpha0, str):
-        schedule = GainSchedule(alpha0=gain.alpha0, T=gain.T)
     k_tau: Optional[int] = None
     gnorm: Optional[float] = None
     exhausted_warned = False
@@ -249,10 +256,6 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
             _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref)
             break
 
-        if schedule is None and phase == PHASE_GAIN:
-            # alpha0 = "auto": unit-length first step
-            schedule = GainSchedule(alpha0=1.0 / dnorm, T=gain.T)
-
         f_hat: Optional[float] = None
         if phase == PHASE_LINE_SEARCH:
             f_hat = objective(x, batch)
@@ -266,12 +269,15 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
                                     cfg.ls.max_backtracks, k)
                     exhausted_warned = True
             elif not res.accepted or switch_check(t, dnorm, cfg.ls):
-                # one-way switch: a fresh gain sequence from this iteration
+                # one-way switch: the gain sequence starts at this iteration
                 phase = PHASE_GAIN
                 k_tau = k
-                schedule = GainSchedule(alpha0=cfg.ls.t_min / dnorm, T=gain.T)
-                t = schedule.next_gain()
-        else:
+        if phase == PHASE_GAIN:
+            if schedule is None:  # anchored at a switch, else alpha0 or "auto"
+                alpha0 = (cfg.ls.t_min / dnorm if k_tau is not None
+                          else 1.0 / dnorm if gain.alpha0 == AUTO_ALPHA0
+                          else gain.alpha0)
+                schedule = GainSchedule(alpha0=alpha0, T=gain.T)
             t = schedule.next_gain()
 
         x_next = x + t * d

@@ -292,8 +292,7 @@ def exact_solution(problem: ConvexRandomProblem, tol: float = 1e-8,
     def newton_solve(x, g):
         if problem.a_dense is not None:
             return solve_direct(SpdOperator.from_dense(problem.hess_dense(x)), -g)
-        op = SpdOperator.from_matvec(problem.n,
-                                     lambda v: problem.hess_matvec(x, v))
+        op = SpdOperator(problem.n, matvec=lambda v: problem.hess_matvec(x, v))
         return solve_cg(op, -g, rel_tol=1e-12, max_iters=4 * problem.n).d
 
     x = damped_newton(problem.value, problem.gradient, newton_solve,

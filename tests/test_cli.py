@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from stochnewton.cli import main
+from stochnewton.harness import GridSearchError
 
 TINY_SPEC = """\
 problem.kind = synthetic
@@ -49,11 +50,20 @@ class TestRun:
 
     def test_runs_without_records_print_no_final_error(self, tmp_path, capsys):
         # every run meets grad_tol before its first record
+        stop = TINY_SPEC + "run.grad_tol = 1e9\n"
         spec = tmp_path / "stop.spec"
-        spec.write_text(TINY_SPEC + "run.grad_tol = 1e9\n")
-        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 0
-        text = capsys.readouterr().out
-        assert "lsos: 2 runs, no iteration recorded" in text
+        for extra in ("", "run.aggregate = time\n"):
+            spec.write_text(stop + extra)
+            out = str(tmp_path / "out")
+            assert main(["run", str(spec), "--out", out]) == 0
+            # the header-only traces that run wrote aggregate as well
+            assert main(["aggregate", out, "--mode", "time"]) == 0
+            text = capsys.readouterr().out
+            assert text.count("lsos: 2 runs, no iteration recorded") == 2
+        # a pilot with no record is never selected
+        spec.write_text(stop + "solver.lsos.t_ini = grid\n")
+        with pytest.raises(GridSearchError, match="no iteration"):
+            main(["run", str(spec), "--out", str(tmp_path / "grid")])
 
 
 class TestGrid:
@@ -81,9 +91,16 @@ class TestAggregate:
 
 
 class TestReadme:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_library_quick_start_runs(self, capsys):
+        section = self.README.read_text().split("## Library quick start", 1)[1]
+        code = section.split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        assert "max_iters" in capsys.readouterr().out
+
     def test_command_line_block_lists_exactly_the_subcommands(self, capsys):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+        block = self.README.read_text().split("## Command line", 1)[1].split("```")[1]
         listed = {line.split()[1] for line in block.splitlines()
                   if line.startswith("stochnewton ")}
         with pytest.raises(SystemExit):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochnewton.core import RngStream
-from stochnewton.finitesum import (BatchPartition, SagaTable,
-                                   default_batch_size, make_partition)
+from stochnewton.finitesum import SagaTable, default_batch_size, make_partition
 from stochnewton.linalg import fd_hvp_check
 
 from conftest import quadratic_sum_problem
@@ -23,7 +22,7 @@ class TestPartition:
 
     def test_single_batch_is_full_set(self, rng):
         part = make_partition(5, 1, rng)
-        assert np.array_equal(np.sort(part.batches[0]), np.arange(5))
+        assert np.array_equal(np.sort(part[0]), np.arange(5))
 
     def test_uneven_split_sizes(self, rng):
         part = make_partition(7, 3, rng)
@@ -34,14 +33,6 @@ class TestPartition:
             make_partition(4, 5, rng)
         with pytest.raises(ValueError):
             make_partition(4, 0, rng)
-
-    def test_constructor_rejects_uneven_batches(self):
-        with pytest.raises(ValueError):
-            BatchPartition([np.arange(4), np.array([4])])
-
-    def test_constructor_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            BatchPartition([np.array([0, 1]), np.array([1, 2])])
 
     @given(N=st.integers(1, 60), ratio=st.floats(0.01, 1.0))
     @settings(max_examples=60, deadline=None)

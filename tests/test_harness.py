@@ -169,6 +169,19 @@ class TestSpecParsing:
         ({"problem.mu": "0"}, "problem.mu"),
         ({"grid.candidates": "-1,0.5"}, "grid.candidates"),
         ({"run.time_budget_s": "0"}, "run.time_budget_s"),
+        ({"solver.sos.alpha0": "-1"}, "solver.sos.alpha0"),
+        ({"solver.sos.T": "0"}, "solver.sos.T"),
+        ({"solver.lsos.T": "-1"}, "solver.lsos.T"),
+        ({"run.solvers": "lsos_inexact", "problem.hess_form": "householder",
+          "solver.lsos_inexact.cg_rel_floor": "0"},
+         "solver.lsos_inexact.cg_rel_floor"),
+        ({"problem.kind": "logistic_synthetic", "run.solvers": "lsos_fs",
+          "solver.lsos_fs.cg_rel_floor": "1"}, "solver.lsos_fs.cg_rel_floor"),
+        ({"run.solvers": "sgd", "solver.sgd.t_ini": "grid"}, "solver.sgd.t_ini"),
+        ({"run.solvers": "sos", "solver.sos.eta": "0.1"}, "solver.sos.eta"),
+        ({"solver.lsos.alpha0": "123"}, "solver.lsos.alpha0"),
+        ({"run.solvers": "sgd_ls", "solver.sgd_ls.alpha0": "auto"},
+         "solver.sgd_ls.alpha0"),
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:
@@ -257,21 +270,20 @@ class TestAggregate:
 
 class TestGridSearch:
     def test_single_candidate_returned(self):
-        best, results = grid_search_step(lambda t: 1.0, [0.5])
-        assert best == 0.5 and results == {0.5: 1.0}
+        assert grid_search_step({0.5: 1.0}) == 0.5
 
     def test_divergent_candidates_filtered(self):
-        best, _ = grid_search_step(
-            lambda t: math.inf if t > 0.2 else t, [1.0, 0.1, 0.05])
+        # a pilot with no record has a NaN final error and is never selected
+        best = grid_search_step({1.0: math.inf, 0.5: math.nan, 0.1: 0.1,
+                                 0.05: 0.05})
         assert best == 0.05
 
     def test_all_divergent_raises_with_diagnostics(self):
         with pytest.raises(GridSearchError, match="diverged"):
-            grid_search_step(lambda t: math.nan, [1.0, 0.5])
+            grid_search_step({1.0: math.nan, 0.5: math.nan})
 
     def test_tie_breaks_toward_larger_step(self):
-        best, _ = grid_search_step(lambda t: 1.0, [0.01, 1.0, 0.1])
-        assert best == 1.0
+        assert grid_search_step({0.01: 1.0, 1.0: 1.0, 0.1: 1.0}) == 1.0
 
     def test_isotropic_quadratic_picks_step_nearest_inverse_curvature(self):
         # fixed-step gradient descent on f = L/2 ||x||^2 contracts by
@@ -285,7 +297,7 @@ class TestGridSearch:
             return abs(x)
 
         candidates = [1.0, 0.5, 0.1, 0.05, 0.01]
-        best, _ = grid_search_step(run_candidate, candidates)
+        best = grid_search_step({t: run_candidate(t) for t in candidates})
         assert best == min(candidates, key=lambda t: abs(1 - t * L))
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stochnewton.linalg import (NotPositiveDefiniteError, SpdOperator,
-                                fd_gradient_check, fd_hvp_check, solve_cg,
-                                solve_direct)
+                                damped_newton, fd_gradient_check, fd_hvp_check,
+                                solve_cg, solve_direct)
 
 from conftest import random_spd
 
@@ -49,7 +49,7 @@ class TestSolveDirect:
             solve_direct(SpdOperator.from_dense(b), rng.standard_normal(6))
 
     def test_requires_explicit_matrix(self):
-        op = SpdOperator.from_matvec(3, lambda v: v)
+        op = SpdOperator(3, matvec=lambda v: v)
         with pytest.raises(ValueError):
             solve_direct(op, np.ones(3))
 
@@ -122,11 +122,66 @@ class TestSolveCg:
             applies.append(1)
             return b @ v
 
-        op = SpdOperator.from_matvec(30, matvec)
+        op = SpdOperator(30, matvec=matvec)
         rhs = rng.standard_normal(30)
         res = solve_cg(op, rhs, rel_tol=1e-10)
         assert np.linalg.norm(b @ res.d - rhs) <= 1e-10 * np.linalg.norm(rhs)
         assert len(applies) >= res.iters
+
+
+def _x_minus_log_x():
+    """``f(x) = x - log x`` on ``x > 0`` (minimum at 1), ``inf`` elsewhere;
+    the full Newton step from ``x = 3`` lands on ``-3``."""
+    def value(x):
+        return float(x[0] - np.log(x[0])) if x[0] > 0 else np.inf
+
+    def gradient(x):
+        return np.array([1.0 - 1.0 / x[0]])
+
+    def newton_solve(x, g):
+        return -g * x[0] ** 2
+    return value, gradient, newton_solve
+
+
+class TestDampedNewton:
+    def test_strictly_convex_quadratic_converges_in_one_step(self, rng):
+        a = random_spd(6, rng)
+        b = rng.standard_normal(6)
+        solves = []
+
+        def newton_solve(x, g):
+            solves.append(x)
+            return np.linalg.solve(a, -g)
+
+        x = damped_newton(lambda x: 0.5 * x @ a @ x - b @ x, lambda x: a @ x - b,
+                          newton_solve, np.zeros(6), tol=1e-10, max_iters=5)
+        assert len(solves) == 1
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), atol=1e-10)
+
+    def test_non_finite_trial_values_are_rejected(self):
+        value, gradient, newton_solve = _x_minus_log_x()
+        trials, iterates = [], []
+
+        def logged_value(x):
+            trials.append(value(x))
+            return trials[-1]
+
+        def logged_gradient(x):
+            iterates.append(x[0])
+            return gradient(x)
+
+        x = damped_newton(logged_value, logged_gradient, newton_solve,
+                          np.array([3.0]), tol=1e-12, max_iters=50)
+        assert not all(np.isfinite(trials))
+        assert min(iterates) > 0
+        assert abs(x[0] - 1.0) < 1e-10
+
+    def test_too_few_iterations_raise_with_the_count_and_gradient(self):
+        value, gradient, newton_solve = _x_minus_log_x()
+        with pytest.raises(RuntimeError,
+                           match=r"in 1 iterations \(last \|\|grad\|\| = 6\.667e-01\)"):
+            damped_newton(value, gradient, newton_solve, np.array([3.0]),
+                          tol=1e-12, max_iters=1)
 
 
 class TestFiniteDifferences:
