@@ -16,6 +16,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -39,6 +40,7 @@ GRID = "grid"  # the t_ini value that asks for the step-length grid search
 
 AGG_BY_ITERATION = "iter"
 AGG_BY_TIME = "time"
+_TRACE_FILE = re.compile(r"(.+)_rep(\d+)\.csv")  # as `run` names its traces
 
 PRESETS = {
     # desk-scale noisy convex comparison: line search vs pre-defined gains
@@ -595,13 +597,19 @@ def write_manifest(spec: ExperimentSpec, problem, fh) -> None:
 
 
 def aggregate_directory(directory, mode: str = AGG_BY_ITERATION) -> dict:
-    """Group ``<solver>_rep*.csv`` traces in `directory` and aggregate them."""
+    """Group ``<solver>_rep<r>.csv`` traces in `directory` and aggregate them.
+
+    Other files, such as earlier aggregates, are skipped.
+    """
     directory = Path(directory)
     groups: dict[str, list[RunTrace]] = {}
-    for path in sorted(directory.glob("*_rep*.csv")):
+    for path in sorted(directory.glob("*.csv")):
+        match = _TRACE_FILE.fullmatch(path.name)
+        if match is None:
+            continue
         with open(path, "r") as fh:
             trace = read_trace_csv(fh)
-        name, rep = path.stem.rsplit("_rep", 1)
+        name, rep = match.groups()
         trace.run_id = f"{name}-rep{rep}"
         groups.setdefault(name, []).append(trace)
     if not groups:

@@ -112,31 +112,34 @@ def solve_cg(op: SpdOperator, rhs: Vector, rel_tol: float,
     if rhs_norm == 0.0:
         return CgResult(np.zeros(op.n), 0.0, 0)
 
+    apply = op.apply
     d = np.zeros(op.n)
     r = rhs.copy()
     p = r.copy()
+    step = np.empty(op.n)  # alpha * p, then alpha * B p
     rs = float(r @ r)
     iters = 0
     threshold = rel_tol * rhs_norm
-    while iters < max_iters and np.sqrt(rs) > threshold:
-        bp = op.apply(p)
+    while iters < max_iters and math.sqrt(rs) > threshold:
+        bp = apply(p)
         curv = float(p @ bp)
         if curv <= 0.0:
             raise NotPositiveDefiniteError(
                 f"negative curvature in CG at iteration {iters}: p^T B p = {curv}"
             )
         alpha = rs / curv
-        d += alpha * p
+        d += np.multiply(p, alpha, out=step)
         iters += 1
         if iters % 50 == 0:
-            r = rhs - op.apply(d)
+            r = rhs - apply(d)
         else:
-            r -= alpha * bp
+            r -= np.multiply(bp, alpha, out=step)
         rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
 
-    final = float(np.linalg.norm(rhs - op.apply(d))) / rhs_norm
+    final = float(np.linalg.norm(rhs - apply(d))) / rhs_norm
     return CgResult(d, final, iters)
 
 

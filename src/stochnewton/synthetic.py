@@ -9,7 +9,10 @@ positive definite with eigenvalues ``lambda_i`` and ``e`` the all-ones
 vector.  ``A`` is built either as an explicit dense matrix (random
 orthogonal basis) or in factored form ``A = V D V^T`` with ``V`` a product
 of three Householder reflectors, which keeps every matvec O(n) and never
-materializes ``V``.
+materializes ``V``.  The exact objective, gradient and Hessian apply the
+reflectors one by one; the sampled Hessian uses the equivalent compact form
+``A = D + Z M Z^T`` (``Z`` of size n x 6), so each of its matvecs is one
+elementwise product and two thin matrix-vector products.
 
 Noise model: ``f = phi + eps_f`` with ``eps_f ~ N(0, sigma)``; gradient
 noise is i.i.d. ``N(0, sigma)`` per coordinate; Hessian noise is a diagonal
@@ -36,10 +39,17 @@ class HouseholderOperator:
     """``A = V D V^T`` with ``V = (I - 2 v3 v3^T)(I - 2 v2 v2^T)(I - 2 v1 v1^T)``.
 
     ``D`` holds positive diagonal entries and each ``v_j`` has unit norm.
-    Application costs O(n) per reflector.
+    :meth:`apply` multiplies by the reflectors one at a time, O(n) each; the
+    exact objective uses it.  The sampled Hessian uses
+    :meth:`hessian_matvec`, built on the compact form derived once here:
+    ``V = I - P T P^T`` with ``P = [v1 v2 v3]`` and ``T`` lower triangular
+    with 2 on its diagonal (Schreiber & Van Loan 1989), hence
+    ``A = D + Z M Z^T`` with ``Z = [P, D P]`` and
+    ``M = [[T (P^T D P) T^T, -T], [-T^T, 0]]``.  The two forms agree to
+    rounding, not bit for bit.
     """
 
-    __slots__ = ("d", "vs")
+    __slots__ = ("d", "vs", "_zt", "_m")
 
     def __init__(self, d: np.ndarray, vs):
         self.d = np.asarray(d, dtype=np.float64)
@@ -47,9 +57,24 @@ class HouseholderOperator:
             raise ValueError("diagonal entries must be positive")
         self.vs = [np.asarray(v, dtype=np.float64) for v in vs]
         for v in self.vs:
+            if v.shape != self.d.shape:
+                raise ValueError(f"reflector vector has length {v.size}, "
+                                 f"diagonal has length {self.d.size}")
             nrm = np.linalg.norm(v)
             if abs(nrm - 1.0) > 1e-12:
                 raise ValueError(f"reflector vector norm {nrm} != 1")
+        # V^T = H1 H2 H3 = I - P T^T P^T, accumulated one reflector at a time
+        k = len(self.vs)
+        pt = np.array(self.vs).reshape(k, self.d.size)
+        tu = np.zeros((k, k))
+        for j in range(k):
+            tu[:j, j] = -2.0 * (tu[:j, :j] @ (pt[:j] @ pt[j]))
+            tu[j, j] = 2.0
+        t = tu.T
+        dpt = pt * self.d
+        self._zt = np.ascontiguousarray(np.vstack([pt, dpt]))
+        self._m = np.block([[t @ (pt @ dpt.T) @ t.T, -t],
+                            [-t.T, np.zeros((k, k))]])
 
     @property
     def n(self) -> int:
@@ -64,6 +89,17 @@ class HouseholderOperator:
         for v in self.vs:
             y -= (2.0 * (v @ y)) * v
         return y
+
+    def hessian_matvec(self, c: Vector):
+        """The matvec ``v -> (diag(c) + 2 A) v`` in the compact form."""
+        diag = c + 2.0 * self.d
+        zt, z, m2 = self._zt, self._zt.T, 2.0 * self._m
+
+        def matvec(v):
+            out = diag * v
+            out += z @ (m2 @ (zt @ v))
+            return out
+        return matvec
 
     def materialize(self) -> np.ndarray:
         """Dense ``V D V^T`` (test oracle; only sensible for small n)."""
@@ -253,14 +289,13 @@ class NoisyOracle:
             if p.a_dense is not None:
                 dense = p.hess_dense(x)
                 dense[np.diag_indices(p.n)] += noise
+                apply = dense.__matmul__
             else:
-                diag = p.hess_diag_part(x) + noise
+                apply = p.a_factored.hessian_matvec(p.hess_diag_part(x) + noise)
 
             def matvec(v):
                 self._hvp_evals += 1
-                if dense is not None:
-                    return dense @ v
-                return diag * v + 2.0 * p.a_factored.apply(v)
+                return apply(v)
 
             hess = SpdOperator(p.n, matvec=matvec, dense=dense)
         return OracleSample(value=value, gradient=gradient, hessian=hess)

@@ -431,6 +431,16 @@ class TestAggregateDirectory:
         assert rows[0] == ["iter", "mean_error", "ci95_half", "mean_time_s"]
         assert len(rows) - 1 == len(curves["lsos"].checkpoints)
 
+    def test_solver_name_containing_rep(self, tmp_path):
+        # the aggregate file a_rep_agg_iter.csv is not a trace of a_rep
+        spec = _small_spec(**{"run.solvers": "a_rep",
+                              "solver.a_rep.method": "lsos"})
+        run_experiment(spec, out_dir=tmp_path)
+        assert (tmp_path / "a_rep_agg_iter.csv").exists()
+        curves = aggregate_directory(tmp_path, AGG_BY_ITERATION)
+        assert set(curves) == {"a_rep"}
+        assert curves["a_rep"].n_runs == 3
+
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             aggregate_directory(tmp_path)

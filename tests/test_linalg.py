@@ -10,6 +10,32 @@ from stochnewton.linalg import (NotPositiveDefiniteError, SpdOperator,
 from conftest import random_spd
 
 
+def _reference_cg(op, rhs, rel_tol, max_iters):
+    """The allocating CG loop that solve_cg replaced, kept as its reference."""
+    rhs_norm = float(np.linalg.norm(rhs))
+    d = np.zeros(op.n)
+    r = rhs.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    iters = 0
+    threshold = rel_tol * rhs_norm
+    while iters < max_iters and np.sqrt(rs) > threshold:
+        bp = op.apply(p)
+        curv = float(p @ bp)
+        alpha = rs / curv
+        d += alpha * p
+        iters += 1
+        if iters % 50 == 0:
+            r = rhs - op.apply(d)
+        else:
+            r -= alpha * bp
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    final = float(np.linalg.norm(rhs - op.apply(d))) / rhs_norm
+    return d, final, iters
+
+
 class TestSpdOperator:
     def test_linearity_and_symmetry_probes(self, rng):
         op = SpdOperator.from_dense(random_spd(12, rng))
@@ -113,6 +139,24 @@ class TestSolveCg:
         r1 = solve_cg(op, rhs, 1e-8)
         r2 = solve_cg(op, rhs, 1e-8)
         assert np.array_equal(r1.d, r2.d) and r1.iters == r2.iters
+
+    def test_same_arithmetic_as_reference_loop_through_refresh(self, rng):
+        # kappa 1e4 at n = 200 needs well over 50 iterations, so the
+        # residual refresh runs at least once
+        op = SpdOperator.from_dense(random_spd(200, rng, 1.0, 1e4))
+        rhs = rng.standard_normal(200)
+        res = solve_cg(op, rhs, rel_tol=1e-10, max_iters=1000)
+        d, rel_res, iters = _reference_cg(op, rhs, 1e-10, 1000)
+        assert res.iters == iters > 50
+        assert np.array_equal(res.d, d) and res.rel_res == rel_res
+
+    def test_same_arithmetic_as_reference_loop_at_max_iters(self, rng):
+        op = SpdOperator.from_dense(random_spd(60, rng, 1.0, 1e3))
+        rhs = rng.standard_normal(60)
+        res = solve_cg(op, rhs, rel_tol=1e-12, max_iters=7)
+        d, rel_res, iters = _reference_cg(op, rhs, 1e-12, 7)
+        assert res.iters == iters == 7 and res.rel_res > 1e-12
+        assert np.array_equal(res.d, d) and res.rel_res == rel_res
 
     def test_matvec_backed_operator(self, rng):
         b = random_spd(30, rng)

@@ -307,6 +307,14 @@ class TestRobustness:
         assert res.trace.records[-1].f_hat == math.inf
         assert res.trace.records[-1].true_error == math.inf
 
+    def test_loop_norm_equals_numpy_norm_and_overflows_silently(self, rng):
+        # the norms are written to the trace, so they must not move a bit
+        for n in (1, 7, 300, 20001):
+            for scale in (1e-150, 1e-3, 1.0, 1e5, 1e150):
+                v = scale * rng.standard_normal(n)
+                assert solvers._norm(v) == float(np.linalg.norm(v))
+        assert solvers._norm(np.full(4, 1e200)) == math.inf
+
     def test_time_budget_respected(self):
         _, oracle, x0 = _noisy_setup(150, 100.0, 0.5, seed=9)
         cfg = SolverConfig(method="lsos", max_iters=10**6, time_budget_s=0.05)

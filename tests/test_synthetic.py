@@ -77,6 +77,22 @@ class TestHouseholderOperator:
         with pytest.raises(ValueError):
             HouseholderOperator(np.array([1.0, -1.0, 2.0]), [v, v, v])
 
+    def test_reflector_length_must_match_diagonal(self):
+        with pytest.raises(ValueError, match="length 2.*length 3"):
+            HouseholderOperator(np.ones(3), [np.array([1.0, 0.0])] * 3)
+
+    def test_hessian_matvec_matches_dense_on_random_probes(self, rng):
+        # the compact form differs from the reflector loop only by rounding:
+        # about 4500 float64 eps relative to the output leaves room for n = 50
+        p = _problem(n=50, kappa=100.0, form=HESS_HOUSEHOLDER, seed=3)
+        c = rng.standard_normal(50)
+        dense = np.diag(c) + 2.0 * p.a_factored.materialize()
+        matvec = p.a_factored.hessian_matvec(c)
+        for _ in range(100):
+            v = rng.standard_normal(50)
+            ref = dense @ v
+            assert np.max(np.abs(matvec(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestSparsification:
     def test_density_request_records_outcome(self):
