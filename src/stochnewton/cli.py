@@ -13,7 +13,8 @@ import sys
 
 from .harness import (AGG_BY_ITERATION, AGG_BY_TIME, ExperimentSpec, PRESETS,
                       aggregate_directory, build_problem, build_solver_config,
-                      resolve_grid_searches, run_experiment, write_manifest)
+                      resolve_grid_searches, run_experiment, worker_pool,
+                      write_manifest)
 
 
 def _load_spec(args) -> ExperimentSpec:
@@ -85,7 +86,8 @@ def main(argv=None) -> int:
     if args.command == "grid":
         spec = _load_spec(args)
         problem, kind = build_problem(spec)
-        resolved = resolve_grid_searches(spec, problem, kind)
+        with worker_pool(spec, problem, kind) as pool:
+            resolved = resolve_grid_searches(spec, problem, kind, pool)
         for name in resolved.solver_names():
             t_ini = build_solver_config(resolved, name).ls.t_start
             print(f"solver.{name}.t_ini = {t_ini}")

@@ -89,11 +89,12 @@ class FsSolverConfig:
 
 
 def run_fs_solver(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
-                  rng, f_star: Optional[float] = None) -> SolverResult:
+                  rng, f_star: Optional[float] = None, *,
+                  final_error_only: bool = False) -> SolverResult:
     """Run one finite-sum method of :data:`FS_METHODS` from ``x0``.
 
     ``rng`` owns the batch draws; ``f_star``, when known, gives the trace
-    its true errors.
+    its true errors (``final_error_only``: see :func:`_lsos_loop`).
     """
     x = as_vector(x0, problem.n).copy()
     batch_size = min(cfg.batch_size or default_batch_size(problem.N), problem.N)
@@ -141,7 +142,8 @@ def run_fs_solver(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
         objective=lambda x, batch: problem.batch_value(batch, x),
         after_step=after_step,
         true_error=None if f_star is None else true_error,
-        counts=problem.counts, since=since, elapsed=setup_s)
+        counts=problem.counts, since=since, elapsed=setup_s,
+        final_error_only=final_error_only)
 
 
 def _epoch_batches(N: int, batch_size: int, cfg: FsSolverConfig, rng):

@@ -25,10 +25,12 @@ import numpy as np
 
 from . import __version__
 from .core import RngStream, RunTrace, read_trace_csv, write_trace_csv
-from .fs_solvers import FS_METHODS, FsSolverConfig, run_fs_solver
+from .fs_solvers import (FS_METHODS, METHOD_LSOS_BFGS, METHOD_LSOS_FS,
+                         METHOD_SAGA_LS, FsSolverConfig, run_fs_solver)
 from .logreg import LogRegModel, generate_synthetic_classification, parse_libsvm
-from .solvers import (_LS_METHODS, ALL_METHODS, AUTO_ALPHA0, DELTA_CONSTANT,
-                      DELTA_GEOMETRIC, DELTA_ZERO, DeltaSchedule, SolverConfig,
+from .solvers import (ALL_METHODS, AUTO_ALPHA0, DELTA_CONSTANT, DELTA_GEOMETRIC,
+                      DELTA_ZERO, METHOD_LSOS, METHOD_LSOS_INEXACT, METHOD_SGD,
+                      METHOD_SGD_LS, METHOD_SOS, DeltaSchedule, SolverConfig,
                       run_solver)
 from .synthetic import (HESS_DENSE, HESS_HOUSEHOLDER, NoisyOracle,
                         exact_solution, generate_problem)
@@ -196,6 +198,22 @@ SCHEMA = {
 }
 DEFAULTS = {key: row.default for key, row in SCHEMA.items() if row.default}
 
+# The solver params each method reads, by config field or group; a spec
+# setting any other is rejected.  Line searches anchor a switch at t_min, so
+# they read gain.T but never alpha0.
+_NEWTON = ("delta", "cg_rel_floor", "cg_max_iters")
+_SAGA = ("ls", "batch_size", "batch_scheme", "saga_storage")
+_READS = {
+    METHOD_SOS: ("gain", *_NEWTON),
+    METHOD_LSOS: ("gain.T", "ls", *_NEWTON),
+    METHOD_LSOS_INEXACT: ("gain.T", "ls", *_NEWTON),
+    METHOD_SGD: ("gain",),
+    METHOD_SGD_LS: ("gain.T", "ls"),
+    METHOD_LSOS_FS: ("ls", *_NEWTON, "batch_size", "batch_scheme"),
+    METHOD_LSOS_BFGS: (*_SAGA, "hess_batch_size", "m", "l"),
+    METHOD_SAGA_LS: _SAGA,
+}
+
 
 def _schema_key(key: str) -> str:
     section, *rest = key.split(".")
@@ -298,10 +316,7 @@ def _solver_config(spec: ExperimentSpec, name: str):
         if not row.field or value is None:
             continue
         owner, _, attr = row.field.rpartition(".")
-        # noisy methods read ls.* only with a search, alpha0 only without one
-        unread = method in ALL_METHODS and (
-            row.field == "gain.alpha0" if method in _LS_METHODS else owner == "ls")
-        if not hasattr(cfg, owner or attr) or unread:
+        if row.field not in _READS[method] and owner not in _READS[method]:
             raise SpecError(f"{key}: method {method!r} has no such setting")
         if value == GRID:
             continue
@@ -367,17 +382,22 @@ def initial_point(spec: ExperimentSpec, problem, kind: str, rep_stream: RngStrea
 
 
 def run_replication(problem, kind: str, spec: ExperimentSpec, name: str,
-                    rep: int) -> RunTrace:
-    """One (solver, replication) run; fully determined by ``(seed, rep)``."""
+                    rep: int, *, final_error_only: bool = False) -> RunTrace:
+    """One (solver, replication) run; fully determined by ``(seed, rep)``.
+
+    ``final_error_only`` gives only the last record a true error (grid
+    pilots); the iterates are the same.
+    """
     rep_stream = RngStream(spec.get("run.seed"), rep)
     x0 = initial_point(spec, problem, kind, rep_stream)
     cfg = build_solver_config(spec, name)
     if isinstance(cfg, FsSolverConfig):
         f_star = problem.f_star if isinstance(problem, LogRegModel) else None
-        result = run_fs_solver(problem, cfg, x0, rep_stream.child(1), f_star=f_star)
+        result = run_fs_solver(problem, cfg, x0, rep_stream.child(1),
+                               f_star=f_star, final_error_only=final_error_only)
     else:
         oracle = NoisyOracle(problem, rep_stream.child(1))
-        result = run_solver(oracle, cfg, x0)
+        result = run_solver(oracle, cfg, x0, final_error_only=final_error_only)
     result.trace.run_id = f"{name}-rep{rep:02d}"
     return result.trace
 
@@ -486,19 +506,20 @@ def resolve_grid_searches(spec: ExperimentSpec, problem, kind: str,
     """Replace every ``t_ini = grid`` by its pilot-selected value (rep 0).
 
     The pilots of all grid-searched solvers run as one batch of jobs, in
-    `pool` (see :func:`run_experiment`) when given, else here one after
-    another; the selection does not depend on where they ran.
+    `pool` (see :func:`worker_pool`) when given, else here one after
+    another; the selection does not depend on where they ran.  A pilot
+    computes the true error of its last record only, the one number the
+    selection reads, and returns just that number.
     """
     candidates = sorted(set(spec.get("grid.candidates")), reverse=True)
     names = [name for name in spec.solver_names()
              if spec.get(f"solver.{name}.t_ini") == GRID]
     pilots = [(name, t_ini) for name in names for t_ini in candidates]
-    jobs = [(spec.override(**{f"solver.{name}.t_ini": repr(t_ini)}), name, 0)
+    jobs = [(spec.override(**{f"solver.{name}.t_ini": repr(t_ini)}), name, 0, True)
             for name, t_ini in pilots]
     final_errors = {name: {} for name in names}
-    for (name, t_ini), trace in zip(pilots, _run_jobs(problem, kind, jobs, pool)):
-        errors = _trace_errors(trace)
-        final_errors[name][t_ini] = float(errors[-1]) if errors.size else math.nan
+    for (name, t_ini), error in zip(pilots, _run_jobs(problem, kind, jobs, pool)):
+        final_errors[name][t_ini] = error
     return spec.override(**{f"solver.{name}.t_ini": repr(grid_search_step(by_t))
                             for name, by_t in final_errors.items()})
 
@@ -517,28 +538,51 @@ class ExperimentResult:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(spec: ExperimentSpec):
-    problem, kind = build_problem(spec)
-    _WORKER_STATE["problem"] = problem
-    _WORKER_STATE["kind"] = kind
+def _worker_init(problem, kind: str):
+    """Keep the parent's problem for this worker's jobs.
+
+    Under fork the worker inherits it without a copy; under spawn or
+    forkserver it arrives pickled, once per worker.
+    """
+    _WORKER_STATE.update(problem=problem, kind=kind)
 
 
 def _worker_run(job):
-    spec, name, rep = job
-    return run_replication(_WORKER_STATE["problem"], _WORKER_STATE["kind"],
-                           spec, name, rep)
+    return _run_job(_WORKER_STATE["problem"], _WORKER_STATE["kind"], job)
 
 
-def _run_jobs(problem, kind: str, jobs, pool=None) -> list[RunTrace]:
-    """Traces of ``(spec, solver name, rep)`` jobs, in job order.
+def _run_job(problem, kind: str, job):
+    """The trace of a ``(spec, solver name, rep, pilot)`` job; a pilot's
+    final error instead (``nan`` when it recorded nothing)."""
+    spec, name, rep, pilot = job
+    trace = run_replication(problem, kind, spec, name, rep,
+                            final_error_only=pilot)
+    if not pilot:
+        return trace
+    errors = _trace_errors(trace)
+    return float(errors[-1]) if errors.size else math.nan
 
-    Pool workers build their own copy of the (deterministic) problem, so a
-    job's trace does not depend on where it ran.
+
+def _run_jobs(problem, kind: str, jobs, pool=None) -> list:
+    """The results of :func:`_run_job` for `jobs`, in job order.
+
+    Pool workers run on the parent's problem (see :func:`_worker_init`), so
+    a result does not depend on where its job ran.  A pilot sends back one
+    float, never its trace.
     """
     if pool is not None:
         return list(pool.map(_worker_run, jobs))
-    return [run_replication(problem, kind, spec, name, rep)
-            for spec, name, rep in jobs]
+    return [_run_job(problem, kind, job) for job in jobs]
+
+
+def worker_pool(spec: ExperimentSpec, problem, kind: str):
+    """A pool of ``run.workers`` processes that run jobs on `problem`; at
+    one worker a null context, so the jobs run in this process."""
+    workers = spec.get("run.workers")
+    if workers == 1:
+        return contextlib.nullcontext()
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(problem, kind))
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
@@ -549,18 +593,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     """
     problem, kind = build_problem(spec)
     reps = spec.get("run.reps")
-    workers = spec.get("run.workers")
-    opened = (concurrent.futures.ProcessPoolExecutor(
-                  max_workers=workers, initializer=_worker_init,
-                  initargs=(spec,))
-              if workers > 1 else contextlib.nullcontext())
-    with opened as pool:
+    with worker_pool(spec, problem, kind) as pool:
         spec = resolve_grid_searches(spec, problem, kind, pool)
         names = spec.solver_names()
-        jobs = [(spec, name, rep) for name in names for rep in range(reps)]
+        jobs = [(spec, name, rep, False) for name in names for rep in range(reps)]
         traces = _run_jobs(problem, kind, jobs, pool)
     result = ExperimentResult(spec=spec)
-    for (_, name, _), trace in zip(jobs, traces):
+    for (_, name, _, _), trace in zip(jobs, traces):
         result.traces.setdefault(name, []).append(trace)
 
     mode = spec.get("run.aggregate")

@@ -146,7 +146,8 @@ class SolverResult:
     eval_counts: Optional[EvalCounts] = None
 
 
-def run_solver(oracle, cfg: SolverConfig, x0: Vector) -> SolverResult:
+def run_solver(oracle, cfg: SolverConfig, x0: Vector, *,
+               final_error_only: bool = False) -> SolverResult:
     """Run one noisy-oracle method of :data:`ALL_METHODS` from ``x0``."""
     newton = cfg.method in _NEWTON_METHODS
     sample = None
@@ -170,7 +171,7 @@ def run_solver(oracle, cfg: SolverConfig, x0: Vector) -> SolverResult:
         objective=objective, after_step=None,
         true_error=oracle.true_error if has_ref else None,
         counts=oracle.counts, since=oracle.counts(), gain=cfg.gain,
-        line_search=cfg.method in _LS_METHODS)
+        line_search=cfg.method in _LS_METHODS, final_error_only=final_error_only)
 
 
 def _newton_direction(b: SpdOperator, g: Vector, cfg, k: int):
@@ -208,7 +209,8 @@ def _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref, t=0.0):
 def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
                objective, after_step, true_error, counts, since: EvalCounts,
                elapsed: float = 0.0, gain: Optional[GainParams] = None,
-               line_search: bool = True) -> SolverResult:
+               line_search: bool = True,
+               final_error_only: bool = False) -> SolverResult:
     """The LSOS iteration ``x_{k+1} = x_k + t_k d_k`` shared by every method.
 
     ``batches`` yields one item per iteration (``None`` forever for noisy
@@ -228,6 +230,11 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     smallest trial step with one warning per run.  ``counts`` returns the
     cumulative evaluation counters; ``since`` is their value at the start of
     the run and ``elapsed`` the solver time already spent on it.
+
+    ``final_error_only`` leaves ``true_error`` empty on every record but
+    the last, for a caller that reads only the final error (grid pilots).
+    The exact query draws no noise, counts nothing and is not timed, so the
+    iterates are those of a full run.
     """
     trace = RunTrace()
     has_ref = true_error is not None
@@ -305,14 +312,18 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
             f_hat = objective(x, batch)
         trace.append(TraceRecord(
             iter=k, wall_time_s=elapsed, f_hat=f_hat,
-            true_error=true_error(x) if has_ref else None,
+            true_error=(true_error(x) if has_ref and not final_error_only
+                        else None),
             grad_norm_hat=gnorm, step_len=t, phase=phase, cg_iters=cg_iters,
             cg_relres=cg_relres, fallback=fallback,
         ))
-        x = x_next
+        x_recorded, x = x, x_next
         k += 1
     else:
         stop_reason = "max_iters" if k == cfg.max_iters else "max_epochs"
+    if final_error_only and has_ref and trace.records \
+            and trace.records[-1].true_error is None:  # not a divergence record
+        trace.records[-1].true_error = true_error(x_recorded)
 
     now = counts()
     evals = EvalCounts(now.f_evals - since.f_evals, now.g_evals - since.g_evals,

@@ -80,6 +80,28 @@ class TestGrid:
         text = resolved.read_text()
         assert "t_ini = grid" not in text
 
+    def test_grid_runs_pilots_in_the_worker_pool(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from stochnewton import cli
+        pools = []
+        resolve = cli.resolve_grid_searches
+
+        def spy(spec, problem, kind, pool=None):
+            pools.append(pool)
+            return resolve(spec, problem, kind, pool)
+        monkeypatch.setattr(cli, "resolve_grid_searches", spy)
+        printed = []
+        for workers in (1, 2):
+            spec = tmp_path / f"grid{workers}.spec"
+            spec.write_text(TINY_SPEC.replace(
+                "run.seed = 42",
+                "run.seed = 42\nsolver.lsos.t_ini = grid\n"
+                f"grid.candidates = 1.0,0.5,0.1\nrun.workers = {workers}\n"))
+            assert main(["grid", str(spec)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert pools[0] is None and pools[1] is not None
+
 
 class TestAggregate:
     def test_aggregate_directory(self, spec_file, tmp_path, capsys):

@@ -3,6 +3,7 @@ output files and the manifest contract."""
 
 import csv
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -11,15 +12,22 @@ import pytest
 
 from stochnewton.core import (PHASE_LINE_SEARCH, RngStream, RunTrace,
                               TraceRecord)
+from stochnewton.finitesum import FiniteSumProblem
 from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  ExperimentSpec, GridSearchError, PRESETS,
-                                 SCHEMA, SpecError, aggregate,
-                                 aggregate_directory, build_problem,
+                                 SCHEMA, SpecError, _run_jobs, _trace_errors,
+                                 aggregate, aggregate_directory, build_problem,
                                  build_solver_config, grid_search_step,
-                                 run_experiment, run_replication)
+                                 resolve_grid_searches, run_experiment,
+                                 run_replication)
 from stochnewton.fs_solvers import FsSolverConfig
+from stochnewton.logreg import Dataset
 from stochnewton.solvers import DeltaSchedule, GainParams, SolverConfig
 from stochnewton.steplen import LineSearchConfig
+from stochnewton.synthetic import NoisyOracle
+
+ITERATE_COLUMNS = ("iter", "f_hat", "true_error", "grad_norm_hat", "step_len",
+                   "phase")
 
 
 def _small_spec(**extra):
@@ -28,6 +36,16 @@ def _small_spec(**extra):
         "problem.kappa": "50.0", "problem.sigma_pct": "0.5",
         "run.solvers": "lsos,sgd", "run.max_iters": "20",
         "run.reps": "3", "run.seed": "99",
+    }
+    base.update(extra)
+    return ExperimentSpec.from_mapping(base)
+
+
+def _logistic_spec(**extra):
+    base = {
+        "problem.kind": "logistic_synthetic", "problem.N": "120",
+        "problem.features": "6", "run.solvers": "saga_ls,lsos_bfgs",
+        "run.max_epochs": "2", "run.reps": "2", "run.seed": "5",
     }
     base.update(extra)
     return ExperimentSpec.from_mapping(base)
@@ -182,6 +200,26 @@ class TestSpecParsing:
         ({"solver.lsos.alpha0": "123"}, "solver.lsos.alpha0"),
         ({"run.solvers": "sgd_ls", "solver.sgd_ls.alpha0": "auto"},
          "solver.sgd_ls.alpha0"),
+        # finite-sum keys the method never reads
+        *[({"problem.kind": "logistic_synthetic", "run.solvers": method,
+            f"solver.{method}.{param}": value}, f"solver.{method}.{param}")
+          for method, param, value in [
+              ("lsos_fs", "hess_batch_size", "10"),
+              ("saga_ls", "hess_batch_size", "10"),
+              ("lsos_fs", "m", "3"), ("lsos_fs", "l", "2"),
+              ("saga_ls", "m", "3"), ("saga_ls", "l", "2"),
+              ("lsos_fs", "saga_storage", "dense"),
+              *[(method, param, value)
+                for method in ("saga_ls", "lsos_bfgs")
+                for param, value in [("delta", "zero"),
+                                     ("cg_rel_floor", "0.1"),
+                                     ("cg_max_iters", "5")]]]],
+        # Newton-system keys the noisy gradient methods never read
+        *[({"run.solvers": method, f"solver.{method}.{param}": value},
+           f"solver.{method}.{param}")
+          for method in ("sgd", "sgd_ls")
+          for param, value in [("delta", "zero"), ("cg_rel_floor", "0.1"),
+                               ("cg_max_iters", "5")]],
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:
@@ -301,6 +339,103 @@ class TestGridSearch:
         assert best == min(candidates, key=lambda t: abs(1 - t * L))
 
 
+class TestPilots:
+    """A pilot computes only its final true error; the selection is as if
+    every pilot had recorded a full trace."""
+
+    PILOT_SPECS = [
+        # 1e308 diverges; t_ini 1 of saga_ls stops early at grad_tol
+        ({"diverged", "grad_tol"}, _logistic_spec(**{
+            "run.grad_tol": "0.05", "grid.candidates": "1e308,10,1,1e-1",
+            "solver.saga_ls.t_ini": "grid", "solver.lsos_bfgs.t_ini": "grid",
+            **{f"solver.{m}.{key}": value for m in ("saga_ls", "lsos_bfgs")
+               for key, value in (("beta", "0.99"), ("max_backtracks", "1"))}})),
+        # t_ini 1 and 0.5 of lsos stop early at grad_tol
+        ({"grad_tol"}, _small_spec(**{
+            "run.solvers": "lsos,sgd_ls", "run.grad_tol": "3",
+            "grid.candidates": "1,0.5,0.1,1e-2",
+            "solver.lsos.t_ini": "grid", "solver.sgd_ls.t_ini": "grid"})),
+    ]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("early_ends, spec", PILOT_SPECS)
+    def test_pilot_scores_equal_full_trace_final_errors(self, early_ends, spec):
+        problem, kind = build_problem(spec)
+        seen = set()
+        for name in spec.solver_names():
+            for t_ini in spec.get("grid.candidates"):
+                pilot = spec.override(**{f"solver.{name}.t_ini": repr(t_ini)})
+                [score] = _run_jobs(problem, kind, [(pilot, name, 0, True)])
+                full = run_replication(problem, kind, pilot, name, 0)
+                assert score == _trace_errors(full)[-1], (name, t_ini)
+                no_tol = pilot.override(**{"run.grad_tol": "0"})
+                if score == math.inf:
+                    seen.add("diverged")
+                elif len(full) < len(run_replication(problem, kind, no_tol,
+                                                     name, 0)):
+                    seen.add("grad_tol")
+        assert seen == early_ends
+
+    def test_pilots_make_one_exact_error_query_each(self, monkeypatch):
+        calls = {}
+
+        def count(cls, attr):
+            original = getattr(cls, attr)
+
+            def counted(self, x):
+                calls[attr] += 1
+                return original(self, x)
+            monkeypatch.setattr(cls, attr, counted)
+
+        count(FiniteSumProblem, "objective")
+        count(NoisyOracle, "true_error")
+        specs = {
+            "objective": _logistic_spec(**{
+                "grid.candidates": "1,1e-1,1e-2",
+                "solver.saga_ls.t_ini": "grid",
+                "solver.lsos_bfgs.t_ini": "grid"}),
+            "true_error": _small_spec(**{"grid.candidates": "1,0.5,0.1",
+                                         "solver.lsos.t_ini": "grid"}),
+        }
+        for attr, spec in specs.items():
+            problem, kind = build_problem(spec)
+            calls.update(objective=0, true_error=0)
+            resolve_grid_searches(spec, problem, kind)
+            n_grid = sum(spec.get(f"solver.{name}.t_ini") == "grid"
+                         for name in spec.solver_names())
+            assert calls[attr] == n_grid * len(spec.get("grid.candidates"))
+
+    @pytest.mark.parametrize("spec", [
+        _small_spec(),
+        _small_spec(**{"problem.n": "40", "problem.hess_form": "householder",
+                       "run.solvers": "lsos_inexact,sgd_ls"}),
+        _logistic_spec(**{"run.solvers": "saga_ls,lsos_bfgs,lsos_fs"}),
+        "libsvm",
+    ])
+    def test_pickled_problem_reproduces_the_iterates(self, spec, tmp_path):
+        # spawn and forkserver workers receive the parent's problem pickled
+        if spec == "libsvm":
+            data = tmp_path / "toy.libsvm"
+            rng = np.random.default_rng(3)
+            features = rng.standard_normal((60, 4))
+            labels = np.where(features @ np.ones(4) > 0, 1.0, -1.0)
+            with open(data, "w") as fh:
+                Dataset(features, labels).to_libsvm(fh)
+            spec = ExperimentSpec.from_mapping({
+                "problem.kind": "libsvm", "problem.path": str(data),
+                "problem.mu": "0.05", "run.solvers": "saga_ls,lsos_fs",
+                "run.max_epochs": "2", "run.seed": "6"})
+        problem, kind = build_problem(spec)
+        copy = pickle.loads(pickle.dumps(problem))
+        for name in spec.solver_names():
+            for rep in range(2):
+                t1 = run_replication(problem, kind, spec, name, rep)
+                t2 = run_replication(copy, kind, spec, name, rep)
+                assert len(t1) > 0
+                for column in ITERATE_COLUMNS:
+                    assert t1.column(column) == t2.column(column), (name, column)
+
+
 class TestRunExperiment:
     def test_output_file_counts(self, tmp_path):
         res = run_experiment(_small_spec(), out_dir=tmp_path)
@@ -351,14 +486,9 @@ class TestRunExperiment:
 
     def test_worker_pool_matches_sequential(self):
         # the logistic spec also runs its grid pilots in the pool
-        logistic = ExperimentSpec.from_mapping({
-            "problem.kind": "logistic_synthetic", "problem.N": "120",
-            "problem.features": "6", "run.solvers": "saga_ls,lsos_bfgs",
-            "run.max_epochs": "2", "run.reps": "2", "run.seed": "5",
+        logistic = _logistic_spec(**{
             "solver.saga_ls.t_ini": "grid", "solver.lsos_bfgs.t_ini": "grid",
             "grid.candidates": "10,1,1e-1,1e-2"})
-        iterate_columns = ("iter", "f_hat", "true_error", "grad_norm_hat",
-                           "step_len", "phase")
         for spec in (_small_spec(**{"run.reps": "2"}), logistic):
             seq = run_experiment(spec)
             par = run_experiment(spec.override(**{"run.workers": "2"}))
@@ -367,7 +497,7 @@ class TestRunExperiment:
                         == par.spec.get(f"solver.{name}.t_ini"))
                 assert len(par.traces[name]) == 2
                 for t1, t2 in zip(seq.traces[name], par.traces[name]):
-                    for column in iterate_columns:
+                    for column in ITERATE_COLUMNS:
                         assert t1.column(column) == t2.column(column)
         assert seq.spec.get("solver.saga_ls.t_ini") != "grid"
 
