@@ -119,6 +119,12 @@ class EvalCounts:
 
     Cumulative from the ``counts()`` of a noisy oracle or a finite-sum
     problem; per run on every solver result.
+
+    The HVP unit differs by family.  A noisy oracle counts one per matvec
+    of a sampled Hessian, so one per CG iteration.  A finite-sum problem
+    counts component Hessians: ``batch_hessian`` and ``batch_hvp`` add the
+    batch size per call, so an L-BFGS correction pair adds ``|T|``.
+    Values and gradients count one per noisy draw or per component.
     """
 
     f_evals: int = 0

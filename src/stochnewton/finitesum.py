@@ -2,10 +2,10 @@
 
 The objective is the sample mean ``phi(x) = (1/N) sum_i phi_i(x)`` of ``N``
 component functions.  The mini-batch is the only oracle granularity:
-concrete problems subclass :class:`FiniteSumProblem` and implement the
-private batch methods; the base class validates batches and keeps the
-component-evaluation accounting (the accounting is what the SAGA cost
-contract is asserted against).
+concrete problems subclass :class:`FiniteSumProblem`, slice their data to a
+batch and implement the private batch methods on the slice; the base class
+validates batches and keeps the component-evaluation accounting (the
+accounting is what the SAGA cost contract is asserted against).
 
 Two gradient estimators are provided:
 
@@ -16,6 +16,7 @@ Two gradient estimators are provided:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,21 +24,43 @@ import numpy as np
 from .core import EvalCounts, RngStream, Vector
 
 ALL_ROWS = slice(None)
-"""``idx`` of the private ``_batch_*`` methods for "every component".
+"""``idx`` of :meth:`FiniteSumProblem._slice` for "every component".
 
 Only the uncounted all-rows queries pass it, so a subclass can read its
 whole data without an index copy.  A counted batch is always an index
 array, even one of size ``N``, which may repeat components."""
 
 
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """One validated mini-batch and the problem's data sliced to it.
+
+    Made by :meth:`FiniteSumProblem.take`; every counted call of one
+    iteration shares it, so the data is sliced once per iteration.
+    """
+
+    idx: np.ndarray  # int64 component indices, repeats kept
+    data: tuple      # the problem's ``_slice(idx)``
+
+    @property
+    def size(self) -> int:
+        """The number of components, which is what the counters add."""
+        return self.idx.size
+
+
 class FiniteSumProblem:
     """Base class for ``phi = (1/N) sum phi_i``, evaluated by mini-batches.
 
-    Subclasses implement, for an index array or :data:`ALL_ROWS` ``idx``,
-    the batch means ``_batch_value(idx, x)``, ``_batch_gradient(idx, x)``,
-    ``_batch_hvp(idx, x, v)`` and ``_batch_hessian(idx, x)`` (dense), and
-    the stacked rows ``_component_gradients(idx, x)``.  The public methods
-    validate the batch and count one evaluation per component in it.
+    Subclasses implement ``_slice(idx)``, the tuple of their data arrays cut
+    to an index array or :data:`ALL_ROWS` ``idx``, and on such a ``part``
+    the batch means ``_batch_value(part, x)``, ``_batch_gradient(part, x)``,
+    ``_batch_hvp(part, x, v)`` and ``_batch_hessian(part, x)`` (dense), and
+    the stacked rows ``_component_gradients(part, x)``.
+
+    :meth:`take` validates an index batch and slices it once into a
+    :class:`Batch`.  The public methods accept a ``Batch`` or an index
+    array, which they pass through ``take``, and count one evaluation per
+    component in the batch.
     """
 
     def __init__(self, N: int, n: int):
@@ -51,39 +74,42 @@ class FiniteSumProblem:
 
     # -- public, counted oracle ----------------------------------------------
 
-    def _check_batch(self, idx):
+    def take(self, idx) -> Batch:
+        """The validated batch `idx` with its data sliced; a ``Batch`` as is."""
+        if isinstance(idx, Batch):
+            return idx
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("batch must be non-empty")
         if idx.min() < 0 or idx.max() >= self.N:
             raise ValueError(f"batch indices out of range 0..{self.N - 1}")
-        return idx
+        return Batch(idx, self._slice(idx))
 
-    def batch_value(self, idx, x: Vector) -> float:
-        idx = self._check_batch(idx)
-        self.value_evals += idx.size
-        return self._batch_value(idx, x)
+    def batch_value(self, batch, x: Vector) -> float:
+        batch = self.take(batch)
+        self.value_evals += batch.size
+        return self._batch_value(batch.data, x)
 
-    def batch_gradient(self, idx, x: Vector) -> Vector:
-        idx = self._check_batch(idx)
-        self.grad_evals += idx.size
-        return self._batch_gradient(idx, x)
+    def batch_gradient(self, batch, x: Vector) -> Vector:
+        batch = self.take(batch)
+        self.grad_evals += batch.size
+        return self._batch_gradient(batch.data, x)
 
-    def batch_hvp(self, idx, x: Vector, v: Vector) -> Vector:
-        idx = self._check_batch(idx)
-        self.hvp_evals += idx.size
-        return self._batch_hvp(idx, x, v)
+    def batch_hvp(self, batch, x: Vector, v: Vector) -> Vector:
+        batch = self.take(batch)
+        self.hvp_evals += batch.size
+        return self._batch_hvp(batch.data, x, v)
 
-    def component_gradients(self, idx, x: Vector) -> np.ndarray:
-        """Stacked per-component gradients, shape ``(len(idx), n)``."""
-        idx = self._check_batch(idx)
-        self.grad_evals += idx.size
-        return self._component_gradients(idx, x)
+    def component_gradients(self, batch, x: Vector) -> np.ndarray:
+        """Stacked per-component gradients, shape ``(batch size, n)``."""
+        batch = self.take(batch)
+        self.grad_evals += batch.size
+        return self._component_gradients(batch.data, x)
 
-    def batch_hessian(self, idx, x: Vector) -> np.ndarray:
-        idx = self._check_batch(idx)
-        self.hvp_evals += idx.size
-        return self._batch_hessian(idx, x)
+    def batch_hessian(self, batch, x: Vector) -> np.ndarray:
+        batch = self.take(batch)
+        self.hvp_evals += batch.size
+        return self._batch_hessian(batch.data, x)
 
     def counts(self) -> EvalCounts:
         """The cumulative component-evaluation counters."""
@@ -93,11 +119,11 @@ class FiniteSumProblem:
 
     def objective(self, x: Vector) -> float:
         """Full objective, outside the evaluation accounting."""
-        return self._batch_value(ALL_ROWS, x)
+        return self._batch_value(self._slice(ALL_ROWS), x)
 
     def full_gradient_exact(self, x: Vector) -> Vector:
         """Full gradient, outside the evaluation accounting."""
-        return self._batch_gradient(ALL_ROWS, x)
+        return self._batch_gradient(self._slice(ALL_ROWS), x)
 
 
 class QuadraticSumProblem(FiniteSumProblem):
@@ -113,21 +139,26 @@ class QuadraticSumProblem(FiniteSumProblem):
             raise ValueError("need one rhs per Hessian")
         super().__init__(len(self.hessians), self.rhs.shape[1])
 
-    def _batch_value(self, idx, x):
-        hx = self.hessians[idx] @ x
-        return float(np.mean(0.5 * (hx @ x) - self.rhs[idx] @ x))
+    def _slice(self, idx):
+        return self.hessians[idx], self.rhs[idx]
 
-    def _component_gradients(self, idx, x):
-        return self.hessians[idx] @ x - self.rhs[idx]
+    def _batch_value(self, part, x):
+        hessians, rhs = part
+        hx = hessians @ x
+        return float(np.mean(0.5 * (hx @ x) - rhs @ x))
 
-    def _batch_gradient(self, idx, x):
-        return self._component_gradients(idx, x).mean(axis=0)
+    def _component_gradients(self, part, x):
+        hessians, rhs = part
+        return hessians @ x - rhs
 
-    def _batch_hvp(self, idx, x, v):
-        return (self.hessians[idx] @ v).mean(axis=0)
+    def _batch_gradient(self, part, x):
+        return self._component_gradients(part, x).mean(axis=0)
 
-    def _batch_hessian(self, idx, x):
-        return self.hessians[idx].mean(axis=0)
+    def _batch_hvp(self, part, x, v):
+        return (part[0] @ v).mean(axis=0)
+
+    def _batch_hessian(self, part, x):
+        return part[0].mean(axis=0)
 
 
 # -- mini-batch plumbing ------------------------------------------------------
@@ -163,22 +194,22 @@ class SagaTable:
 
     def __init__(self, problem: FiniteSumProblem, x0: Vector):
         self.problem = problem
-        self.table = problem._component_gradients(ALL_ROWS, x0)
+        self.table = problem._component_gradients(problem._slice(ALL_ROWS), x0)
         problem.grad_evals += problem.N
         self.running_sum = self.table.sum(axis=0)
 
     def estimate(self, x: Vector, batch) -> Vector:
-        batch = np.asarray(batch, dtype=np.int64)
+        batch = self.problem.take(batch)
         fresh = self.problem.component_gradients(batch, x)
-        corr = fresh.mean(axis=0) - self.table[batch].mean(axis=0)
+        corr = fresh.mean(axis=0) - self.table[batch.idx].mean(axis=0)
         return corr + self.running_sum / self.problem.N
 
     def update(self, batch, x_new: Vector) -> None:
-        batch = np.asarray(batch, dtype=np.int64)
+        batch = self.problem.take(batch)
         fresh = self.problem.component_gradients(batch, x_new)
         self.running_sum = self.running_sum + (fresh.sum(axis=0)
-                                               - self.table[batch].sum(axis=0))
-        self.table[batch] = fresh
+                                               - self.table[batch.idx].sum(axis=0))
+        self.table[batch.idx] = fresh
 
     def recompute_sum(self) -> Vector:
         return self.table.sum(axis=0)

@@ -136,8 +136,11 @@ def run_fs_solver(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
     else:
         estimate, after_step = table.estimate, update
         direction = lbfgs_step if memory is not None else None
+    # each iteration's calls share one validated, pre-sliced batch view
+    batches = map(problem.take, _epoch_batches(problem.N, batch_size, cfg,
+                                               batch_rng))
     return _lsos_loop(
-        cfg, x, _epoch_batches(problem.N, batch_size, cfg, batch_rng),
+        cfg, x, batches,
         estimate=estimate, direction=direction,
         objective=lambda x, batch: problem.batch_value(batch, x),
         after_step=after_step,

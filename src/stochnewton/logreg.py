@@ -222,7 +222,9 @@ class LogRegModel(FiniteSumProblem):
     row store ``store``, chosen once from the data: a dense ``ndarray`` when
     it takes no more memory than the CSR matrix (8 bytes per entry against
     12 per nonzero and 4 per row pointer, i.e. density above about 2/3),
-    otherwise the dataset's CSR matrix itself.
+    otherwise the dataset's CSR matrix itself.  A batch's data is its
+    ``(rows, labels)``; :meth:`_slice` is the one place rows are cut from
+    the store.
     """
 
     def __init__(self, dataset: Dataset, mu: Optional[float] = None):
@@ -237,7 +239,7 @@ class LogRegModel(FiniteSumProblem):
         self._x_star: Optional[Vector] = None
         self._f_star: Optional[float] = None
 
-    def _rows(self, idx):
+    def _slice(self, idx):
         """Feature rows and labels of the components `idx`.
 
         :data:`ALL_ROWS` returns the whole store and label vector uncopied.
@@ -246,36 +248,36 @@ class LogRegModel(FiniteSumProblem):
             return self.store, self.dataset.labels
         return self.store[idx], self.dataset.labels[idx]
 
-    def _batch_value(self, idx, x):
-        rows, labels = self._rows(idx)
+    def _batch_value(self, part, x):
+        rows, labels = part
         m = labels * (rows @ x)
         return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * self.mu * (x @ x))
 
-    def _batch_gradient(self, idx, x):
-        rows, labels = self._rows(idx)
+    def _batch_gradient(self, part, x):
+        rows, labels = part
         g = rows.T @ _loss_factors(rows, labels, x) / labels.size
         return g + self.mu * x
 
-    def _component_gradients(self, idx, x):
-        rows, labels = self._rows(idx)
+    def _component_gradients(self, part, x):
+        rows, labels = part
         scaled = _scale_rows(rows, _loss_factors(rows, labels, x))
         return _to_dense(scaled) + self.mu * x[None, :]
 
-    def _batch_hvp(self, idx, x, v):
-        rows, labels = self._rows(idx)
+    def _batch_hvp(self, part, x, v):
+        rows, labels = part
         w = _curvatures(rows, labels, x)
         hv = rows.T @ (w * (rows @ v)) / labels.size
         return hv + self.mu * v
 
-    def _batch_hessian(self, idx, x):
-        rows, labels = self._rows(idx)
+    def _batch_hessian(self, part, x):
+        rows, labels = part
         w = _curvatures(rows, labels, x)
         h = _to_dense(_scale_rows(rows, w).T @ rows) / labels.size
         return h + self.mu * np.eye(self.n)
 
     def loss_factors(self, idx, x: Vector) -> np.ndarray:
         """Per-row gradient scalars ``(1-z_i)/z_i * b_i`` (loss part only)."""
-        return _loss_factors(*self._rows(idx), x)
+        return _loss_factors(*self._slice(idx), x)
 
     def accuracy(self, x: Vector) -> float:
         pred = np.where(self.store @ x >= 0, 1.0, -1.0)
@@ -291,13 +293,14 @@ class LogRegModel(FiniteSumProblem):
         """Deterministic full-gradient damped Newton reference; cached."""
         if self._x_star is not None:
             return self._x_star, self._f_star
+        whole = self._slice(ALL_ROWS)
         x = damped_newton(
-            lambda x: self._batch_value(ALL_ROWS, x),
-            lambda x: self._batch_gradient(ALL_ROWS, x),
-            lambda x, g: np.linalg.solve(self._batch_hessian(ALL_ROWS, x), -g),
+            lambda x: self._batch_value(whole, x),
+            lambda x: self._batch_gradient(whole, x),
+            lambda x, g: np.linalg.solve(self._batch_hessian(whole, x), -g),
             np.zeros(self.n), tol, max_iters)
         self._x_star = x
-        self._f_star = self._batch_value(ALL_ROWS, x)
+        self._f_star = self._batch_value(whole, x)
         return self._x_star, self._f_star
 
 
@@ -319,20 +322,20 @@ class LogRegSagaTable:
         self.loss_sum = model.store.T @ self.scalars
 
     def estimate(self, x: Vector, batch) -> Vector:
-        batch = np.asarray(batch, dtype=np.int64)
-        rows, labels = self.model._rows(batch)
+        batch = self.model.take(batch)
+        rows, labels = batch.data
         fresh = _loss_factors(rows, labels, x)
         self.model.grad_evals += batch.size
-        corr = rows.T @ (fresh - self.scalars[batch]) / batch.size
+        corr = rows.T @ (fresh - self.scalars[batch.idx]) / batch.size
         return corr + self.loss_sum / self.model.N + self.model.mu * x
 
     def update(self, batch, x_new: Vector) -> None:
-        batch = np.asarray(batch, dtype=np.int64)
-        rows, labels = self.model._rows(batch)
+        batch = self.model.take(batch)
+        rows, labels = batch.data
         fresh = _loss_factors(rows, labels, x_new)
         self.model.grad_evals += batch.size
-        self.loss_sum = self.loss_sum + rows.T @ (fresh - self.scalars[batch])
-        self.scalars[batch] = fresh
+        self.loss_sum = self.loss_sum + rows.T @ (fresh - self.scalars[batch.idx])
+        self.scalars[batch.idx] = fresh
 
     def recompute_sum(self) -> Vector:
         return self.model.store.T @ self.scalars

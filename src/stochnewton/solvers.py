@@ -231,6 +231,12 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     cumulative evaluation counters; ``since`` is their value at the start of
     the run and ``elapsed`` the solver time already spent on it.
 
+    A record's ``wall_time_s`` is the solver time up to its iteration: the
+    draw of each iteration's item from ``batches`` (for finite sums the
+    index draw and the slicing of the batch view), the estimate, direction,
+    search and post-step update.  Instrumentation is left out: the true
+    error, and a gain-phase ``f_hat`` evaluated only for the record.
+
     ``final_error_only`` leaves ``true_error`` empty on every record but
     the last, for a caller that reads only the final error (grid pilots).
     The exact query draws no noise, counts nothing and is not timed, so the
@@ -244,11 +250,11 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     gnorm: Optional[float] = None
     exhausted_warned = False
     k = 0
+    tic = time.perf_counter()  # drawing the next item is solver time
     for batch in itertools.islice(batches, cfg.max_iters):
         if elapsed >= cfg.time_budget_s:
             stop_reason = "time_budget"
             break
-        tic = time.perf_counter()
 
         g = estimate(x, batch)
         gnorm = _norm(g)
@@ -319,6 +325,7 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
         ))
         x_recorded, x = x, x_next
         k += 1
+        tic = time.perf_counter()
     else:
         stop_reason = "max_iters" if k == cfg.max_iters else "max_epochs"
     if final_error_only and has_ref and trace.records \

@@ -327,13 +327,13 @@ class TestCriterion12DerivativeChecks:
             i = int(rng.integers(0, model.N))
             worst = max(
                 worst,
-                fd_gradient_check(lambda z: model._batch_value([i], z),
-                                  lambda z: model._batch_gradient([i], z),
+                fd_gradient_check(lambda z: model.batch_value([i], z),
+                                  lambda z: model.batch_gradient([i], z),
                                   x, 1e-6),
-                fd_gradient_check(lambda z: model._batch_value(all_idx, z),
-                                  lambda z: model._batch_gradient(all_idx, z),
+                fd_gradient_check(lambda z: model.batch_value(all_idx, z),
+                                  lambda z: model.batch_gradient(all_idx, z),
                                   x, 1e-6),
-                fd_hvp_check(lambda z: model._batch_gradient(all_idx, z),
-                             lambda z, w: model._batch_hvp(all_idx, z, w),
+                fd_hvp_check(lambda z: model.batch_gradient(all_idx, z),
+                             lambda z, w: model.batch_hvp(all_idx, z, w),
                              x, v, 1e-6))
         _report(12, "derivative-checks", worst <= 1e-4, f"max_err={worst:.2e}")

@@ -4,12 +4,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochnewton.core import RngStream
-from stochnewton.finitesum import SagaTable, default_batch_size, make_partition
+from stochnewton.finitesum import (Batch, SagaTable, default_batch_size,
+                                   make_partition)
 from stochnewton.linalg import fd_hvp_check
+from stochnewton.logreg import (Dataset, LogRegModel, LogRegSagaTable,
+                                generate_synthetic_classification)
 
 from conftest import quadratic_sum_problem
 
@@ -85,8 +89,8 @@ class TestSubsampledEstimators:
         batch = np.array([1, 3])
         v = RngStream(6, 0).standard_normal(4)
         err = fd_hvp_check(
-            lambda z: self.prob._batch_gradient(batch, z),
-            lambda z, w: self.prob._batch_hvp(batch, z, w),
+            lambda z: self.prob.batch_gradient(batch, z),
+            lambda z, w: self.prob.batch_hvp(batch, z, w),
             self.x, v, h=1e-6)
         assert err <= 1e-4
 
@@ -102,9 +106,9 @@ class TestSubsampledEstimators:
         # direct summation over all components, N <= 100
         prob = quadratic_sum_problem(20, 3, seed=9)
         x = RngStream(7, 0).standard_normal(3)
-        fv = np.mean([prob._batch_value([i], x) for i in range(20)])
+        fv = np.mean([prob.batch_value([i], x) for i in range(20)])
         assert prob.objective(x) == pytest.approx(fv, rel=1e-12)
-        gv = np.mean([prob._batch_gradient([i], x) for i in range(20)], axis=0)
+        gv = np.mean([prob.batch_gradient([i], x) for i in range(20)], axis=0)
         np.testing.assert_allclose(prob.full_gradient_exact(x), gv, atol=1e-12)
 
 
@@ -141,7 +145,7 @@ class TestSagaTable:
             table.update(batch, x)
         full = prob.full_gradient_exact(x)
         np.testing.assert_allclose(table.table,
-                                   prob._component_gradients(np.arange(6), x),
+                                   prob.component_gradients(np.arange(6), x),
                                    atol=1e-12)
         np.testing.assert_allclose(table.estimate(x, [3]), full,
                                    atol=1e-12)
@@ -170,3 +174,111 @@ class TestSagaTable:
             table.estimate(rng.standard_normal(3), batch)
             table.update(batch, rng.standard_normal(3))
         assert prob.grad_evals == 30 + 2 * bsize * iters
+
+
+def _problem(kind):
+    if kind == "quadratic":
+        return quadratic_sum_problem(12, 4, seed=16)
+    if kind == "logreg-dense":
+        model = LogRegModel(generate_synthetic_classification(
+            30, 5, 1.0, RngStream(17, 0)), mu=0.05)
+        assert isinstance(model.store, np.ndarray)
+        return model
+    rng = np.random.default_rng(18)
+    features = sp.random(40, 12, density=0.2, format="csr", random_state=rng,
+                         data_rvs=rng.standard_normal)
+    labels = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
+    model = LogRegModel(Dataset(features, labels), mu=0.05)
+    assert isinstance(model.store, sp.csr_matrix)
+    return model
+
+
+def _tables(problem):
+    tables = [SagaTable]
+    if isinstance(problem, LogRegModel):
+        tables.append(LogRegSagaTable)
+    return tables
+
+
+def _table_state(table):
+    if isinstance(table, SagaTable):
+        return table.table, table.running_sum
+    return table.scalars, table.loss_sum
+
+
+class TestBatchView:
+    """``take(idx)`` is the index path, sliced once: same bits, same counts."""
+
+    @pytest.fixture(params=["quadratic", "logreg-dense", "logreg-csr"])
+    def problem(self, request):
+        return _problem(request.param)
+
+    def _idx(self, problem):
+        idx = np.array([3, 1, 3, 0, 7, 7, 7, 2])  # repeats kept, unsorted
+        assert idx.max() < problem.N
+        return idx
+
+    def _counted(self, problem, call):
+        before = problem.counts()
+        out = call()
+        after = problem.counts()
+        return out, (after.f_evals - before.f_evals,
+                     after.g_evals - before.g_evals,
+                     after.hvp_evals - before.hvp_evals)
+
+    def test_take_keeps_the_index_array(self, problem):
+        idx = self._idx(problem)
+        batch = problem.take(list(idx))
+        assert isinstance(batch, Batch)
+        assert batch.idx.dtype == np.int64
+        assert np.array_equal(batch.idx, idx) and batch.size == idx.size
+        assert problem.take(batch) is batch
+
+    def test_counted_operations_are_bit_identical(self, problem):
+        idx = self._idx(problem)
+        rng = RngStream(19, 0)
+        x, v = rng.standard_normal(problem.n), rng.standard_normal(problem.n)
+        ops = {
+            "batch_value": lambda b: problem.batch_value(b, x),
+            "batch_gradient": lambda b: problem.batch_gradient(b, x),
+            "batch_hvp": lambda b: problem.batch_hvp(b, x, v),
+            "component_gradients": lambda b: problem.component_gradients(b, x),
+            "batch_hessian": lambda b: problem.batch_hessian(b, x),
+        }
+        batch = problem.take(idx)
+        for name, op in ops.items():
+            by_idx, idx_counts = self._counted(problem, lambda: op(idx))
+            by_view, view_counts = self._counted(problem, lambda: op(batch))
+            assert np.array_equal(by_view, by_idx), name
+            assert view_counts == idx_counts and sum(idx_counts) == idx.size
+
+    def test_saga_tables_are_bit_identical(self, problem):
+        idx = self._idx(problem)
+        rng = RngStream(20, 0)
+        x0, x1, x2 = (rng.standard_normal(problem.n) for _ in range(3))
+        for make in _tables(problem):
+            by_idx, by_view = make(problem, x0), make(problem, x0)
+            g_idx, est_counts = self._counted(problem,
+                                              lambda: by_idx.estimate(x1, idx))
+            batch = problem.take(idx)
+            g_view, view_counts = self._counted(
+                problem, lambda: by_view.estimate(x1, batch))
+            assert np.array_equal(g_view, g_idx) and view_counts == est_counts
+            _, upd_counts = self._counted(problem, lambda: by_idx.update(idx, x2))
+            _, view_counts = self._counted(problem,
+                                           lambda: by_view.update(batch, x2))
+            assert view_counts == upd_counts == (0, idx.size, 0)
+            for a, b in zip(_table_state(by_view), _table_state(by_idx)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [[-1, 3], []])
+    def test_saga_tables_reject_bad_batches(self, problem, bad):
+        x = np.zeros(problem.n)
+        for make in _tables(problem):
+            table = make(problem, x)
+            before = problem.counts()
+            with pytest.raises(ValueError):
+                table.estimate(x, bad)
+            with pytest.raises(ValueError):
+                table.update(bad, x)
+            assert problem.counts() == before

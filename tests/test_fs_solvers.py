@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stochnewton import solvers
 from stochnewton.core import EvalCounts, PHASE_LINE_SEARCH, RngStream
 from stochnewton.fs_solvers import FsSolverConfig, run_fs_solver
-from stochnewton.logreg import LogRegModel, generate_synthetic_classification
+from stochnewton.logreg import (Dataset, LogRegModel,
+                                generate_synthetic_classification)
 from stochnewton.solvers import DeltaSchedule
 from stochnewton.steplen import BacktrackResult, LineSearchConfig, backtrack
 
@@ -218,6 +220,46 @@ class TestSagaLs:
                              saga_storage="loss_split")
         with pytest.raises(ValueError):
             run_fs_solver(prob, cfg, np.zeros(3), RngStream(0, 0))
+
+
+class TestOneSlicePerIteration:
+    """Every call of an iteration reads one batch view sliced from the store."""
+
+    @staticmethod
+    def _csr_model():
+        rng = np.random.default_rng(91)
+        features = sp.random(300, 30, density=0.1, format="csr",
+                             random_state=rng, data_rvs=rng.standard_normal)
+        labels = np.where(rng.uniform(size=300) < 0.5, -1.0, 1.0)
+        model = LogRegModel(Dataset(features, labels))
+        assert model.store is model.dataset.features
+        return model
+
+    @staticmethod
+    def _count_slices(model):
+        slices = []
+
+        class CountingCsr(sp.csr_matrix):
+            def __getitem__(self, key):
+                out = sp.csr_matrix.__getitem__(self, key)
+                out.__class__ = sp.csr_matrix
+                slices.append(out.shape[0])
+                return out
+
+        model.store.__class__ = CountingCsr
+        return slices
+
+    @pytest.mark.parametrize("cfg", [
+        FsSolverConfig(method="saga_ls", saga_storage="loss_split",
+                       max_epochs=2),
+        FsSolverConfig(method="lsos_fs", batch_size=100, max_epochs=2),
+    ], ids=["saga_ls-loss_split", "lsos_fs"])
+    def test_store_is_sliced_once_per_iteration(self, cfg):
+        model = self._csr_model()
+        slices = self._count_slices(model)
+        res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(92, 0))
+        assert res.iterations > 0 and res.stop_reason == "max_epochs"
+        assert len(slices) == res.iterations
 
 
 class TestBudgetsAndValidation:

@@ -1,0 +1,113 @@
+"""Golden digests of the finite-sum experiments' outputs.
+
+Each case runs one small experiment and hashes what it writes, minus the
+solver-time columns: every trace CSV without ``time_s``, every iteration
+aggregate without ``mean_time_s``, and the manifest without its
+``problem.path`` line.  ``repr(f_star)`` is kept as well.  The digests
+cover iterates, evaluation order and grid selections, so a change that
+is meant to leave them alone must leave ``tests/golden.json`` unchanged.
+
+A change that moves iterates on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and lists in CHANGES.md which digests moved and by how much.  The cases
+are the fig3-synthetic preset at reps 2 and 2 epochs (grid search
+included, one worker) and a small sparse LIBSVM file that runs
+``lsos_fs``, ``saga_ls`` on the ``loss_split`` table and ``lsos_bfgs``.
+Neither depends on the BLAS thread count.
+"""
+
+import csv
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from stochnewton.core import RngStream
+from stochnewton.harness import ExperimentSpec, build_problem, run_experiment
+from stochnewton.logreg import Dataset
+
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
+TIME_COLUMNS = {"time_s", "mean_time_s"}
+
+
+def _sparse_libsvm(path: Path) -> None:
+    """A 400 x 40 dataset at 10% density, so the model keeps a CSR store."""
+    rng = RngStream(7, 0)
+    a = rng.standard_normal((400, 40)) * (rng.uniform(0.0, 1.0, (400, 40)) < 0.1)
+    w = rng.standard_normal(40)
+    labels = np.where(a @ w + 0.5 * rng.standard_normal(400) >= 0, 1.0, -1.0)
+    with open(path, "w", encoding="utf-8") as fh:
+        Dataset(sp.csr_matrix(a), labels).to_libsvm(fh)
+
+
+def _fig3_spec(_tmp: Path) -> ExperimentSpec:
+    return ExperimentSpec.from_preset("fig3-synthetic").override(**{
+        "run.reps": "2", "run.max_epochs": "2", "run.workers": "1"})
+
+
+def _libsvm_spec(tmp: Path) -> ExperimentSpec:
+    path = tmp / "sparse.svm"
+    _sparse_libsvm(path)
+    return ExperimentSpec.from_mapping({
+        "problem.kind": "libsvm", "problem.path": str(path),
+        "run.solvers": "lsos_fs,saga_ls,lsos_bfgs", "run.reps": "2",
+        "run.max_epochs": "2", "run.seed": "5",
+        "solver.lsos_fs.batch_size": "100", "solver.lsos_fs.t_ini": "1.0",
+        "solver.saga_ls.saga_storage": "loss_split",
+        "solver.saga_ls.t_ini": "0.5", "solver.lsos_bfgs.t_ini": "0.5",
+    })
+
+
+CASES = {"fig3-synthetic": _fig3_spec, "libsvm-sparse": _libsvm_spec}
+
+
+def _digest_csv(text: str) -> str:
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [i for i, name in enumerate(rows[0]) if name not in TIME_COLUMNS]
+    kept = "\n".join(",".join(row[i] for i in keep) for row in rows)
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+def _digest_manifest(text: str) -> str:
+    kept = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("problem.path"))
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+def case_digests(name: str, tmp: Path) -> dict:
+    """``{output file: digest}`` of case `name`, plus ``f_star``."""
+    spec = CASES[name](tmp)
+    out = tmp / "out"
+    run_experiment(spec, out)
+    digests = {}
+    for path in sorted(out.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        digests[path.name] = (_digest_manifest(text) if path.suffix == ".txt"
+                              else _digest_csv(text))
+    digests["f_star"] = repr(build_problem(spec)[0].f_star)
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden_digests(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    assert case_digests(name, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    golden = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            golden[case] = case_digests(case, Path(tmp))
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")

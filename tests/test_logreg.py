@@ -31,16 +31,16 @@ class TestComponentFormulas:
         # z_i = 2 at x = 0: value log 2, gradient -b_i a_i / 2
         model = _tiny_model(mu=0.1)
         x = np.zeros(3)
-        assert model._batch_value([0], x) == pytest.approx(np.log(2.0))
+        assert model.batch_value([0], x) == pytest.approx(np.log(2.0))
         a0 = model.dataset.features[0].toarray().ravel()
-        np.testing.assert_allclose(model._batch_gradient([0], x), -0.5 * a0,
+        np.testing.assert_allclose(model.batch_gradient([0], x), -0.5 * a0,
                                    atol=1e-15)
 
     def test_gradient_asymptote_at_large_margin(self):
         # when b_i a_i^T x is large the loss term vanishes, leaving mu x
         model = _tiny_model(mu=0.25)
         x = np.array([40.0, 0.0, 0.0])  # margin 40 for component 0
-        g = model._batch_gradient([0], x)
+        g = model.batch_gradient([0], x)
         np.testing.assert_allclose(g, 0.25 * x, atol=1e-14)
 
     def test_hessian_factor_in_unit_quarter_interval(self, rng):
@@ -55,8 +55,8 @@ class TestComponentFormulas:
         model = _tiny_model()
         for idx in [[i] for i in range(model.N)] + [np.arange(model.N)]:
             x = rng.standard_normal(3)
-            err = fd_gradient_check(lambda z: model._batch_value(idx, z),
-                                    lambda z: model._batch_gradient(idx, z),
+            err = fd_gradient_check(lambda z: model.batch_value(idx, z),
+                                    lambda z: model.batch_gradient(idx, z),
                                     x, h=1e-6)
             assert err <= 1e-5
 
@@ -64,8 +64,8 @@ class TestComponentFormulas:
         model = _tiny_model()
         all_idx = np.arange(model.N)
         x, v = rng.standard_normal(3), rng.standard_normal(3)
-        err = fd_hvp_check(lambda z: model._batch_gradient(all_idx, z),
-                           lambda z, w: model._batch_hvp(all_idx, z, w),
+        err = fd_hvp_check(lambda z: model.batch_gradient(all_idx, z),
+                           lambda z, w: model.batch_hvp(all_idx, z, w),
                            x, v, h=1e-6)
         assert err <= 1e-4
 
@@ -77,7 +77,7 @@ class TestComponentFormulas:
         for _ in range(50):
             x = rng.standard_normal(3) * 3
             v = rng.standard_normal(3)
-            quad = v @ model._batch_hvp(all_idx, x, v)
+            quad = v @ model.batch_hvp(all_idx, x, v)
             assert model.mu * (v @ v) - 1e-12 <= quad
             assert quad <= L * (v @ v) + 1e-12
 
@@ -86,16 +86,16 @@ class TestComponentFormulas:
         # margin +-700 for component 0 (a0 . x = 700 with b0 = +1)
         for sign in (+1.0, -1.0):
             x = sign * np.array([700.0, 0.0, 0.0])
-            f = model._batch_value([0], x)
-            g = model._batch_gradient([0], x)
+            f = model.batch_value([0], x)
+            g = model.batch_gradient([0], x)
             assert np.isfinite(f) and np.all(np.isfinite(g))
 
     def test_mean_consistency(self):
         model = _tiny_model()
         x = np.array([0.3, -0.7, 1.1])
-        comp_mean = np.mean([model._batch_gradient([i], x)
+        comp_mean = np.mean([model.batch_gradient([i], x)
                              for i in range(model.N)], axis=0)
-        np.testing.assert_allclose(model._batch_gradient(np.arange(4), x),
+        np.testing.assert_allclose(model.batch_gradient(np.arange(4), x),
                                    comp_mean, atol=1e-14)
 
     def test_index_out_of_range(self):
@@ -247,7 +247,7 @@ class TestReferenceOptimum:
         ds = generate_synthetic_classification(150, 6, 1.5, RngStream(8, 0))
         model = LogRegModel(ds)
         x1, f1 = model.reference_optimum(tol=1e-10)
-        assert np.linalg.norm(model._batch_gradient(np.arange(150), x1)) <= 1e-10
+        assert np.linalg.norm(model.batch_gradient(np.arange(150), x1)) <= 1e-10
         x2, f2 = model.reference_optimum()
         assert x1 is x2 and f1 == f2
         assert model.f_star == f1
@@ -368,7 +368,8 @@ class TestRowStore:
                              range(model.N), x, v)
         self._close(model.objective(x), ref["value"])
         self._close(model.full_gradient_exact(x), ref["gradient"])
-        self._close(model._batch_hessian(ALL_ROWS, x), ref["hessian"])
+        self._close(model._batch_hessian(model._slice(ALL_ROWS), x),
+                    ref["hessian"])
         x_star, f_star = model.reference_optimum()
         ref_star = _reference_ops(dense, model.dataset.labels, model.mu,
                                   range(model.N), x_star, v)

@@ -1,12 +1,14 @@
 """Noisy-oracle solver drivers: SOS, LSOS (exact and inexact), SGD variants."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from stochnewton import solvers
-from stochnewton.core import PHASE_GAIN, PHASE_LINE_SEARCH, RngStream
+from stochnewton.core import (PHASE_GAIN, PHASE_LINE_SEARCH, EvalCounts,
+                              RngStream)
 from stochnewton.linalg import SpdOperator, solve_cg
 from stochnewton.solvers import (DeltaSchedule, GainParams, SolverConfig,
                                  run_solver)
@@ -328,3 +330,27 @@ class TestRobustness:
                          np.zeros(3))
         assert res.stop_reason == "zero_direction"
         assert res.iterations == 0
+
+
+class TestSolverClock:
+    def test_time_covers_the_draw_of_each_iteration_item(self):
+        # the loop's time column counts pulling each item from the source,
+        # as a finite-sum run spends it drawing and slicing its batch
+        pause = 0.004
+
+        def slow_items():
+            while True:
+                time.sleep(pause)
+                yield None
+
+        cfg = SolverConfig(method="sgd_ls", max_iters=5,
+                           ls=LineSearchConfig(t_start=0.5))
+        res = solvers._lsos_loop(
+            cfg, np.ones(3), slow_items(), estimate=lambda x, _: x,
+            direction=None, objective=lambda x, _: 0.5 * float(x @ x),
+            after_step=None, true_error=None, counts=EvalCounts,
+            since=EvalCounts(), gain=cfg.gain)
+        times = res.trace.column("wall_time_s")
+        assert len(times) == 5
+        for k, wall in enumerate(times):
+            assert wall >= (k + 1) * pause
