@@ -14,7 +14,7 @@ from .core import (EvalCounts, OracleSample, RngStream, RunTrace, TraceRecord,
                    read_trace_csv, write_trace_csv)
 from .finitesum import (Batch, FiniteSumProblem, QuadraticSumProblem,
                         SagaTable, default_batch_size, make_partition)
-from .fs_solvers import FsSolverConfig, run_fs_solver
+from .fs_solvers import run_fs_solver
 from .harness import (AggregateCurve, ExperimentSpec, aggregate,
                       grid_search_step, run_experiment)
 from .linalg import (CgResult, NotPositiveDefiniteError, SpdOperator,

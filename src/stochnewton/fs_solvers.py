@@ -1,11 +1,12 @@
 """Line-search solvers for finite-sum objectives.
 
-Three methods run the one LSOS loop of :mod:`stochnewton.solvers`; all of
-them line-search the *sampled* objective ``f_K`` over the same mini-batch
-that produced the gradient estimate (the Armijo test needs a fixed function
-within an iteration).  Batches come from a fresh random partition, or fresh
-uniform draws, each epoch, used in order.  The search never switches off:
-an exhausted search takes its smallest trial step, with one warning per run.
+Three methods run the one LSOS loop of :mod:`stochnewton.solvers`, set up
+by its :class:`SolverConfig`.  All line-search the *sampled* objective
+``f_K`` over the mini-batch that produced the gradient estimate (the Armijo
+test needs a fixed function within an iteration).  Each epoch's batches,
+used in order, are a fresh random partition or fresh uniform draws (no
+index repeats within a batch).  The search never switches off: an
+exhausted search takes its smallest trial step, with one warning per run.
 
 ``lsos_fs``
     Subsampled gradient and subsampled-Hessian Newton direction with the
@@ -22,9 +23,7 @@ an exhausted search takes its smallest trial step, with one warning per run.
 from __future__ import annotations
 
 import itertools
-import math
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -36,59 +35,13 @@ from .finitesum import (FiniteSumProblem, SagaTable, default_batch_size,
 from .linalg import SpdOperator, solve_cg, solve_direct  # noqa: F401
 from .logreg import LogRegModel, LogRegSagaTable
 from .slbfgs import LbfgsMemory
-from .solvers import DeltaSchedule, SolverResult, _lsos_loop, _newton_direction
-from .steplen import LineSearchConfig, backtrack  # noqa: F401
-
-METHOD_LSOS_FS = "lsos_fs"
-METHOD_LSOS_BFGS = "lsos_bfgs"
-METHOD_SAGA_LS = "saga_ls"
-FS_METHODS = (METHOD_LSOS_FS, METHOD_LSOS_BFGS, METHOD_SAGA_LS)
-
-SCHEME_PARTITION = "partition"
-SCHEME_UNIFORM = "uniform"
-
-STORAGE_DENSE = "dense"
-STORAGE_LOSS_SPLIT = "loss_split"
+from .solvers import (FS_METHODS, METHOD_LSOS_BFGS, METHOD_LSOS_FS,
+                      SCHEME_PARTITION, STORAGE_LOSS_SPLIT, SolverConfig,
+                      SolverResult, _lsos_loop, _newton_direction)
+from .steplen import backtrack  # noqa: F401
 
 
-@dataclass
-class FsSolverConfig:
-    method: str = METHOD_LSOS_BFGS
-    # theta = 0.999 keeps the nonmonotone slack alive over whole epochs
-    ls: LineSearchConfig = field(
-        default_factory=lambda: LineSearchConfig(theta=0.999))
-    delta: DeltaSchedule = field(default_factory=DeltaSchedule)
-    batch_size: Optional[int] = None        # default ceil(sqrt(N))
-    hess_batch_size: Optional[int] = None   # default ceil(sqrt(N))
-    batch_scheme: Optional[str] = None      # partition for SAGA methods, else uniform
-    m: int = 10
-    l: int = 5
-    saga_storage: str = STORAGE_DENSE
-    cg_rel_floor: float = 1e-6
-    cg_max_iters: Optional[int] = None
-    max_epochs: Optional[int] = None
-    max_iters: Optional[int] = None
-    time_budget_s: float = math.inf
-    grad_tol: Optional[float] = None
-
-    def __post_init__(self):
-        if self.method not in FS_METHODS:
-            raise ValueError(f"unknown finite-sum method {self.method!r}")
-        if self.batch_scheme is None:
-            self.batch_scheme = (SCHEME_UNIFORM if self.method == METHOD_LSOS_FS
-                                 else SCHEME_PARTITION)
-        if self.batch_scheme not in (SCHEME_PARTITION, SCHEME_UNIFORM):
-            raise ValueError(f"unknown batch scheme {self.batch_scheme!r}")
-        if self.saga_storage not in (STORAGE_DENSE, STORAGE_LOSS_SPLIT):
-            raise ValueError(f"unknown saga storage {self.saga_storage!r}")
-        if self.max_epochs is None and self.max_iters is None \
-                and not math.isfinite(self.time_budget_s):
-            raise ValueError("need at least one of max_epochs/max_iters/time budget")
-        if not (0.0 < self.cg_rel_floor < 1.0):
-            raise ValueError("cg_rel_floor must lie in (0, 1)")
-
-
-def run_fs_solver(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
+def run_fs_solver(problem: FiniteSumProblem, cfg: SolverConfig, x0: Vector,
                   rng, f_star: Optional[float] = None, *,
                   final_error_only: bool = False) -> SolverResult:
     """Run one finite-sum method of :data:`FS_METHODS` from ``x0``.
@@ -96,6 +49,8 @@ def run_fs_solver(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
     ``rng`` owns the batch draws; ``f_star``, when known, gives the trace
     its true errors (``final_error_only``: see :func:`_lsos_loop`).
     """
+    if cfg.method not in FS_METHODS:
+        raise ValueError(f"{cfg.method!r} is not a finite-sum method")
     x = as_vector(x0, problem.n).copy()
     batch_size = min(cfg.batch_size or default_batch_size(problem.N), problem.N)
     hess_batch_size = cfg.hess_batch_size or default_batch_size(problem.N)
@@ -149,7 +104,7 @@ def run_fs_solver(problem: FiniteSumProblem, cfg: FsSolverConfig, x0: Vector,
         final_error_only=final_error_only)
 
 
-def _epoch_batches(N: int, batch_size: int, cfg: FsSolverConfig, rng):
+def _epoch_batches(N: int, batch_size: int, cfg: SolverConfig, rng):
     """Mini-batches in order, epoch after epoch, until ``cfg.max_epochs``."""
     n_b = int(np.ceil(N / batch_size))
     epochs = itertools.count() if cfg.max_epochs is None else range(cfg.max_epochs)

@@ -25,13 +25,13 @@ import numpy as np
 
 from . import __version__
 from .core import RngStream, RunTrace, read_trace_csv, write_trace_csv
-from .fs_solvers import (FS_METHODS, METHOD_LSOS_BFGS, METHOD_LSOS_FS,
-                         METHOD_SAGA_LS, FsSolverConfig, run_fs_solver)
+from .fs_solvers import run_fs_solver
 from .logreg import LogRegModel, generate_synthetic_classification, parse_libsvm
-from .solvers import (ALL_METHODS, AUTO_ALPHA0, DELTA_CONSTANT, DELTA_GEOMETRIC,
-                      DELTA_ZERO, METHOD_LSOS, METHOD_LSOS_INEXACT, METHOD_SGD,
-                      METHOD_SGD_LS, METHOD_SOS, DeltaSchedule, SolverConfig,
-                      run_solver)
+from .solvers import (AUTO_ALPHA0, DELTA_CONSTANT, DELTA_GEOMETRIC, DELTA_ZERO,
+                      FS_METHODS, METHOD_LSOS, METHOD_LSOS_BFGS, METHOD_LSOS_FS,
+                      METHOD_LSOS_INEXACT, METHOD_SAGA_LS, METHOD_SGD,
+                      METHOD_SGD_LS, METHOD_SOS, NOISY_METHODS, DeltaSchedule,
+                      SolverConfig, run_solver)
 from .synthetic import (HESS_DENSE, HESS_HOUSEHOLDER, NoisyOracle,
                         exact_solution, generate_problem)
 
@@ -147,7 +147,7 @@ class _Key(NamedTuple):
 
 
 # Every spec key, once.  ``solver.*.<param>`` stands for any solver name;
-# solver params default to their config class.  Solver rows apply in this
+# solver params default to those of the method.  Solver rows apply in this
 # order (zeta before theta: theta is checked only for the geometric slack).
 SCHEMA = {
     "problem.kind": _Key(_choice("synthetic", "logistic_synthetic", "libsvm"),
@@ -175,7 +175,7 @@ SCHEMA = {
     "run.aggregate": _Key(_choice(AGG_BY_ITERATION, AGG_BY_TIME, "both"), "iter"),
     "run.workers": _Key(_int_min(1), "1"),
     "grid.candidates": _Key(_positives, GRID_DEFAULT),
-    "solver.*.method": _Key(_choice(*ALL_METHODS, *FS_METHODS)),
+    "solver.*.method": _Key(_choice(*NOISY_METHODS, *FS_METHODS)),
     "solver.*.alpha0": _Key(_float_or(AUTO_ALPHA0), field="gain.alpha0"),
     "solver.*.T": _Key(float, field="gain.T"),
     "solver.*.delta": _Key(_delta, field="delta"),
@@ -250,11 +250,11 @@ class ExperimentSpec:
         blocks = {key.split(".")[1] for key in self.values if key.startswith("solver.")}
         for name in names + sorted(blocks - set(names)):
             method = self.solver_method(name)
-            if method not in ALL_METHODS + FS_METHODS:
+            if method not in NOISY_METHODS + FS_METHODS:
                 raise SpecError(f"solver.{name}.method: unknown method {method!r}")
             _solver_config(self, name)
-            if name in names and (method in ALL_METHODS) != (kind == "synthetic"):
-                family = "noisy-oracle" if method in ALL_METHODS else "finite-sum"
+            if name in names and (method in NOISY_METHODS) != (kind == "synthetic"):
+                family = "noisy-oracle" if method in NOISY_METHODS else "finite-sum"
                 raise SpecError(f"run.solvers: {name} runs the {family} method "
                                 f"{method!r}, which does not fit "
                                 f"problem.kind = {kind}")
@@ -300,16 +300,12 @@ class ExperimentSpec:
 def _solver_config(spec: ExperimentSpec, name: str):
     """The config of solver `name`, with a ``t_ini = grid`` request left out."""
     method = spec.solver_method(name)
-    budget = dict(time_budget_s=spec.get("run.time_budget_s"),
-                  grad_tol=spec.get("run.grad_tol") or None)
-    if method in ALL_METHODS:
-        cfg = SolverConfig(method=method, max_iters=spec.get("run.max_iters"),
-                           **budget)
-    else:
-        max_epochs = spec.get("run.max_epochs") or None
-        cfg = FsSolverConfig(
-            method=method, max_epochs=max_epochs,
-            max_iters=None if max_epochs else spec.get("run.max_iters"), **budget)
+    # only finite sums have epochs; run.max_epochs = 0 sets no epoch budget
+    epochs = spec.get("run.max_epochs") if method in FS_METHODS else 0
+    cfg = SolverConfig(method=method, max_epochs=epochs or None,
+                       max_iters=None if epochs else spec.get("run.max_iters"),
+                       time_budget_s=spec.get("run.time_budget_s"),
+                       grad_tol=spec.get("run.grad_tol") or None)
     for row_key, row in SCHEMA.items():
         key = row_key.replace("*", name)
         value = spec.get(key)
@@ -330,10 +326,10 @@ def _solver_config(spec: ExperimentSpec, name: str):
 
 
 def build_solver_config(spec: ExperimentSpec, name: str):
-    """Resolve one solver block into a SolverConfig / FsSolverConfig.
+    """Resolve one solver block into a :class:`SolverConfig`.
 
     Only the keys the spec sets are applied; every other field keeps the
-    default of its config class.
+    default that the solver's method gives it.
     """
     if spec.get(f"solver.{name}.t_ini") == GRID:
         raise SpecError(f"solver.{name}.t_ini: unresolved grid request")
@@ -391,10 +387,10 @@ def run_replication(problem, kind: str, spec: ExperimentSpec, name: str,
     rep_stream = RngStream(spec.get("run.seed"), rep)
     x0 = initial_point(spec, problem, kind, rep_stream)
     cfg = build_solver_config(spec, name)
-    if isinstance(cfg, FsSolverConfig):
-        f_star = problem.f_star if isinstance(problem, LogRegModel) else None
+    if cfg.method in FS_METHODS:
         result = run_fs_solver(problem, cfg, x0, rep_stream.child(1),
-                               f_star=f_star, final_error_only=final_error_only)
+                               f_star=problem.f_star,
+                               final_error_only=final_error_only)
     else:
         oracle = NoisyOracle(problem, rep_stream.child(1))
         result = run_solver(oracle, cfg, x0, final_error_only=final_error_only)

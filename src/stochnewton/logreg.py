@@ -276,8 +276,9 @@ class LogRegModel(FiniteSumProblem):
         return h + self.mu * np.eye(self.n)
 
     def loss_factors(self, idx, x: Vector) -> np.ndarray:
-        """Per-row gradient scalars ``(1-z_i)/z_i * b_i`` (loss part only)."""
-        return _loss_factors(*self._slice(idx), x)
+        """Per-row loss-gradient scalars ``(1-z_i)/z_i * b_i``, uncounted."""
+        part = self._slice(idx) if idx is ALL_ROWS else self.take(idx).data
+        return _loss_factors(*part, x)
 
     def accuracy(self, x: Vector) -> float:
         pred = np.where(self.store @ x >= 0, 1.0, -1.0)

@@ -1,4 +1,4 @@
-"""The LSOS iteration loop, and its noisy-oracle methods.
+"""The LSOS loop, the config of every method, and the noisy-oracle methods.
 
 Every method, noisy-oracle or finite-sum (:mod:`stochnewton.fs_solvers`),
 runs the one loop ``x_{k+1} = x_k + t_k d_k`` of :func:`_lsos_loop`.  A
@@ -52,11 +52,21 @@ METHOD_LSOS = "lsos"
 METHOD_LSOS_INEXACT = "lsos_inexact"
 METHOD_SGD = "sgd"
 METHOD_SGD_LS = "sgd_ls"
+METHOD_LSOS_FS = "lsos_fs"
+METHOD_LSOS_BFGS = "lsos_bfgs"
+METHOD_SAGA_LS = "saga_ls"
 
 _NEWTON_METHODS = (METHOD_SOS, METHOD_LSOS, METHOD_LSOS_INEXACT)
 _LS_METHODS = (METHOD_LSOS, METHOD_LSOS_INEXACT, METHOD_SGD_LS)
-ALL_METHODS = (METHOD_SOS, METHOD_LSOS, METHOD_LSOS_INEXACT, METHOD_SGD,
-               METHOD_SGD_LS)
+NOISY_METHODS = (METHOD_SOS, METHOD_LSOS, METHOD_LSOS_INEXACT, METHOD_SGD,
+                 METHOD_SGD_LS)
+FS_METHODS = (METHOD_LSOS_FS, METHOD_LSOS_BFGS, METHOD_SAGA_LS)
+
+SCHEME_PARTITION = "partition"
+SCHEME_UNIFORM = "uniform"
+
+STORAGE_DENSE = "dense"
+STORAGE_LOSS_SPLIT = "loss_split"
 
 DELTA_ZERO = "zero"
 DELTA_GEOMETRIC = "geometric"
@@ -111,28 +121,62 @@ class GainParams:
 
 @dataclass
 class SolverConfig:
+    """The configuration of every method; ``method`` picks the family.
+
+    A field left ``None`` takes the method's default: ``delta`` geometric
+    for ``lsos_inexact``, else zero; ``ls`` with ``theta = 0.999`` for
+    finite sums (the nonmonotone slack lives over whole epochs); uniform
+    ``batch_scheme`` for ``lsos_fs``, else partition; ``max_iters`` 100 for
+    noisy oracles, none for finite sums, which then need another budget.
+    """
+
     method: str = METHOD_LSOS
     gain: GainParams = field(default_factory=GainParams)
-    ls: LineSearchConfig = field(default_factory=LineSearchConfig)
-    delta: Optional[DeltaSchedule] = None  # default: the method's own
+    ls: Optional[LineSearchConfig] = None
+    delta: Optional[DeltaSchedule] = None
+    batch_size: Optional[int] = None        # default ceil(sqrt(N))
+    hess_batch_size: Optional[int] = None   # default ceil(sqrt(N))
+    batch_scheme: Optional[str] = None
+    m: int = 10
+    l: int = 5
+    saga_storage: str = STORAGE_DENSE
     cg_rel_floor: float = 1e-6
     cg_max_iters: Optional[int] = None
-    max_iters: int = 100
+    max_epochs: Optional[int] = None
+    max_iters: Optional[int] = None
     time_budget_s: float = math.inf
     grad_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.method not in ALL_METHODS:
+        if self.method not in NOISY_METHODS + FS_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        finite_sum = self.method in FS_METHODS
         if self.delta is None:
             # lsos_inexact is lsos with a geometric forcing term
             self.delta = DeltaSchedule(DELTA_GEOMETRIC
                                        if self.method == METHOD_LSOS_INEXACT
                                        else DELTA_ZERO)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if self.ls is None:  # a fresh one each: LineSearchConfig is mutable
+            self.ls = (LineSearchConfig(theta=0.999) if finite_sum
+                       else LineSearchConfig())
+        if self.batch_scheme is None:
+            self.batch_scheme = (SCHEME_UNIFORM if self.method == METHOD_LSOS_FS
+                                 else SCHEME_PARTITION)
+        if self.max_iters is None and not finite_sum:
+            self.max_iters = 100
+        for name in ("max_iters", "max_epochs", "batch_size", "hess_batch_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (0.0 < self.cg_rel_floor < 1.0):
             raise ValueError("cg_rel_floor must lie in (0, 1)")
+        if finite_sum and self.max_epochs is None and self.max_iters is None \
+                and not math.isfinite(self.time_budget_s):
+            raise ValueError("need at least one of max_epochs/max_iters/time budget")
+        if self.batch_scheme not in (SCHEME_PARTITION, SCHEME_UNIFORM):
+            raise ValueError(f"unknown batch scheme {self.batch_scheme!r}")
+        if self.saga_storage not in (STORAGE_DENSE, STORAGE_LOSS_SPLIT):
+            raise ValueError(f"unknown saga storage {self.saga_storage!r}")
 
 
 @dataclass
@@ -148,7 +192,9 @@ class SolverResult:
 
 def run_solver(oracle, cfg: SolverConfig, x0: Vector, *,
                final_error_only: bool = False) -> SolverResult:
-    """Run one noisy-oracle method of :data:`ALL_METHODS` from ``x0``."""
+    """Run one noisy-oracle method of :data:`NOISY_METHODS` from ``x0``."""
+    if cfg.method not in NOISY_METHODS:
+        raise ValueError(f"{cfg.method!r} is not a noisy-oracle method")
     newton = cfg.method in _NEWTON_METHODS
     sample = None
 

@@ -11,7 +11,7 @@ import pytest
 
 from stochnewton.core import RngStream
 from stochnewton.finitesum import SagaTable
-from stochnewton.fs_solvers import FsSolverConfig, run_fs_solver
+from stochnewton.fs_solvers import run_fs_solver
 from stochnewton.harness import ExperimentSpec, run_experiment
 from stochnewton.linalg import (SpdOperator, fd_gradient_check, fd_hvp_check,
                                 solve_cg, solve_direct)
@@ -181,7 +181,7 @@ class TestCriterion07QLinearTrend(object):
         curves = []
         for rep in range(20):
             model = LogRegModel(model0.dataset)
-            cfg = FsSolverConfig(
+            cfg = SolverConfig(
                 method="lsos_fs", batch_size=200, max_iters=300,
                 max_epochs=None,
                 ls=LineSearchConfig(zeta_kind="zero", t_start=0.01))

@@ -6,10 +6,10 @@ import scipy.sparse as sp
 
 from stochnewton import solvers
 from stochnewton.core import EvalCounts, PHASE_LINE_SEARCH, RngStream
-from stochnewton.fs_solvers import FsSolverConfig, run_fs_solver
+from stochnewton.fs_solvers import _epoch_batches, run_fs_solver
 from stochnewton.logreg import (Dataset, LogRegModel,
                                 generate_synthetic_classification)
-from stochnewton.solvers import DeltaSchedule
+from stochnewton.solvers import DeltaSchedule, SolverConfig
 from stochnewton.steplen import BacktrackResult, LineSearchConfig, backtrack
 
 from conftest import quadratic_sum_problem
@@ -31,7 +31,7 @@ class TestDeterministicReduction:
         prob = quadratic_sum_problem(N, n, seed=60)
         x0 = RngStream(61, 0).standard_normal(n)
         K = 14
-        cfg = FsSolverConfig(
+        cfg = SolverConfig(
             method="lsos_bfgs", batch_size=N, hess_batch_size=N,
             m=m, l=l, max_iters=K, max_epochs=None,
             ls=LineSearchConfig(zeta_kind="zero", t_start=1.0))
@@ -94,8 +94,8 @@ class TestLsosBfgs:
         at_epoch = {1: [], 3: [], 6: []}
         for rep in range(8):
             m = LogRegModel(model.dataset)
-            cfg = FsSolverConfig(method="lsos_bfgs", max_epochs=6,
-                                 ls=LineSearchConfig(theta=0.999, t_start=0.1))
+            cfg = SolverConfig(method="lsos_bfgs", max_epochs=6,
+                               ls=LineSearchConfig(theta=0.999, t_start=0.1))
             res = run_fs_solver(m, cfg, np.zeros(model.n),
                                 RngStream(70, rep).child(1), f_star=f_star)
             errs = res.trace.column("true_error")
@@ -109,8 +109,8 @@ class TestLsosBfgs:
         # the L-BFGS pair harvest adds |T_j| Hessian actions, not gradients
         prob = quadratic_sum_problem(30, 4, seed=71)
         bs = 6
-        cfg = FsSolverConfig(method="lsos_bfgs", batch_size=bs,
-                             hess_batch_size=10, max_iters=20, max_epochs=None)
+        cfg = SolverConfig(method="lsos_bfgs", batch_size=bs,
+                           hess_batch_size=10, max_iters=20, max_epochs=None)
         run_fs_solver(prob, cfg, np.zeros(4), RngStream(72, 0))
         assert prob.grad_evals == 30 + 2 * bs * 20
         assert prob.hvp_evals > 0
@@ -118,9 +118,9 @@ class TestLsosBfgs:
     def test_warmup_uses_gradient_direction(self):
         # before the first pair exists (2l records) iterates move along -g
         prob = quadratic_sum_problem(8, 5, seed=73)
-        cfg = FsSolverConfig(method="lsos_bfgs", batch_size=8, l=3, m=2,
-                             max_iters=4, max_epochs=None,
-                             ls=LineSearchConfig(zeta_kind="zero"))
+        cfg = SolverConfig(method="lsos_bfgs", batch_size=8, l=3, m=2,
+                           max_iters=4, max_epochs=None,
+                           ls=LineSearchConfig(zeta_kind="zero"))
         res = run_fs_solver(prob, cfg, np.zeros(5), RngStream(74, 0))
         # full-batch SAGA estimate equals the full gradient; check the first
         # update is collinear with it
@@ -132,10 +132,10 @@ class TestLsosBfgs:
 class TestLsosFs:
     def test_inexact_directions_carry_certificates(self):
         model = _logistic(seed=51)
-        cfg = FsSolverConfig(method="lsos_fs", batch_size=40,
-                             delta=DeltaSchedule("geometric", rho=0.9),
-                             max_iters=30, max_epochs=None,
-                             ls=LineSearchConfig(zeta_kind="zero", t_start=0.5))
+        cfg = SolverConfig(method="lsos_fs", batch_size=40,
+                           delta=DeltaSchedule("geometric", rho=0.9),
+                           max_iters=30, max_epochs=None,
+                           ls=LineSearchConfig(zeta_kind="zero", t_start=0.5))
         res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(52, 0),
                             f_star=model.f_star)
         for rec in res.trace.records:
@@ -146,9 +146,9 @@ class TestLsosFs:
         # subsampled Newton drops to its mini-batch noise floor quickly;
         # assert a solid decrease, not the floor's exact level
         model = _logistic(seed=53)
-        cfg = FsSolverConfig(method="lsos_fs", batch_size=40,
-                             max_iters=80, max_epochs=None,
-                             ls=LineSearchConfig(zeta_kind="zero", t_start=0.5))
+        cfg = SolverConfig(method="lsos_fs", batch_size=40,
+                           max_iters=80, max_epochs=None,
+                           ls=LineSearchConfig(zeta_kind="zero", t_start=0.5))
         res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(54, 0),
                             f_star=model.f_star)
         errs = res.trace.column("true_error")
@@ -159,7 +159,7 @@ class TestLsosFs:
 class TestSagaLs:
     def test_converges_on_logistic(self):
         model = _logistic(seed=55)
-        cfg = FsSolverConfig(method="saga_ls", max_epochs=8)
+        cfg = SolverConfig(method="saga_ls", max_epochs=8)
         res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(56, 0),
                             f_star=model.f_star)
         errs = res.trace.column("true_error")
@@ -170,8 +170,8 @@ class TestSagaLs:
         model_b = LogRegModel(model_a.dataset)
         out = {}
         for storage, model in (("dense", model_a), ("loss_split", model_b)):
-            cfg = FsSolverConfig(method="saga_ls", max_epochs=6,
-                                 saga_storage=storage)
+            cfg = SolverConfig(method="saga_ls", max_epochs=6,
+                               saga_storage=storage)
             res = run_fs_solver(model, cfg, np.zeros(model.n),
                                 RngStream(58, 0).child(1),
                                 f_star=model_a.f_star)
@@ -184,7 +184,7 @@ class TestSagaLs:
         # its own run, the SAGA table's initial pass included
         model = _logistic(N=100, n=4, seed=59)
         bs = 10
-        cfg = FsSolverConfig(method="saga_ls", batch_size=bs, max_epochs=2)
+        cfg = SolverConfig(method="saga_ls", batch_size=bs, max_epochs=2)
         counts = [run_fs_solver(model, cfg, np.zeros(model.n),
                                 RngStream(60, 0)).eval_counts
                   for _ in range(3)]
@@ -206,8 +206,8 @@ class TestSagaLs:
 
         monkeypatch.setattr(solvers, "backtrack", exhausted)
         prob = quadratic_sum_problem(10, 3, seed=64)
-        cfg = FsSolverConfig(method="saga_ls", batch_size=2, max_iters=6,
-                             max_epochs=None)
+        cfg = SolverConfig(method="saga_ls", batch_size=2, max_iters=6,
+                           max_epochs=None)
         with caplog.at_level("WARNING"):
             res = run_fs_solver(prob, cfg, np.zeros(3), RngStream(65, 0))
         assert res.iterations == 6 and res.k_tau is None
@@ -216,8 +216,8 @@ class TestSagaLs:
 
     def test_loss_split_requires_logistic(self):
         prob = quadratic_sum_problem(6, 3, seed=59)
-        cfg = FsSolverConfig(method="saga_ls", max_epochs=1,
-                             saga_storage="loss_split")
+        cfg = SolverConfig(method="saga_ls", max_epochs=1,
+                           saga_storage="loss_split")
         with pytest.raises(ValueError):
             run_fs_solver(prob, cfg, np.zeros(3), RngStream(0, 0))
 
@@ -250,9 +250,9 @@ class TestOneSlicePerIteration:
         return slices
 
     @pytest.mark.parametrize("cfg", [
-        FsSolverConfig(method="saga_ls", saga_storage="loss_split",
-                       max_epochs=2),
-        FsSolverConfig(method="lsos_fs", batch_size=100, max_epochs=2),
+        SolverConfig(method="saga_ls", saga_storage="loss_split",
+                     max_epochs=2),
+        SolverConfig(method="lsos_fs", batch_size=100, max_epochs=2),
     ], ids=["saga_ls-loss_split", "lsos_fs"])
     def test_store_is_sliced_once_per_iteration(self, cfg):
         model = self._csr_model()
@@ -268,41 +268,55 @@ class TestBudgetsAndValidation:
         # second case ends exactly on an epoch boundary
         for N, bs, max_iters in ((10, 2, 7), (16, 4, 8)):
             prob = quadratic_sum_problem(N, 3, seed=80)
-            cfg = FsSolverConfig(method="saga_ls", batch_size=bs,
-                                 max_iters=max_iters, max_epochs=None)
+            cfg = SolverConfig(method="saga_ls", batch_size=bs,
+                               max_iters=max_iters, max_epochs=None)
             res = run_fs_solver(prob, cfg, np.zeros(3), RngStream(81, 0))
             assert res.iterations == max_iters and res.stop_reason == "max_iters"
 
     def test_max_epochs_budget(self):
         prob = quadratic_sum_problem(10, 3, seed=82)
-        cfg = FsSolverConfig(method="saga_ls", batch_size=5, max_epochs=3)
+        cfg = SolverConfig(method="saga_ls", batch_size=5, max_epochs=3)
         res = run_fs_solver(prob, cfg, np.zeros(3), RngStream(83, 0))
         assert res.iterations == 6  # two batches per epoch, three epochs
         assert res.stop_reason == "max_epochs"
 
     def test_time_budget(self):
         model = _logistic(seed=84)
-        cfg = FsSolverConfig(method="saga_ls", max_epochs=10**6,
-                             time_budget_s=0.05)
+        cfg = SolverConfig(method="saga_ls", max_epochs=10**6,
+                           time_budget_s=0.05)
         res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(85, 0))
         assert res.stop_reason == "time_budget"
 
     def test_grad_tol_stop(self):
         prob = quadratic_sum_problem(6, 3, seed=86)
-        cfg = FsSolverConfig(method="saga_ls", batch_size=6, max_epochs=500,
-                             grad_tol=1e-6,
-                             ls=LineSearchConfig(zeta_kind="zero"))
+        cfg = SolverConfig(method="saga_ls", batch_size=6, max_epochs=500,
+                           grad_tol=1e-6,
+                           ls=LineSearchConfig(zeta_kind="zero"))
         res = run_fs_solver(prob, cfg, np.zeros(3), RngStream(87, 0))
         assert res.stop_reason == "grad_tol"
         assert res.final_grad_norm <= 1e-6
 
     def test_requires_some_budget(self):
         with pytest.raises(ValueError):
-            FsSolverConfig(method="saga_ls", max_epochs=None, max_iters=None)
+            SolverConfig(method="saga_ls", max_epochs=None, max_iters=None)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", -1), ("max_iters", 0), ("max_epochs", 0),
+        ("max_epochs", -2), ("batch_size", 0), ("hess_batch_size", 0)])
+    def test_rejects_empty_budgets_and_batches(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1"):
+            SolverConfig(method="saga_ls", **{"max_epochs": 1, name: value})
+
+    def test_uniform_batches_never_repeat_a_component(self):
+        cfg = SolverConfig(method="lsos_fs", batch_size=20, max_epochs=5)
+        batches = list(_epoch_batches(50, 20, cfg, RngStream(67, 0)))
+        assert len(batches) == 5 * 3
+        for batch in batches:
+            assert np.unique(batch).size == 20
 
     def test_reproducible_given_stream(self):
         model = _logistic(seed=89)
-        cfg = FsSolverConfig(method="lsos_bfgs", max_epochs=2)
+        cfg = SolverConfig(method="lsos_bfgs", max_epochs=2)
         r1 = run_fs_solver(LogRegModel(model.dataset), cfg, np.zeros(model.n),
                            RngStream(90, 0))
         r2 = run_fs_solver(LogRegModel(model.dataset), cfg, np.zeros(model.n),

@@ -1,4 +1,4 @@
-"""Golden digests of the finite-sum experiments' outputs.
+"""Golden digests of the experiments' outputs.
 
 Each case runs one small experiment and hashes what it writes, minus the
 solver-time columns: every trace CSV without ``time_s``, every iteration
@@ -11,17 +11,22 @@ A change that moves iterates on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and lists in CHANGES.md which digests moved and by how much.  The cases
-are the fig3-synthetic preset at reps 2 and 2 epochs (grid search
-included, one worker) and a small sparse LIBSVM file that runs
-``lsos_fs``, ``saga_ls`` on the ``loss_split`` table and ``lsos_bfgs``.
-Neither depends on the BLAS thread count.
+and lists in CHANGES.md which digests moved and by how much.  The
+finite-sum cases are the fig3-synthetic preset at reps 2 and 2 epochs (grid
+search included, one worker) and a small sparse LIBSVM file that runs
+``lsos_fs``, ``saga_ls`` on the ``loss_split`` table and ``lsos_bfgs``;
+neither depends on the BLAS thread count.  The noisy-oracle cases are the
+fig1-small preset at reps 2 and fig2-small at reps 2 and 40 iterations.
+The dense fig1 solves change in the last bits with the BLAS thread count,
+so the noisy cases run in a child process with one BLAS thread.
 """
 
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -35,7 +40,9 @@ from stochnewton.harness import ExperimentSpec, build_problem, run_experiment
 from stochnewton.logreg import Dataset
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 TIME_COLUMNS = {"time_s", "mean_time_s"}
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def _sparse_libsvm(path: Path) -> None:
@@ -66,7 +73,18 @@ def _libsvm_spec(tmp: Path) -> ExperimentSpec:
     })
 
 
-CASES = {"fig3-synthetic": _fig3_spec, "libsvm-sparse": _libsvm_spec}
+def _fig1_spec(_tmp: Path) -> ExperimentSpec:
+    return ExperimentSpec.from_preset("fig1-small").override(**{"run.reps": "2"})
+
+
+def _fig2_spec(_tmp: Path) -> ExperimentSpec:
+    return ExperimentSpec.from_preset("fig2-small").override(**{
+        "run.reps": "2", "run.max_iters": "40"})
+
+
+CASES = {"fig3-synthetic": _fig3_spec, "libsvm-sparse": _libsvm_spec,
+         "fig1-small": _fig1_spec, "fig2-small": _fig2_spec}
+PINNED = ("fig1-small", "fig2-small")  # run with one BLAS thread
 
 
 def _digest_csv(text: str) -> str:
@@ -96,18 +114,45 @@ def case_digests(name: str, tmp: Path) -> dict:
     return digests
 
 
+def _digests_here(names) -> dict:
+    digests = {}
+    for name in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[name] = case_digests(name, Path(tmp))
+    return digests
+
+
+def pinned_digests(names) -> dict:
+    """``{case: digests}`` of `names`, computed in a child process whose
+    BLAS libraries start with one thread."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, __file__, "--digest", *names],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return pinned_digests(PINNED)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_match_golden_digests(name, tmp_path):
+def test_outputs_match_golden_digests(name, tmp_path, request):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
-    assert case_digests(name, tmp_path) == expected
+    digests = (request.getfixturevalue("pinned")[name] if name in PINNED
+               else case_digests(name, tmp_path))
+    assert digests == expected
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:2] == ["--digest"]:
+        print(json.dumps(_digests_here(sys.argv[2:])))
+    elif sys.argv[1:] == ["--write"]:
+        golden = _digests_here(sorted(set(CASES) - set(PINNED)))
+        golden.update(pinned_digests(PINNED))
+        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
+    else:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    golden = {}
-    for case in sorted(CASES):
-        with tempfile.TemporaryDirectory() as tmp:
-            golden[case] = case_digests(case, Path(tmp))
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")

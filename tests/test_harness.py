@@ -20,7 +20,6 @@ from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  build_solver_config, grid_search_step,
                                  resolve_grid_searches, run_experiment,
                                  run_replication)
-from stochnewton.fs_solvers import FsSolverConfig
 from stochnewton.logreg import Dataset
 from stochnewton.solvers import DeltaSchedule, GainParams, SolverConfig
 from stochnewton.steplen import LineSearchConfig
@@ -118,6 +117,13 @@ class TestSpecParsing:
         noisy = _small_spec()
         assert build_solver_config(noisy, "lsos").ls.theta == 0.9
 
+    def test_zero_max_epochs_sets_no_epoch_budget(self):
+        spec = ExperimentSpec.from_mapping({
+            "problem.kind": "logistic_synthetic", "run.solvers": "saga_ls",
+            "run.max_epochs": "0", "run.max_iters": "7"})
+        cfg = build_solver_config(spec, "saga_ls")
+        assert (cfg.max_epochs, cfg.max_iters) == (None, 7)
+
     def test_preset_configs_are_unchanged(self):
         # every field written out, so a default moving between the harness
         # and the config classes cannot change what a preset runs
@@ -135,13 +141,13 @@ class TestSpecParsing:
                                 time_budget_s=math.inf, grad_tol=None)
 
         def finite_sum(method):
-            return FsSolverConfig(method=method, ls=ls(0.999, t_start=0.1),
-                                  delta=DeltaSchedule("zero"), batch_size=None,
-                                  hess_batch_size=None, batch_scheme="partition",
-                                  m=10, l=5, saga_storage="dense",
-                                  cg_rel_floor=1e-6, cg_max_iters=None,
-                                  max_epochs=10, max_iters=None,
-                                  time_budget_s=math.inf, grad_tol=None)
+            return SolverConfig(method=method, ls=ls(0.999, t_start=0.1),
+                                delta=DeltaSchedule("zero"), batch_size=None,
+                                hess_batch_size=None, batch_scheme="partition",
+                                m=10, l=5, saga_storage="dense",
+                                cg_rel_floor=1e-6, cg_max_iters=None,
+                                max_epochs=10, max_iters=None,
+                                time_budget_s=math.inf, grad_tol=None)
 
         expected = {
             "fig1-small": {m: noisy(m, 50) for m in ("lsos", "sos", "sgd")},

@@ -360,6 +360,13 @@ class TestRowStore:
         self._close(model.batch_hessian(idx, x), ref["hessian"])
         self._close(model.loss_factors(idx, x), ref["factors"])
 
+    @pytest.mark.parametrize("idx", [[-1], []])
+    def test_loss_factors_validates_the_batch(self, model, idx):
+        x = np.zeros(model.n)
+        with pytest.raises(ValueError, match="batch"):
+            model.loss_factors(idx, x)
+        assert model.loss_factors(ALL_ROWS, x).shape == (model.N,)
+
     def test_all_rows_queries(self, model):
         dense = model.dataset.features.toarray()
         rng = RngStream(23, 0)

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from stochnewton import solvers
 from stochnewton.core import (PHASE_GAIN, PHASE_LINE_SEARCH, EvalCounts,
                               RngStream)
+from stochnewton.fs_solvers import run_fs_solver
 from stochnewton.linalg import SpdOperator, solve_cg
 from stochnewton.solvers import (DeltaSchedule, GainParams, SolverConfig,
                                  run_solver)
@@ -16,7 +18,8 @@ from stochnewton.steplen import BacktrackResult, LineSearchConfig, backtrack
 from stochnewton.synthetic import (HESS_HOUSEHOLDER, NoisyOracle,
                                    exact_solution, generate_problem)
 
-from conftest import ExactQuadraticOracle, random_spd
+from conftest import (ExactQuadraticOracle, quadratic_sum_problem,
+                      random_spd)
 
 
 def _noisy_setup(n, kappa, sigma, seed, form="dense"):
@@ -278,6 +281,33 @@ class TestSgd:
         mean_ls = np.mean([f["sgd_ls"] for f in per_seed])
         mean_plain = np.mean([f["sgd"] for f in per_seed])
         assert mean_ls <= mean_plain
+
+
+class TestConfig:
+    def test_method_picks_the_family_defaults(self):
+        noisy = SolverConfig(method="lsos")
+        fs = SolverConfig(method="lsos_fs", max_epochs=1)
+        assert (noisy.ls.theta, noisy.max_iters) == (0.9, 100)
+        assert (fs.ls.theta, fs.max_iters, fs.batch_scheme) == (0.999, None,
+                                                               "uniform")
+        assert SolverConfig(method="saga_ls",
+                            max_epochs=1).batch_scheme == "partition"
+        assert SolverConfig(method="lsos_inexact").delta.kind == "geometric"
+        assert SolverConfig().ls is not SolverConfig().ls
+
+    def test_replace_keeps_explicit_values(self):
+        cfg = SolverConfig(method="saga_ls", max_epochs=1,
+                           ls=LineSearchConfig(theta=0.5))
+        assert replace(cfg, batch_size=3).ls.theta == 0.5
+
+    def test_each_runner_takes_only_its_family(self, rng):
+        oracle = ExactQuadraticOracle(random_spd(3, rng))
+        with pytest.raises(ValueError, match="noisy-oracle"):
+            run_solver(oracle, SolverConfig(method="saga_ls", max_epochs=1),
+                       np.zeros(3))
+        with pytest.raises(ValueError, match="finite-sum"):
+            run_fs_solver(quadratic_sum_problem(4, 3), SolverConfig(),
+                          np.zeros(3), rng)
 
 
 class TestRobustness:
