@@ -1,11 +1,16 @@
 """Golden digests of the experiments' outputs.
 
 Each case runs one small experiment and hashes what it writes, minus the
-solver-time columns: every trace CSV without ``time_s``, every iteration
-aggregate without ``mean_time_s``, and the manifest without its
-``problem.path`` line.  ``repr(f_star)`` is kept as well.  The digests
-cover iterates, evaluation order and grid selections, so a change that
-is meant to leave them alone must leave ``tests/golden.json`` unchanged.
+solver-time columns (``time_s`` in traces, ``mean_time_s`` in iteration
+aggregates) and the manifest's ``problem.path`` line.  Each CSV is hashed
+twice: once without the objective-value columns (``f_hat``,
+``true_error``, ``mean_error``, ``ci95_half``), which pins the iterates,
+evaluation order and step lengths, and once over those columns alone,
+stored under ``<file>#values``.  ``repr(f_star)`` is kept as well.  A change
+that is meant to leave the outputs alone must leave ``tests/golden.json``
+unchanged; a change to how objective values are computed in floating
+point may move the ``#values`` digests and ``f_star`` while every iterate
+digest stays put.
 
 A change that moves iterates on purpose regenerates the file with
 
@@ -42,6 +47,7 @@ from stochnewton.logreg import Dataset
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 TIME_COLUMNS = {"time_s", "mean_time_s"}
+VALUE_COLUMNS = {"f_hat", "true_error", "mean_error", "ci95_half"}
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -87,11 +93,18 @@ CASES = {"fig3-synthetic": _fig3_spec, "libsvm-sparse": _libsvm_spec,
 PINNED = ("fig1-small", "fig2-small")  # run with one BLAS thread
 
 
-def _digest_csv(text: str) -> str:
-    rows = list(csv.reader(io.StringIO(text)))
-    keep = [i for i, name in enumerate(rows[0]) if name not in TIME_COLUMNS]
+def _digest_columns(rows: list, keep: list) -> str:
     kept = "\n".join(",".join(row[i] for i in keep) for row in rows)
     return hashlib.sha256(kept.encode()).hexdigest()
+
+
+def _digest_csv(text: str) -> tuple[str, str]:
+    """Digests of a CSV without its value columns, and of those alone."""
+    rows = list(csv.reader(io.StringIO(text)))
+    iterates = [i for i, name in enumerate(rows[0])
+                if name not in TIME_COLUMNS | VALUE_COLUMNS]
+    values = [i for i, name in enumerate(rows[0]) if name in VALUE_COLUMNS]
+    return _digest_columns(rows, iterates), _digest_columns(rows, values)
 
 
 def _digest_manifest(text: str) -> str:
@@ -108,8 +121,10 @@ def case_digests(name: str, tmp: Path) -> dict:
     digests = {}
     for path in sorted(out.iterdir()):
         text = path.read_text(encoding="utf-8")
-        digests[path.name] = (_digest_manifest(text) if path.suffix == ".txt"
-                              else _digest_csv(text))
+        if path.suffix == ".txt":
+            digests[path.name] = _digest_manifest(text)
+        else:
+            digests[path.name], digests[path.name + "#values"] = _digest_csv(text)
     digests["f_star"] = repr(build_problem(spec)[0].f_star)
     return digests
 
