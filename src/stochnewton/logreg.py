@@ -6,11 +6,16 @@ With margin ``m_i = b_i a_i^T x`` and ``z_i = 1 + exp(-m_i)``:
     grad phi_i(x) = ((1 - z_i)/z_i) b_i a_i + mu x
     hess phi_i(x) = ((z_i - 1)/z_i^2) a_i a_i^T + mu I
 
-The loss factors are evaluated through the stable sigmoid, so values and
-gradients stay finite for |m_i| up to the float64 exponent range:
-``(1-z)/z = -sigmoid(-m)`` and ``(z-1)/z^2 = sigmoid(m) sigmoid(-m)``, the
-latter lying in ``(0, 1/4]``.  Each component is ``mu``-strongly convex and
-the full Hessian is bounded above by ``L = mu + max_i ||a_i||^2``.
+Every kernel is a whole-array ufunc expression in ``e = exp(-|t|) <= 1``,
+so values and gradients stay finite over the float64 exponent range:
+
+    log(z)    = softplus(-m),  softplus(t) = max(t, 0) + log1p(e)
+    (1-z)/z   = -sigmoid(-m),  sigmoid(t) = (1 if t >= 0 else e) / (1 + e)
+    (z-1)/z^2 = sigmoid(m) sigmoid(-m) = (1/d) (e/d) in [0, 1/4],  d = 1 + e
+
+The softplus is numpy's ``logaddexp(0, t)`` algorithm.  Each component is
+``mu``-strongly convex and the full Hessian is bounded above by
+``L = mu + max_i ||a_i||^2``.
 """
 
 from __future__ import annotations
@@ -86,7 +91,8 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
     ``source`` is a path (gzip detected by magic bytes) or a text stream.
     Label sets {0,1}, {-1,+1} and {1,2} are normalized to {-1,+1} by mapping
     the smaller raw label to -1; the mapping is recorded on the dataset.
-    Malformed tokens raise :class:`LibsvmFormatError` with the line number;
+    Malformed tokens and non-finite labels or values raise
+    :class:`LibsvmFormatError` with the line number;
     non-increasing indices within a line only warn.  An index repeated
     within a line keeps its last value, and zero values are not stored.
     """
@@ -97,18 +103,22 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
         fh, close = source, False
     raw_labels: list[float] = []
     row_sizes: list[int] = []
+    skipped: list[int] = []  # numbers of the blank and comment lines
     all_cols: list[int] = []
     all_vals: list[float] = []
     try:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
+                skipped.append(lineno)
                 continue
             tokens = line.split()
             try:
                 label = float(tokens[0])
             except ValueError as exc:
                 raise LibsvmFormatError(f"line {lineno}: bad label {tokens[0]!r}") from exc
+            if not math.isfinite(label):
+                raise LibsvmFormatError(f"line {lineno}: bad label {tokens[0]!r}")
             prev_idx = 0
             for tok in tokens[1:]:
                 try:
@@ -151,6 +161,13 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
     rows = np.repeat(np.arange(n_rows, dtype=np.int64), row_sizes)
     cols = np.asarray(all_cols, dtype=np.int64) - 1
     vals = np.asarray(all_vals, dtype=np.float64)
+    if not np.isfinite(vals).all():
+        k = int(np.argmin(np.isfinite(vals)))  # the first non-finite value
+        line = int(rows[k]) + 1  # then one down per blank or comment line
+        for s in skipped:
+            line += s <= line
+        raise LibsvmFormatError(f"line {line}: non-finite value {all_vals[k]!r} "
+                                f"at index {all_cols[k]}")
     # stable sort by (row, column): repeats of an index keep file order
     order = np.argsort(rows * n + cols, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
@@ -188,13 +205,17 @@ def generate_synthetic_classification(N: int, n: int, separation: float,
     return Dataset(sp.csr_matrix(points), labels)
 
 
+# The kernels reuse their temporaries (``out=``) to bound their peak memory;
+# the arithmetic is that of the expressions in the module docstring.
+def _softplus(t: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(t))
+    return np.add(np.maximum(t, 0.0), np.log1p(e, out=e), out=e)  # log(1 + e^t)
+
+
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))
+    num = np.where(t >= 0, 1.0, e)
+    return np.divide(num, np.add(1.0, e, out=e), out=num)
 
 
 def _scale_rows(rows, w: np.ndarray):
@@ -211,8 +232,9 @@ def _loss_factors(rows, labels: np.ndarray, x: Vector) -> np.ndarray:
 
 
 def _curvatures(rows, labels: np.ndarray, x: Vector) -> np.ndarray:
-    m = labels * (rows @ x)
-    return _sigmoid(m) * _sigmoid(-m)  # (z-1)/z^2, in (0, 1/4]
+    e = np.exp(-np.abs(labels * (rows @ x)))
+    d = 1.0 + e
+    return np.multiply(1.0 / d, np.divide(e, d, out=e), out=e)  # (z-1)/z^2
 
 
 class LogRegModel(FiniteSumProblem):
@@ -251,7 +273,7 @@ class LogRegModel(FiniteSumProblem):
     def _batch_value(self, part, x):
         rows, labels = part
         m = labels * (rows @ x)
-        return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * self.mu * (x @ x))
+        return float(np.mean(_softplus(-m)) + 0.5 * self.mu * (x @ x))
 
     def _batch_gradient(self, part, x):
         rows, labels = part

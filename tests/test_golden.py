@@ -23,7 +23,10 @@ search included, one worker) and a small sparse LIBSVM file that runs
 neither depends on the BLAS thread count.  The noisy-oracle cases are the
 fig1-small preset at reps 2 and fig2-small at reps 2 and 40 iterations.
 The dense fig1 solves change in the last bits with the BLAS thread count,
-so the noisy cases run in a child process with one BLAS thread.
+so the noisy cases run in a child process with one BLAS thread.  The
+finite-sum digests and ``f_star`` also depend on the SIMD code numpy
+dispatches for float64 ``exp`` and ``log1p`` (see ``np.show_runtime()``),
+so they hold for one CPU family and numpy build.
 """
 
 import csv

@@ -12,8 +12,8 @@ from stochnewton.core import RngStream
 from stochnewton.finitesum import ALL_ROWS
 from stochnewton.linalg import fd_gradient_check, fd_hvp_check
 from stochnewton.logreg import (Dataset, LibsvmFormatError, LogRegModel,
-                                LogRegSagaTable,
-                                generate_synthetic_classification,
+                                LogRegSagaTable, _curvatures, _sigmoid,
+                                _softplus, generate_synthetic_classification,
                                 parse_libsvm)
 
 
@@ -44,12 +44,8 @@ class TestComponentFormulas:
         np.testing.assert_allclose(g, 0.25 * x, atol=1e-14)
 
     def test_hessian_factor_in_unit_quarter_interval(self, rng):
-        model = _tiny_model()
-        from stochnewton.logreg import _sigmoid
-        for _ in range(200):
-            m = rng.uniform(-700, 700)
-            w = _sigmoid(np.array([m]))[0] * _sigmoid(np.array([-m]))[0]
-            assert 0.0 < w <= 0.25
+        w = _margin_curvatures(rng.uniform(-700, 700, 200))
+        assert np.all((0.0 < w) & (w <= 0.25))
 
     def test_gradient_matches_finite_differences(self, rng):
         model = _tiny_model()
@@ -104,6 +100,50 @@ class TestComponentFormulas:
             model.batch_gradient([4], np.zeros(3))
 
 
+def _reference_sigmoid(t):
+    """The sign-masked sigmoid the ufunc kernel replaced, kept as its reference."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _margin_curvatures(m):
+    """``_curvatures`` at margins `m`: one all-ones feature, labels `m`, x = 1."""
+    return _curvatures(np.ones((m.size, 1)), m, np.ones(1))
+
+
+def _kernel_inputs():
+    """Signed zeros, subnormals, exp's overflow and underflow edges, +-inf,
+    and normal draws at scales from 0.01 to 800."""
+    edges = np.array([0.0, 1e-310, 709.0, 745.0, np.inf])
+    rng = RngStream(11, 0)
+    draws = [s * rng.standard_normal(2000) for s in (0.01, 0.1, 1, 10, 100, 800)]
+    return np.concatenate([edges, -edges, *draws])
+
+
+class TestKernels:
+    """The ufunc kernels against the sign-masked forms and ``np.logaddexp``."""
+
+    def test_sigmoid_is_bit_identical_to_masked_form(self):
+        t = _kernel_inputs()
+        assert np.array_equal(_sigmoid(t), _reference_sigmoid(t))
+
+    def test_curvatures_are_bit_identical_to_sigmoid_product(self):
+        m = _kernel_inputs()
+        ref = _reference_sigmoid(m) * _reference_sigmoid(-m)
+        assert np.array_equal(_margin_curvatures(m), ref)
+
+    def test_softplus_matches_logaddexp(self):
+        t = -_kernel_inputs()
+        got, ref = _softplus(t), np.logaddexp(0.0, t)
+        exact = (ref == 0.0) | np.isinf(ref)
+        assert np.array_equal(got[exact], ref[exact])
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+
+
 class TestLibsvmParsing:
     def test_basic_line(self):
         ds = parse_libsvm(io.StringIO("+1 3:0.5 7:1.0\n-1 1:2.0\n"))
@@ -137,13 +177,21 @@ class TestLibsvmParsing:
         ds = parse_libsvm(str(path))
         assert ds.N == 2 and ds.features[1, 1] == -0.5
 
-    def test_bad_label_reports_line(self):
-        with pytest.raises(LibsvmFormatError, match="line 2"):
-            parse_libsvm(io.StringIO("+1 1:1\nspam 1:1\n"))
+    @pytest.mark.parametrize("text, line", [
+        ("+1 1:1\nspam 1:1\n", 2), ("nan 1:1\n1 1:2\n", 1),
+        ("inf 1:1\n-1 1:2\n", 1), ("1 1:1\n-inf 1:2\n", 2)],
+        ids=["word", "nan", "inf", "-inf"])
+    def test_bad_label_reports_line(self, text, line):
+        with pytest.raises(LibsvmFormatError, match=f"line {line}:"):
+            parse_libsvm(io.StringIO(text))
 
-    def test_bad_token_reports_line(self):
-        with pytest.raises(LibsvmFormatError, match="line 1"):
-            parse_libsvm(io.StringIO("+1 1:one\n"))
+    @pytest.mark.parametrize("text, line", [
+        ("+1 1:one\n", 1), ("1 1:nan\n-1 2:1\n", 1), ("1 1:inf\n-1 2:1\n", 1),
+        ("# header\n\n+1 1:1\n-1 1:2 3:-inf\n", 4)],
+        ids=["word", "nan", "inf", "-inf-after-comment"])
+    def test_bad_token_reports_line(self, text, line):
+        with pytest.raises(LibsvmFormatError, match=f"line {line}:"):
+            parse_libsvm(io.StringIO(text))
 
     def test_non_increasing_indices_warn_but_parse(self):
         with pytest.warns(UserWarning, match="non-increasing"):
