@@ -17,13 +17,17 @@ from .harness import (AGG_BY_ITERATION, AGG_BY_TIME, ExperimentSpec, PRESETS,
                       write_manifest)
 
 
-def _load_spec(args) -> ExperimentSpec:
+def _load_spec(args, parser: argparse.ArgumentParser) -> ExperimentSpec:
+    """The spec file or preset of `args`; exactly one must be given."""
+    if args.preset and args.spec:
+        parser.error(f"give the spec file {args.spec!r} or --preset "
+                     f"{args.preset}, not both")
     if args.preset:
         spec = ExperimentSpec.from_preset(args.preset)
     elif args.spec:
         spec = ExperimentSpec.from_file(args.spec)
     else:
-        raise SystemExit("error: provide a spec file or --preset NAME")
+        parser.error("provide a spec file or --preset NAME")
     overrides = {}
     if args.seed is not None:
         overrides["run.seed"] = args.seed
@@ -84,7 +88,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "grid":
-        spec = _load_spec(args)
+        spec = _load_spec(args, p_grid)
         problem, kind = build_problem(spec)
         with worker_pool(spec, problem, kind) as pool:
             resolved = resolve_grid_searches(spec, problem, kind, pool)
@@ -98,7 +102,7 @@ def main(argv=None) -> int:
         return 0
 
     # run
-    spec = _load_spec(args)
+    spec = _load_spec(args, p_run)
     result = run_experiment(spec, out_dir=args.out)
     mode = (AGG_BY_TIME if spec.get("run.aggregate") == AGG_BY_TIME
             else AGG_BY_ITERATION)

@@ -121,6 +121,14 @@ class FiniteSumProblem:
         """Full objective, outside the evaluation accounting."""
         return self._batch_value(self._slice(ALL_ROWS), x)
 
+    def objectives(self, xs) -> np.ndarray:
+        """Full objective at each row of `xs`, shape ``(B, n)``, uncounted.
+
+        Equal to :meth:`objective` row by row; a subclass may override it
+        with one pass over its data for the whole block.
+        """
+        return np.array([self.objective(x) for x in xs])
+
     def full_gradient_exact(self, x: Vector) -> Vector:
         """Full gradient, outside the evaluation accounting."""
         return self._batch_gradient(self._slice(ALL_ROWS), x)
@@ -135,9 +143,12 @@ class QuadraticSumProblem(FiniteSumProblem):
     def __init__(self, hessians: Sequence[np.ndarray], rhs: Sequence[Vector]):
         self.hessians = np.asarray(hessians, dtype=np.float64)
         self.rhs = np.asarray(rhs, dtype=np.float64)
-        if len(self.hessians) != len(self.rhs):
-            raise ValueError("need one rhs per Hessian")
-        super().__init__(len(self.hessians), self.rhs.shape[1])
+        shape = self.rhs.shape  # (N, n)
+        if len(shape) != 2 or self.hessians.shape != shape + shape[1:]:
+            raise ValueError(f"need Hessians of shape (N, n, n) and rhs of "
+                             f"shape (N, n), got {self.hessians.shape} and "
+                             f"{shape}")
+        super().__init__(*shape)
 
     def _slice(self, idx):
         return self.hessians[idx], self.rhs[idx]

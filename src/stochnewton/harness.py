@@ -170,7 +170,7 @@ SCHEMA = {
     "run.max_iters": _Key(_int_min(1), "50"),
     "run.max_epochs": _Key(_int_min(0), "0"),
     "run.time_budget_s": _Key(_positive, "inf"),
-    "run.grad_tol": _Key(float, "0.0"),
+    "run.grad_tol": _Key(_float_min(0), "0.0"),
     "run.x0": _Key(_choice("auto", "gauss5", "zeros"), "auto"),
     "run.aggregate": _Key(_choice(AGG_BY_ITERATION, AGG_BY_TIME, "both"), "iter"),
     "run.workers": _Key(_int_min(1), "1"),
@@ -381,8 +381,8 @@ def run_replication(problem, kind: str, spec: ExperimentSpec, name: str,
                     rep: int, *, final_error_only: bool = False) -> RunTrace:
     """One (solver, replication) run; fully determined by ``(seed, rep)``.
 
-    ``final_error_only`` gives only the last record a true error (grid
-    pilots); the iterates are the same.
+    ``final_error_only`` gives a true error only to the last record before
+    any divergence record (grid pilots); the iterates are the same.
     """
     rep_stream = RngStream(spec.get("run.seed"), rep)
     x0 = initial_point(spec, problem, kind, rep_stream)

@@ -207,9 +207,13 @@ def generate_synthetic_classification(N: int, n: int, separation: float,
 
 # The kernels reuse their temporaries (``out=``) to bound their peak memory;
 # the arithmetic is that of the expressions in the module docstring.
-def _softplus(t: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(t))
-    return np.add(np.maximum(t, 0.0), np.log1p(e, out=e), out=e)  # log(1 + e^t)
+def _softplus(t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``log(1 + e^t)``, written into `out` if given (which may be `t`)."""
+    e = np.abs(t)
+    np.exp(np.negative(e, out=e), out=e)
+    np.log1p(e, out=e)
+    return np.add(np.maximum(t, 0.0, out=out), e,
+                  out=e if out is None else out)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -274,6 +278,20 @@ class LogRegModel(FiniteSumProblem):
         rows, labels = part
         m = labels * (rows @ x)
         return float(np.mean(_softplus(-m)) + 0.5 * self.mu * (x @ x))
+
+    def objectives(self, xs) -> np.ndarray:
+        """Full objective at each row of `xs`, by one product ``store @ xs.T``.
+
+        The margins are copied to C order, ``(B, N)``, so each row's mean
+        is numpy's pairwise sum as in :meth:`_batch_value`: equal to
+        :meth:`objective` to the last bit on a CSR store, and within 1 ulp
+        on a dense one, whose ``B >= 2`` product is a matrix product.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        t = np.ascontiguousarray((self.store @ xs.T).T)
+        losses = _softplus(np.multiply(t, -self.dataset.labels, out=t), out=t)
+        regs = np.array([x @ x for x in xs])
+        return np.mean(losses, axis=1) + 0.5 * self.mu * regs
 
     def _batch_gradient(self, part, x):
         rows, labels = part

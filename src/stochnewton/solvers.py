@@ -170,6 +170,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not (0.0 < self.cg_rel_floor < 1.0):
             raise ValueError("cg_rel_floor must lie in (0, 1)")
+        if not self.time_budget_s > 0:  # NaN fails too
+            raise ValueError("time_budget_s must be > 0")
+        if self.grad_tol is not None and not self.grad_tol >= 0:
+            raise ValueError("grad_tol must be >= 0")
         if finite_sum and self.max_epochs is None and self.max_iters is None \
                 and not math.isfinite(self.time_budget_s):
             raise ValueError("need at least one of max_epochs/max_iters/time budget")
@@ -210,12 +214,15 @@ def run_solver(oracle, cfg: SolverConfig, x0: Vector, *,
     def objective(x, _batch):
         return oracle.sample(x, want_value=True).value
 
+    def true_errors(xs):
+        return [oracle.true_error(x) for x in xs]
+
     has_ref = getattr(getattr(oracle, "problem", None), "f_star", None) is not None
     return _lsos_loop(
         cfg, as_vector(x0, oracle.n).copy(), itertools.repeat(None),
         estimate=estimate, direction=newton_step if newton else None,
         objective=objective, after_step=None,
-        true_error=oracle.true_error if has_ref else None,
+        true_errors=true_errors if has_ref else None,
         counts=oracle.counts, since=oracle.counts(), gain=cfg.gain,
         line_search=cfg.method in _LS_METHODS, final_error_only=final_error_only)
 
@@ -253,9 +260,9 @@ def _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref, t=0.0):
 
 
 def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
-               objective, after_step, true_error, counts, since: EvalCounts,
+               objective, after_step, true_errors, counts, since: EvalCounts,
                elapsed: float = 0.0, gain: Optional[GainParams] = None,
-               line_search: bool = True,
+               line_search: bool = True, error_block: int = 1,
                final_error_only: bool = False) -> SolverResult:
     """The LSOS iteration ``x_{k+1} = x_k + t_k d_k`` shared by every method.
 
@@ -283,13 +290,27 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     search and post-step update.  Instrumentation is left out: the true
     error, and a gain-phase ``f_hat`` evaluated only for the record.
 
-    ``final_error_only`` leaves ``true_error`` empty on every record but
-    the last, for a caller that reads only the final error (grid pilots).
-    The exact query draws no noise, counts nothing and is not timed, so the
-    iterates are those of a full run.
+    True errors are evaluated in blocks, while the clock is stopped:
+    ``true_errors(xs)`` returns the error at each of the iterates ``xs``, a
+    list of ``error_block`` or fewer vectors.  Each record's iterate waits
+    in a queue, uncopied (the loop never writes into an iterate), until
+    ``error_block`` are pending or the loop ends.  A divergence record
+    keeps its infinite error.  ``final_error_only`` queues only the newest
+    iterate, so one exact query fills the last record that has one, for a
+    caller that reads only the final error (grid pilots).  The exact query
+    draws no noise and counts nothing, so the iterates are those of a full
+    run.
     """
     trace = RunTrace()
-    has_ref = true_error is not None
+    has_ref = true_errors is not None
+    pending: list = []  # (k, x_k) of the records awaiting their true error
+
+    def fill_true_errors():
+        errors = true_errors([x_k for _, x_k in pending])
+        for (i, _), error in zip(pending, errors):
+            trace.records[i].true_error = float(error)
+        pending.clear()
+
     phase = PHASE_LINE_SEARCH if line_search else PHASE_GAIN
     schedule: Optional[GainSchedule] = None
     k_tau: Optional[int] = None
@@ -363,20 +384,23 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
         if f_hat is None:
             f_hat = objective(x, batch)
         trace.append(TraceRecord(
-            iter=k, wall_time_s=elapsed, f_hat=f_hat,
-            true_error=(true_error(x) if has_ref and not final_error_only
-                        else None),
+            iter=k, wall_time_s=elapsed, f_hat=f_hat, true_error=None,
             grad_norm_hat=gnorm, step_len=t, phase=phase, cg_iters=cg_iters,
             cg_relres=cg_relres, fallback=fallback,
         ))
-        x_recorded, x = x, x_next
+        if has_ref:
+            pending.append((k, x))
+            if final_error_only:
+                del pending[:-1]  # only the newest iterate waits
+            elif len(pending) == error_block:
+                fill_true_errors()
+        x = x_next
         k += 1
         tic = time.perf_counter()
     else:
         stop_reason = "max_iters" if k == cfg.max_iters else "max_epochs"
-    if final_error_only and has_ref and trace.records \
-            and trace.records[-1].true_error is None:  # not a divergence record
-        trace.records[-1].true_error = true_error(x_recorded)
+    if pending:
+        fill_true_errors()
 
     now = counts()
     evals = EvalCounts(now.f_evals - since.f_evals, now.g_evals - since.g_evals,

@@ -48,6 +48,15 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run"])
 
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_spec_and_preset_together_are_a_usage_error(self, command,
+                                                        spec_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, spec_file, "--preset", "fig1-small"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and spec_file in err and "fig1-small" in err
+
     def test_runs_without_records_print_no_final_error(self, tmp_path, capsys):
         # every run meets grad_tol before its first record
         stop = TINY_SPEC + "run.grad_tol = 1e9\n"

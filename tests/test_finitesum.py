@@ -1,5 +1,6 @@
 """Mini-batch machinery: partitions, subsampled estimators, the SAGA table."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochnewton.core import RngStream
-from stochnewton.finitesum import (Batch, SagaTable, default_batch_size,
-                                   make_partition)
+from stochnewton.finitesum import (Batch, QuadraticSumProblem, SagaTable,
+                                   default_batch_size, make_partition)
 from stochnewton.linalg import fd_hvp_check
 from stochnewton.logreg import (Dataset, LogRegModel, LogRegSagaTable,
                                 generate_synthetic_classification)
@@ -101,6 +102,14 @@ class TestSubsampledEstimators:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             self.prob.batch_gradient([6], self.x)
+
+    @pytest.mark.parametrize("hessians, rhs", [
+        ((4, 3, 3), (4,)), ((4, 3, 3), (4, 5)), ((4, 3, 3), (5, 3)),
+        ((4, 3, 2), (4, 3)), ((4, 3), (4, 3)), ((4, 3, 3), (4, 3, 1))])
+    def test_shapes_are_checked(self, hessians, rhs):
+        shapes = re.escape(f"{hessians} and {rhs}")
+        with pytest.raises(ValueError, match=shapes):
+            QuadraticSumProblem(np.ones(hessians), np.ones(rhs))
 
     def test_full_quantities_equal_component_means(self):
         # direct summation over all components, N <= 100
@@ -282,3 +291,43 @@ class TestBatchView:
             with pytest.raises(ValueError):
                 table.update(bad, x)
             assert problem.counts() == before
+
+
+class TestObjectives:
+    """The block objective ``objectives(xs)`` against ``objective`` per row."""
+
+    @staticmethod
+    def _iterates(problem, B):
+        return 2.0 * RngStream(21, B).standard_normal((B, problem.n))
+
+    @staticmethod
+    def _per_point(problem, xs):
+        return np.array([problem.objective(x) for x in xs])
+
+    @pytest.mark.parametrize("B", range(1, 10))
+    def test_csr_store_is_bit_identical(self, B):
+        rng = np.random.default_rng(22)
+        features = sp.random(2000, 30, density=0.1, format="csr",
+                             random_state=rng, data_rvs=rng.standard_normal)
+        labels = np.where(rng.uniform(size=2000) < 0.5, -1.0, 1.0)
+        model = LogRegModel(Dataset(features, labels))
+        assert isinstance(model.store, sp.csr_matrix)
+        xs = self._iterates(model, B)
+        assert np.array_equal(model.objectives(xs), self._per_point(model, xs))
+
+    @pytest.mark.parametrize("B", [1, 2, 5, 9])
+    def test_dense_store_matches_to_rounding(self, B):
+        model = LogRegModel(generate_synthetic_classification(
+            2000, 30, 1.0, RngStream(23, 0)))
+        assert isinstance(model.store, np.ndarray)
+        xs = self._iterates(model, B)
+        np.testing.assert_allclose(model.objectives(xs),
+                                   self._per_point(model, xs),
+                                   rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_quadratic_maps_the_objective(self, B):
+        problem = quadratic_sum_problem(12, 4, seed=24)
+        xs = self._iterates(problem, B)
+        assert np.array_equal(problem.objectives(xs),
+                              self._per_point(problem, xs))

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 
 from stochnewton import solvers
 from stochnewton.core import EvalCounts, PHASE_LINE_SEARCH, RngStream
-from stochnewton.fs_solvers import _epoch_batches, run_fs_solver
-from stochnewton.logreg import (Dataset, LogRegModel,
+from stochnewton.fs_solvers import _epoch_batches, _error_block, run_fs_solver
+from stochnewton.logreg import (Dataset, LogRegModel, LogRegSagaTable,
                                 generate_synthetic_classification)
 from stochnewton.solvers import DeltaSchedule, SolverConfig
 from stochnewton.steplen import BacktrackResult, LineSearchConfig, backtrack
@@ -260,6 +260,33 @@ class TestOneSlicePerIteration:
         res = run_fs_solver(model, cfg, np.zeros(model.n), RngStream(92, 0))
         assert res.iterations > 0 and res.stop_reason == "max_epochs"
         assert len(slices) == res.iterations
+
+
+class TestTrueErrorBlocks:
+    def test_every_record_holds_the_exact_error_of_its_iterate(self,
+                                                               monkeypatch):
+        model = TestOneSlicePerIteration._csr_model()
+        _, f_star = model.reference_optimum()
+        iterates = [np.zeros(model.n)]
+        update = LogRegSagaTable.update
+
+        def capture(table, batch, x_next):  # the run's after_step
+            iterates.append(x_next.copy())
+            update(table, batch, x_next)
+
+        monkeypatch.setattr(LogRegSagaTable, "update", capture)
+        cfg = SolverConfig(method="saga_ls", saga_storage="loss_split",
+                           max_epochs=2)
+        res = run_fs_solver(model, cfg, iterates[0], RngStream(93, 0),
+                            f_star=f_star)
+        block = _error_block(model.N)
+        assert block == 8 and res.iterations % block != 0  # a partial block
+        assert res.trace.column("true_error") == [
+            model.objective(x) - f_star for x in iterates[:res.iterations]]
+
+    def test_block_size_bounds_the_buffer(self):
+        assert [_error_block(N) for N in (1, 2000, 20000, 65536, 65537)] \
+            == [8, 8, 6, 2, 1]
 
 
 class TestBudgetsAndValidation:

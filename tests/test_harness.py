@@ -12,7 +12,6 @@ import pytest
 
 from stochnewton.core import (PHASE_LINE_SEARCH, RngStream, RunTrace,
                               TraceRecord)
-from stochnewton.finitesum import FiniteSumProblem
 from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  ExperimentSpec, GridSearchError, PRESETS,
                                  SCHEMA, SpecError, _run_jobs, _trace_errors,
@@ -20,7 +19,7 @@ from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  build_solver_config, grid_search_step,
                                  resolve_grid_searches, run_experiment,
                                  run_replication)
-from stochnewton.logreg import Dataset
+from stochnewton.logreg import Dataset, LogRegModel
 from stochnewton.solvers import DeltaSchedule, GainParams, SolverConfig
 from stochnewton.steplen import LineSearchConfig
 from stochnewton.synthetic import NoisyOracle
@@ -226,6 +225,8 @@ class TestSpecParsing:
           for method in ("sgd", "sgd_ls")
           for param, value in [("delta", "zero"), ("cg_rel_floor", "0.1"),
                                ("cg_max_iters", "5")]],
+        *[({"run.grad_tol": value}, "run.grad_tol")
+          for value in ("-1", "nan", "-inf")],
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:
@@ -388,15 +389,15 @@ class TestPilots:
         def count(cls, attr):
             original = getattr(cls, attr)
 
-            def counted(self, x):
-                calls[attr] += 1
+            def counted(self, x):  # the number of iterates of each query
+                calls[attr].append(len(np.atleast_2d(x)))
                 return original(self, x)
             monkeypatch.setattr(cls, attr, counted)
 
-        count(FiniteSumProblem, "objective")
+        count(LogRegModel, "objectives")  # the logistic block pass
         count(NoisyOracle, "true_error")
         specs = {
-            "objective": _logistic_spec(**{
+            "objectives": _logistic_spec(**{
                 "grid.candidates": "1,1e-1,1e-2",
                 "solver.saga_ls.t_ini": "grid",
                 "solver.lsos_bfgs.t_ini": "grid"}),
@@ -405,11 +406,12 @@ class TestPilots:
         }
         for attr, spec in specs.items():
             problem, kind = build_problem(spec)
-            calls.update(objective=0, true_error=0)
+            calls.update(objectives=[], true_error=[])
             resolve_grid_searches(spec, problem, kind)
             n_grid = sum(spec.get(f"solver.{name}.t_ini") == "grid"
                          for name in spec.solver_names())
-            assert calls[attr] == n_grid * len(spec.get("grid.candidates"))
+            n_pilots = n_grid * len(spec.get("grid.candidates"))
+            assert calls[attr] == [1] * n_pilots
 
     @pytest.mark.parametrize("spec", [
         _small_spec(),

@@ -1,5 +1,6 @@
 """Noisy-oracle solver drivers: SOS, LSOS (exact and inexact), SGD variants."""
 
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -295,6 +296,15 @@ class TestConfig:
         assert SolverConfig(method="lsos_inexact").delta.kind == "geometric"
         assert SolverConfig().ls is not SolverConfig().ls
 
+    @pytest.mark.parametrize("name, value", [
+        ("grad_tol", -1.0), ("grad_tol", math.nan), ("grad_tol", -math.inf),
+        ("time_budget_s", 0.0), ("time_budget_s", -1.0),
+        ("time_budget_s", math.nan)])
+    def test_rejects_negative_tolerance_and_empty_time_budget(self, name,
+                                                                value):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            SolverConfig(method="sgd", **{name: value})
+
     def test_replace_keeps_explicit_values(self):
         cfg = SolverConfig(method="saga_ls", max_epochs=1,
                            ls=LineSearchConfig(theta=0.5))
@@ -378,9 +388,42 @@ class TestSolverClock:
         res = solvers._lsos_loop(
             cfg, np.ones(3), slow_items(), estimate=lambda x, _: x,
             direction=None, objective=lambda x, _: 0.5 * float(x @ x),
-            after_step=None, true_error=None, counts=EvalCounts,
+            after_step=None, true_errors=None, counts=EvalCounts,
             since=EvalCounts(), gain=cfg.gain)
         times = res.trace.column("wall_time_s")
         assert len(times) == 5
         for k, wall in enumerate(times):
             assert wall >= (k + 1) * pause
+
+    @pytest.mark.parametrize("final_error_only", [False, True])
+    def test_true_errors_come_in_blocks_off_the_clock(self, final_error_only):
+        # a sleeping stub: its time must not reach the records
+        pause, block, x0 = 0.02, 3, np.ones(3)
+        steps, queried = [], []
+
+        def true_errors(xs):
+            time.sleep(pause)
+            queried.append(list(xs))
+            return [0.5 * float(x @ x) for x in xs]
+
+        cfg = SolverConfig(method="sgd_ls", max_iters=8,
+                           ls=LineSearchConfig(t_start=0.5))
+        res = solvers._lsos_loop(
+            cfg, x0, itertools.repeat(None), estimate=lambda x, _: x,
+            direction=None, objective=lambda x, _: 0.5 * float(x @ x),
+            after_step=lambda x, _: steps.append(x), true_errors=true_errors,
+            counts=EvalCounts, since=EvalCounts(), gain=cfg.gain,
+            error_block=block, final_error_only=final_error_only)
+        assert max(res.trace.column("wall_time_s")) < pause
+        iterates = [x0] + steps[:-1]  # record k is taken at x_k
+        errors = [0.5 * float(x @ x) for x in iterates]
+        sizes = [3, 3, 2]
+        if final_error_only:  # one query, for the last record
+            sizes, iterates = [1], iterates[-1:]
+            errors = [None] * 7 + errors[-1:]
+        assert [len(xs) for xs in queried] == sizes
+        assert res.trace.column("true_error") == errors
+        # the queue holds the iterates themselves, not copies
+        queued = [x for xs in queried for x in xs]
+        assert len(queued) == len(iterates)
+        assert all(a is b for a, b in zip(queued, iterates))
