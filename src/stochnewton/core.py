@@ -11,7 +11,6 @@ builds on the three contracts defined here:
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -233,12 +232,6 @@ def write_trace_csv(trace: RunTrace, fh) -> None:
                 r.phase,
             ]
         )
-
-
-def trace_to_csv_text(trace: RunTrace) -> str:
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    return buf.getvalue()
 
 
 def read_trace_csv(fh) -> RunTrace:

@@ -24,6 +24,7 @@ import gzip
 import io
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -78,11 +79,14 @@ class Dataset:
 
 
 def _open_maybe_gzip(path: str):
+    # surrogateescape: an undecodable byte reaches the parser as a lone
+    # surrogate, so a comment line stays skipped and a token fails by line
     with open(path, "rb") as probe:
         magic = probe.read(2)
     if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8",
+                                errors="surrogateescape")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = None) -> Dataset:
@@ -91,26 +95,33 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
     ``source`` is a path (gzip detected by magic bytes) or a text stream.
     Label sets {0,1}, {-1,+1} and {1,2} are normalized to {-1,+1} by mapping
     the smaller raw label to -1; the mapping is recorded on the dataset.
-    Malformed tokens and non-finite labels or values raise
+    Malformed tokens, indices beyond int64, non-finite labels or values and
+    bytes that are not UTF-8 (outside comment lines) raise
     :class:`LibsvmFormatError` with the line number;
     non-increasing indices within a line only warn.  An index repeated
     within a line keeps its last value, and zero values are not stored.
+
+    Tokens go straight into typed buffers, 16 bytes per nonzero (index and
+    value), and the value buffer becomes the CSR data without a copy when
+    nothing is dropped.  Input whose lines are all strictly increasing (as
+    :meth:`Dataset.to_libsvm` writes) is not re-sorted.
     """
     if isinstance(source, str):
         fh = _open_maybe_gzip(source)
         close = True
     else:
         fh, close = source, False
-    raw_labels: list[float] = []
-    row_sizes: list[int] = []
-    skipped: list[int] = []  # numbers of the blank and comment lines
-    all_cols: list[int] = []
-    all_vals: list[float] = []
+    raw_labels = array("d")
+    row_sizes = array("q")
+    row_lines = array("q")  # the file line of each data row
+    all_cols = array("q")
+    all_vals = array("d")
+    add_col, add_val = all_cols.append, all_vals.append
+    ordered = True
     try:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
-                skipped.append(lineno)
                 continue
             tokens = line.split()
             try:
@@ -130,11 +141,16 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
                     raise LibsvmFormatError(f"line {lineno}: index {idx} < 1")
                 if idx <= prev_idx:
                     warnings.warn(f"line {lineno}: non-increasing feature index {idx}")
+                    ordered = False
                 prev_idx = idx
-                all_cols.append(idx)
-                all_vals.append(val)
+                try:
+                    add_col(idx)
+                except OverflowError as exc:
+                    raise LibsvmFormatError(f"line {lineno}: index {idx} beyond int64") from exc
+                add_val(val)
             raw_labels.append(label)
             row_sizes.append(len(tokens) - 1)
+            row_lines.append(lineno)
     finally:
         if close:
             fh.close()
@@ -152,30 +168,39 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
         mapping = {uniq[0]: 1.0}
     labels = np.array([mapping[l] for l in raw_labels])
 
-    max_index = max(all_cols, default=0)
+    cols = np.frombuffer(all_cols, dtype=np.int64)
+    vals = np.frombuffer(all_vals, dtype=np.float64)
+    max_index = int(cols.max()) if cols.size else 0
     n = n_features if n_features is not None else max_index
     if n < max_index:
         raise LibsvmFormatError(f"n_features={n} below max index {max_index}")
     n = max(n, 1)
     n_rows = len(row_sizes)
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), row_sizes)
-    cols = np.asarray(all_cols, dtype=np.int64) - 1
-    vals = np.asarray(all_vals, dtype=np.float64)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    sizes = np.frombuffer(row_sizes, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
     if not np.isfinite(vals).all():
         k = int(np.argmin(np.isfinite(vals)))  # the first non-finite value
-        line = int(rows[k]) + 1  # then one down per blank or comment line
-        for s in skipped:
-            line += s <= line
+        line = row_lines[int(np.searchsorted(indptr, k, side="right")) - 1]
         raise LibsvmFormatError(f"line {line}: non-finite value {all_vals[k]!r} "
                                 f"at index {all_cols[k]}")
-    # stable sort by (row, column): repeats of an index keep file order
-    order = np.argsort(rows * n + cols, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    keep = vals != 0.0
-    keep[:-1] &= (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=n_rows), out=indptr[1:])
-    features = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_rows, n))
+    cols -= 1  # in place: the buffer is not read again
+    if ordered:
+        keep = vals != 0.0
+    else:
+        # stable sort by (row, column): repeats of an index keep file order,
+        # so the last one survives; rows are already in order and stay put
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), sizes)
+        order = np.lexsort((cols, rows))
+        cols, vals = cols[order], vals[order]
+        keep = vals != 0.0
+        keep[:-1] &= (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    dropped = np.flatnonzero(~keep)
+    if dropped.size:
+        cols, vals = cols[keep], vals[keep]
+        dropped_rows = np.searchsorted(indptr, dropped, side="right") - 1
+        indptr[1:] -= np.cumsum(np.bincount(dropped_rows, minlength=n_rows))
+    features = sp.csr_matrix((vals, cols, indptr), shape=(n_rows, n))
     return Dataset(features, labels, label_mapping=mapping)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from stochnewton.core import (EvalCounts, PHASE_GAIN, PHASE_LINE_SEARCH,
                               RngStream, RunTrace, TraceRecord, as_vector,
-                              read_trace_csv, trace_to_csv_text)
+                              read_trace_csv, write_trace_csv)
 
 
 class TestRngStream:
@@ -127,6 +127,12 @@ class TestRunTrace:
         assert len(tr) == len(iters)
 
 
+def _csv_text(trace):
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    return buf.getvalue()
+
+
 class TestTraceCsv:
     def _trace(self):
         tr = RunTrace("demo-rep00")
@@ -136,7 +142,7 @@ class TestTraceCsv:
         return tr
 
     def test_schema_and_absent_error_encoding(self):
-        text = trace_to_csv_text(self._trace())
+        text = _csv_text(self._trace())
         lines = text.strip().split("\n")
         assert lines[0] == "run_id,iter,time_s,f_hat,true_error,grad_norm,step,phase"
         assert lines[1].startswith("demo-rep00,0,") and ",LS" in lines[1]
@@ -146,7 +152,7 @@ class TestTraceCsv:
 
     def test_round_trip(self):
         tr = self._trace()
-        back = read_trace_csv(io.StringIO(trace_to_csv_text(tr)))
+        back = read_trace_csv(io.StringIO(_csv_text(tr)))
         assert back.run_id == tr.run_id
         for a, b in zip(tr.records, back.records):
             assert (a.iter, a.wall_time_s, a.f_hat, a.true_error,
@@ -157,7 +163,7 @@ class TestTraceCsv:
     def test_round_trip_preserves_full_float_precision(self):
         tr = RunTrace("r")
         tr.append(_rec(0, f=math.pi * 1e-7, err=1 / 3, g=math.e, step=0.1))
-        back = read_trace_csv(io.StringIO(trace_to_csv_text(tr)))
+        back = read_trace_csv(io.StringIO(_csv_text(tr)))
         assert back.records[0].f_hat == math.pi * 1e-7
         assert back.records[0].true_error == 1 / 3
 

@@ -2,6 +2,7 @@
 
 import gzip
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -206,15 +207,37 @@ class TestLibsvmParsing:
         with pytest.raises(LibsvmFormatError):
             parse_libsvm(io.StringIO("+1 5:1\n"), n_features=3)
 
-    def test_matches_entrywise_lil_reference(self):
+    @pytest.mark.parametrize("text, expected_warnings", [
         # repeated indices (last value wins), explicit zeros, out-of-order
-        # indices and an empty row, against entry-by-entry lil assignment
-        text = ("+1 4:1.5 2:-2.0 4:3.0 7:0\n"
-                "-1 3:0 3:2.5 1:1.0\n"
-                "+1 5:1.0 5:0.0 6:-0.0\n"
-                "-1\n"
-                "+1 9:0.25 8:4.0 2:1e-3 2:7.0\n")
-
+        # indices and an empty row
+        ("+1 4:1.5 2:-2.0 4:3.0 7:0\n"
+         "-1 3:0 3:2.5 1:1.0\n"
+         "+1 5:1.0 5:0.0 6:-0.0\n"
+         "-1\n"
+         "+1 9:0.25 8:4.0 2:1e-3 2:7.0\n",
+         ["line 1: non-increasing feature index 2",
+          "line 2: non-increasing feature index 3",
+          "line 2: non-increasing feature index 1",
+          "line 3: non-increasing feature index 5",
+          "line 5: non-increasing feature index 8",
+          "line 5: non-increasing feature index 2",
+          "line 5: non-increasing feature index 2"]),
+        # ordered lines with explicit zeros: dropped without a re-sort
+        ("+1 1:0 2:1.5 4:-0.0 9:2\n"
+         "-1\n"
+         "+1 3:0.0\n"
+         "-1 1:-1 3:0 5:4 6:0\n",
+         []),
+        # only the last line is out of order
+        ("+1 1:1 3:2 5:0\n"
+         "-1 2:-1 8:3\n"
+         "+1 9:0.5 4:2 4:0 1:7\n",
+         ["line 3: non-increasing feature index 4",
+          "line 3: non-increasing feature index 4",
+          "line 3: non-increasing feature index 1"]),
+    ], ids=["unordered", "ordered-zeros", "last-line-unordered"])
+    def test_matches_entrywise_lil_reference(self, text, expected_warnings):
+        # against entry-by-entry lil assignment
         def lil_reference():
             rows = []
             for line in text.splitlines():
@@ -235,15 +258,52 @@ class TestLibsvmParsing:
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(expected, attr))
         assert got.has_sorted_indices
-        assert [str(w.message) for w in caught] == [
-            "line 1: non-increasing feature index 2",
-            "line 2: non-increasing feature index 3",
-            "line 2: non-increasing feature index 1",
-            "line 3: non-increasing feature index 5",
-            "line 5: non-increasing feature index 8",
-            "line 5: non-increasing feature index 2",
-            "line 5: non-increasing feature index 2",
-        ]
+        assert [str(w.message) for w in caught] == expected_warnings
+
+    def test_sort_key_does_not_overflow(self):
+        # n_rows * n >= 2**63: a combined row * n + col key would wrap and
+        # move row 2's entries into row 0
+        text = "+1 2:5 1:7\n-1 3:1\n+1 4611686018427387904:9 1:2\n"
+        with pytest.warns(UserWarning, match="non-increasing"):
+            ds = parse_libsvm(io.StringIO(text))
+        rows = [dict(zip(ds.features[i].indices.tolist(), ds.features[i].data.tolist()))
+                for i in range(ds.N)]
+        assert rows == [{0: 7.0, 1: 5.0}, {2: 1.0}, {0: 2.0, 2**62 - 1: 9.0}]
+
+    def test_index_beyond_int64_reports_line(self):
+        with pytest.raises(LibsvmFormatError, match="line 2: index 9223372036854775808"):
+            parse_libsvm(io.StringIO("+1 1:1\n-1 9223372036854775808:1\n"))
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_undecodable_bytes(self, tmp_path, compress):
+        def parse(raw):
+            path = tmp_path / "data.txt"
+            path.write_bytes(gzip.compress(raw) if compress else raw)
+            return parse_libsvm(str(path))
+
+        assert parse(b"# caf\xe9\n+1 1:1\n-1 2:3\n").N == 2
+        with pytest.raises(LibsvmFormatError, match="line 2: bad token"):
+            parse(b"+1 1:1\n-1 2:1\xa05\n")
+        with pytest.raises(LibsvmFormatError, match="line 3: bad label"):
+            parse(b"+1 1:1\n\n\xa0-1 2:1\n")
+
+    def test_parse_peak_memory_per_nonzero(self, tmp_path):
+        # 12000 x 200 at 5 % density: 120k nonzeros, rows sorted as written
+        rng = np.random.default_rng(7)
+        features = sp.random(12000, 200, density=0.05, format="csr",
+                             random_state=rng, data_rvs=rng.standard_normal)
+        data = Dataset(features, np.where(rng.uniform(size=12000) < 0.5, -1.0, 1.0))
+        path = tmp_path / "data.libsvm"
+        with open(path, "w", encoding="utf-8") as fh:
+            data.to_libsvm(fh)
+        tracemalloc.start()
+        try:
+            back = parse_libsvm(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.features.nnz == data.features.nnz >= 100_000
+        assert peak / back.features.nnz <= 48
 
     def test_bad_index_reports_line(self):
         with pytest.raises(LibsvmFormatError, match="line 2: index 0 < 1"):
