@@ -89,10 +89,12 @@ def _int_min(low: int) -> Callable[[str], int]:
     return parse
 
 
-def _float_min(low: float, *, strict: bool = False,
-               high: float = math.inf) -> Callable[[str], float]:
+def _float_min(low: float, *, strict: bool = False, high: float = math.inf,
+               finite: bool = True) -> Callable[[str], float]:
     def parse(raw: str) -> float:
         value = float(raw)
+        if finite and not math.isfinite(value):
+            raise ValueError("must be finite")
         if not (value > low if strict else value >= low):  # NaN fails too
             raise ValueError(f"must be {'>' if strict else '>='} {low:g}")
         if value > high:
@@ -160,7 +162,7 @@ SCHEMA = {
     "problem.density": _Key(_float_min(0, strict=True, high=1), "1.0"),
     "problem.N": _Key(_int_min(1), "2000"),
     "problem.features": _Key(_int_min(1), "50"),
-    "problem.separation": _Key(float, "2.0"),
+    "problem.separation": _Key(_float_min(-math.inf), "2.0"),
     "problem.feature_condition": _Key(_float_min(1), "1.0"),
     "problem.mu": _Key(_positive),
     "problem.path": _Key(str),
@@ -169,7 +171,7 @@ SCHEMA = {
     "run.seed": _Key(int, "20200731"),
     "run.max_iters": _Key(_int_min(1), "50"),
     "run.max_epochs": _Key(_int_min(0), "0"),
-    "run.time_budget_s": _Key(_positive, "inf"),
+    "run.time_budget_s": _Key(_float_min(0, strict=True, finite=False), "inf"),
     "run.grad_tol": _Key(_float_min(0), "0.0"),
     "run.x0": _Key(_choice("auto", "gauss5", "zeros"), "auto"),
     "run.aggregate": _Key(_choice(AGG_BY_ITERATION, AGG_BY_TIME, "both"), "iter"),

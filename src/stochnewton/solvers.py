@@ -113,10 +113,10 @@ class GainParams:
     T: float = 1e6
 
     def __post_init__(self):
-        if self.alpha0 != AUTO_ALPHA0 and not float(self.alpha0) > 0:
-            raise ValueError(f"alpha0 must be > 0 or {AUTO_ALPHA0!r}")
-        if not self.T > 0:
-            raise ValueError("T must be > 0")
+        if self.alpha0 != AUTO_ALPHA0 and not 0 < float(self.alpha0) < math.inf:
+            raise ValueError(f"alpha0 must be finite and > 0 or {AUTO_ALPHA0!r}")
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be finite and > 0")
 
 
 @dataclass

@@ -82,8 +82,8 @@ class LineSearchConfig:
             raise ValueError(f"unknown zeta kind {self.zeta_kind!r}")
         if self.zeta_kind == ZETA_GEOMETRIC and not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
-        if self.t_start <= 0 or self.t_min <= 0:
-            raise ValueError("t_start and t_min must be positive")
+        if not (0.0 < self.t_start < math.inf and 0.0 < self.t_min < math.inf):
+            raise ValueError("t_start and t_min must be positive and finite")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be >= 1")
         if self.switch_rule not in (SWITCH_STEP_NORM, SWITCH_STEP_ONLY):

@@ -9,10 +9,13 @@ positive definite with eigenvalues ``lambda_i`` and ``e`` the all-ones
 vector.  ``A`` is built either as an explicit dense matrix (random
 orthogonal basis) or in factored form ``A = V D V^T`` with ``V`` a product
 of three Householder reflectors, which keeps every matvec O(n) and never
-materializes ``V``.  The exact objective, gradient and Hessian apply the
-reflectors one by one; the sampled Hessian uses the equivalent compact form
+materializes ``V``.  The exact objective and gradient apply the reflectors
+one by one; the sampled Hessian uses the equivalent compact form
 ``A = D + Z M Z^T`` (``Z`` of size n x 6), so each of its matvecs is one
-elementwise product and two thin matrix-vector products.
+elementwise product and two thin matrix-vector products, and its Newton
+systems are solved by CG.  The exact Hessian is a positive diagonal plus
+that rank-6 term, so the reference optimum solves each of its Newton
+systems directly by Sherman-Morrison-Woodbury in O(n k^2) (k = 6).
 
 Noise model: ``f = phi + eps_f`` with ``eps_f ~ N(0, sigma)``; gradient
 noise is i.i.d. ``N(0, sigma)`` per coordinate; Hessian noise is a diagonal
@@ -29,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .core import EvalCounts, OracleSample, RngStream, Vector, as_vector
-from .linalg import SpdOperator, damped_newton, solve_cg, solve_direct
+# solve_cg goes unused here; perfbench/tracer.py patches synthetic.solve_cg
+from .linalg import SpdOperator, damped_newton, solve_cg, solve_direct  # noqa: F401
 
 HESS_DENSE = "dense"
 HESS_HOUSEHOLDER = "householder"
@@ -46,7 +50,8 @@ class HouseholderOperator:
     with 2 on its diagonal (Schreiber & Van Loan 1989), hence
     ``A = D + Z M Z^T`` with ``Z = [P, D P]`` and
     ``M = [[T (P^T D P) T^T, -T], [-T^T, 0]]``.  The two forms agree to
-    rounding, not bit for bit.
+    rounding, not bit for bit.  :meth:`hessian_solve` is the direct partner
+    of :meth:`hessian_matvec`; the reference optimum's Newton steps use it.
     """
 
     __slots__ = ("d", "vs", "_zt", "_m")
@@ -100,6 +105,22 @@ class HouseholderOperator:
             out += z @ (m2 @ (zt @ v))
             return out
         return matvec
+
+    def hessian_solve(self, c: Vector, rhs: Vector) -> Vector:
+        """Solve ``(diag(c) + 2 A) d = rhs`` directly, O(n k^2) for any kappa.
+
+        Sherman-Morrison-Woodbury on the compact form (Hager 1989): with
+        ``Delta = diag(c + 2 D)`` and ``u = Delta^-1 rhs``, one 2k x 2k
+        capacitance solve ``(I + 2 M Z^T Delta^-1 Z) y = 2 M Z^T u`` gives
+        ``d = u - Delta^-1 Z y``.  ``c + 2 D`` must be positive and finite.
+        """
+        delta = c + 2.0 * self.d
+        zt, m2 = self._zt, 2.0 * self._m
+        u = rhs / delta
+        zt_scaled = zt / delta
+        cap = np.eye(m2.shape[0]) + m2 @ (zt_scaled @ zt.T)
+        y = np.linalg.solve(cap, m2 @ (zt @ u))
+        return u - zt_scaled.T @ y
 
     def materialize(self) -> np.ndarray:
         """Dense ``V D V^T`` (test oracle; only sensible for small n)."""
@@ -191,10 +212,10 @@ def generate_problem(n: int, kappa: float, sigma: float,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kappa <= 1:
-        raise ValueError("kappa must be > 1")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 1 < kappa < math.inf:
+        raise ValueError("kappa must be finite and > 1")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and >= 0")
     if not (0.0 < density <= 1.0):
         raise ValueError("density must lie in (0, 1]")
     if rng is None:
@@ -314,8 +335,9 @@ def exact_solution(problem: ConvexRandomProblem, tol: float = 1e-8,
                    max_iters: int = 200) -> tuple[Vector, float]:
     """Minimize the exact objective by damped Newton; caches the result.
 
-    Newton systems are solved directly for dense problems and by tightly
-    converged CG for factored ones.  Fails loudly (see
+    Every Newton system is solved directly: by Cholesky for dense problems
+    and by :meth:`HouseholderOperator.hessian_solve`, O(n k^2) for any
+    ``kappa``, for factored ones.  Fails loudly (see
     :func:`~stochnewton.linalg.damped_newton`) if the gradient norm does not
     drop below ``tol`` within ``max_iters`` iterations.
     """
@@ -327,8 +349,7 @@ def exact_solution(problem: ConvexRandomProblem, tol: float = 1e-8,
     def newton_solve(x, g):
         if problem.a_dense is not None:
             return solve_direct(SpdOperator.from_dense(problem.hess_dense(x)), -g)
-        op = SpdOperator(problem.n, matvec=lambda v: problem.hess_matvec(x, v))
-        return solve_cg(op, -g, rel_tol=1e-12, max_iters=4 * problem.n).d
+        return problem.a_factored.hessian_solve(problem.hess_diag_part(x), -g)
 
     x = damped_newton(problem.value, problem.gradient, newton_solve,
                       np.zeros(problem.n), tol, max_iters)

@@ -227,6 +227,18 @@ class TestSpecParsing:
                                ("cg_max_iters", "5")]],
         *[({"run.grad_tol": value}, "run.grad_tol")
           for value in ("-1", "nan", "-inf")],
+        # non-finite numbers
+        ({"problem.kappa": "inf"}, "problem.kappa"),
+        *[({"problem.separation": value}, "problem.separation")
+          for value in ("nan", "inf", "-inf")],
+        ({"problem.sigma": "inf"}, "problem.sigma"),
+        ({"problem.sigma_pct": "inf"}, "problem.sigma_pct"),
+        ({"problem.feature_condition": "inf"}, "problem.feature_condition"),
+        ({"problem.mu": "inf"}, "problem.mu"),
+        *[({f"solver.lsos.{param}": value}, f"solver.lsos.{param}")
+          for param in ("t_ini", "t_min") for value in ("nan", "inf")],
+        ({"solver.lsos.T": "inf"}, "solver.lsos.T"),
+        ({"solver.sos.alpha0": "inf"}, "solver.sos.alpha0"),
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from stochnewton import synthetic
 from stochnewton.core import RngStream
 from stochnewton.linalg import fd_gradient_check
 from stochnewton.synthetic import (ConvexRandomProblem, HESS_DENSE,
@@ -52,6 +53,10 @@ class TestSpectrum:
             _problem(kappa=1.0)
         with pytest.raises(ValueError):
             generate_problem(4, 10.0, -1.0)
+        for kappa, sigma in [(np.inf, 0.0), (np.nan, 0.0), (10.0, np.inf),
+                             (10.0, np.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                generate_problem(4, kappa, sigma)
         with pytest.raises(ValueError):
             generate_problem(4, 10.0, 0.0, density=0.0)
         with pytest.raises(ValueError):
@@ -92,6 +97,25 @@ class TestHouseholderOperator:
             v = rng.standard_normal(50)
             ref = dense @ v
             assert np.max(np.abs(matvec(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 200])
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e6])
+    def test_hessian_solve_matches_dense_solve(self, n, kappa, scale):
+        # any solve of diag(c) + 2A loses accuracy with its conditioning,
+        # which grows with kappa; for n < 6 the 6 x 6 capacitance system is
+        # itself ill-conditioned.  Allow 1e-13 * kappa relative, both for the
+        # residual and for the distance to the dense solution
+        p = _problem(n=n, kappa=kappa, form=HESS_HOUSEHOLDER, seed=n)
+        draw = RngStream(n, 1)
+        c = scale * p.lambdas * np.exp(draw.uniform(-1.0, 1.0, n))
+        rhs = draw.standard_normal(n)
+        dense = np.diag(c) + 2.0 * p.a_factored.materialize()
+        d = p.a_factored.hessian_solve(c, rhs)
+        ref = np.linalg.solve(dense, rhs)
+        bound = 1e-13 * kappa
+        assert np.linalg.norm(dense @ d - rhs) <= bound * np.linalg.norm(rhs)
+        assert np.linalg.norm(d - ref) <= bound * np.linalg.norm(ref)
 
 
 class TestSparsification:
@@ -210,6 +234,14 @@ class TestNoisyOracle:
         assert oracle.true_error(p.x_star) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.fixture
+def no_cg(monkeypatch):
+    """Factored reference optima solve their Newton systems directly."""
+    def fail(*args, **kwargs):
+        raise AssertionError("exact_solution called solve_cg")
+    monkeypatch.setattr(synthetic, "solve_cg", fail)
+
+
 class TestExactSolution:
     def test_scalar_problem_matches_bisection(self):
         # minimizer of e^x - x + (x-1)^2 solves e^x - 1 + 2(x-1) = 0
@@ -239,8 +271,15 @@ class TestExactSolution:
         x2, f2 = exact_solution(p)
         assert x1 is x2 and f1 == f2
 
-    def test_factored_form_supported(self):
+    def test_factored_form_supported(self, no_cg):
         p = _problem(n=40, kappa=100.0, form=HESS_HOUSEHOLDER, seed=14)
+        x_star, _ = exact_solution(p, tol=1e-8)
+        assert np.linalg.norm(p.gradient(x_star)) <= 1e-8
+
+    def test_large_ill_conditioned_factored_problem(self, no_cg):
+        # Newton steps by CG took about 13 s here; the direct solve does not
+        # depend on kappa
+        p = _problem(n=20_000, kappa=1e6, form=HESS_HOUSEHOLDER, seed=15)
         x_star, _ = exact_solution(p, tol=1e-8)
         assert np.linalg.norm(p.gradient(x_star)) <= 1e-8
 
