@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .core import RngStream, Vector
 from .finitesum import ALL_ROWS, FiniteSumProblem
-from .linalg import damped_newton
+from .linalg import SpdOperator, damped_newton, solve_direct
 
 
 class LibsvmFormatError(ValueError):
@@ -356,14 +356,19 @@ class LogRegModel(FiniteSumProblem):
 
     def reference_optimum(self, tol: float = 1e-10,
                           max_iters: int = 200) -> tuple[Vector, float]:
-        """Deterministic full-gradient damped Newton reference; cached."""
+        """Deterministic full-gradient damped Newton reference; cached.
+
+        Each Newton step is a Cholesky solve (:func:`solve_direct`): the
+        full Hessian is SPD since ``mu > 0``.
+        """
         if self._x_star is not None:
             return self._x_star, self._f_star
         whole = self._slice(ALL_ROWS)
         x = damped_newton(
             lambda x: self._batch_value(whole, x),
             lambda x: self._batch_gradient(whole, x),
-            lambda x, g: np.linalg.solve(self._batch_hessian(whole, x), -g),
+            lambda x, g: solve_direct(
+                SpdOperator.from_dense(self._batch_hessian(whole, x)), -g),
             np.zeros(self.n), tol, max_iters)
         self._x_star = x
         self._f_star = self._batch_value(whole, x)

@@ -164,7 +164,8 @@ class SolverConfig:
                                  else SCHEME_PARTITION)
         if self.max_iters is None and not finite_sum:
             self.max_iters = 100
-        for name in ("max_iters", "max_epochs", "batch_size", "hess_batch_size"):
+        for name in ("max_iters", "max_epochs", "batch_size", "hess_batch_size",
+                     "cg_max_iters", "m", "l"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")

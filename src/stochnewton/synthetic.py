@@ -9,13 +9,13 @@ positive definite with eigenvalues ``lambda_i`` and ``e`` the all-ones
 vector.  ``A`` is built either as an explicit dense matrix (random
 orthogonal basis) or in factored form ``A = V D V^T`` with ``V`` a product
 of three Householder reflectors, which keeps every matvec O(n) and never
-materializes ``V``.  The exact objective and gradient apply the reflectors
-one by one; the sampled Hessian uses the equivalent compact form
-``A = D + Z M Z^T`` (``Z`` of size n x 6), so each of its matvecs is one
-elementwise product and two thin matrix-vector products, and its Newton
-systems are solved by CG.  The exact Hessian is a positive diagonal plus
-that rank-6 term, so the reference optimum solves each of its Newton
-systems directly by Sherman-Morrison-Woodbury in O(n k^2) (k = 6).
+materializes ``V``.  Every product with a factored ``A`` uses its compact
+form ``A = D + Z M Z^T`` (``Z`` of size n x 6): one elementwise product
+and two thin matrix-vector products, for the exact objective and gradient
+and for the sampled Hessian alike.  The sampled Hessian's Newton systems
+are solved by CG.  The exact Hessian is a positive diagonal plus that
+rank-6 term, so the reference optimum solves each of its Newton systems
+directly by Sherman-Morrison-Woodbury in O(n k^2) (k = 6).
 
 Noise model: ``f = phi + eps_f`` with ``eps_f ~ N(0, sigma)``; gradient
 noise is i.i.d. ``N(0, sigma)`` per coordinate; Hessian noise is a diagonal
@@ -42,31 +42,32 @@ HESS_HOUSEHOLDER = "householder"
 class HouseholderOperator:
     """``A = V D V^T`` with ``V = (I - 2 v3 v3^T)(I - 2 v2 v2^T)(I - 2 v1 v1^T)``.
 
-    ``D`` holds positive diagonal entries and each ``v_j`` has unit norm.
-    :meth:`apply` multiplies by the reflectors one at a time, O(n) each; the
-    exact objective uses it.  The sampled Hessian uses
-    :meth:`hessian_matvec`, built on the compact form derived once here:
+    ``D`` holds positive, finite diagonal entries and each ``v_j`` has unit
+    norm.  The reflectors ``vs`` define the operator, but only the
+    constructor reads them, to derive its compact form once:
     ``V = I - P T P^T`` with ``P = [v1 v2 v3]`` and ``T`` lower triangular
     with 2 on its diagonal (Schreiber & Van Loan 1989), hence
-    ``A = D + Z M Z^T`` with ``Z = [P, D P]`` and
-    ``M = [[T (P^T D P) T^T, -T], [-T^T, 0]]``.  The two forms agree to
-    rounding, not bit for bit.  :meth:`hessian_solve` is the direct partner
-    of :meth:`hessian_matvec`; the reference optimum's Newton steps use it.
+    ``A = D + Z M Z^T`` with
+    ``Z = [P, D P]`` and ``M = [[T (P^T D P) T^T, -T], [-T^T, 0]]``.  Every
+    product with ``A`` uses that form: :meth:`apply` for the exact
+    objective, :meth:`hessian_matvec` for the sampled Hessian, and
+    :meth:`hessian_solve`, the direct partner of :meth:`hessian_matvec`,
+    for the reference optimum's Newton steps.
     """
 
     __slots__ = ("d", "vs", "_zt", "_m")
 
     def __init__(self, d: np.ndarray, vs):
         self.d = np.asarray(d, dtype=np.float64)
-        if np.any(self.d <= 0):
-            raise ValueError("diagonal entries must be positive")
+        if not np.all((self.d > 0) & (self.d < np.inf)):  # NaN fails too
+            raise ValueError("diagonal entries must be positive and finite")
         self.vs = [np.asarray(v, dtype=np.float64) for v in vs]
         for v in self.vs:
             if v.shape != self.d.shape:
                 raise ValueError(f"reflector vector has length {v.size}, "
                                  f"diagonal has length {self.d.size}")
             nrm = np.linalg.norm(v)
-            if abs(nrm - 1.0) > 1e-12:
+            if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
                 raise ValueError(f"reflector vector norm {nrm} != 1")
         # V^T = H1 H2 H3 = I - P T^T P^T, accumulated one reflector at a time
         k = len(self.vs)
@@ -86,13 +87,8 @@ class HouseholderOperator:
         return self.d.size
 
     def apply(self, x: Vector) -> Vector:
-        # V^T x: reflectors right to left (v3, v2, v1), then D, then V
-        y = x.copy()
-        for v in reversed(self.vs):
-            y -= (2.0 * (v @ y)) * v
-        y *= self.d
-        for v in self.vs:
-            y -= (2.0 * (v @ y)) * v
+        y = self.d * x
+        y += self._zt.T @ (self._m @ (self._zt @ x))
         return y
 
     def hessian_matvec(self, c: Vector):
@@ -121,14 +117,6 @@ class HouseholderOperator:
         cap = np.eye(m2.shape[0]) + m2 @ (zt_scaled @ zt.T)
         y = np.linalg.solve(cap, m2 @ (zt @ u))
         return u - zt_scaled.T @ y
-
-    def materialize(self) -> np.ndarray:
-        """Dense ``V D V^T`` (test oracle; only sensible for small n)."""
-        a = np.empty((self.n, self.n))
-        eye = np.eye(self.n)
-        for j in range(self.n):
-            a[:, j] = self.apply(eye[:, j])
-        return a
 
 
 def _log_spaced(n: int, kappa: float) -> np.ndarray:
@@ -335,8 +323,8 @@ def exact_solution(problem: ConvexRandomProblem, tol: float = 1e-8,
                    max_iters: int = 200) -> tuple[Vector, float]:
     """Minimize the exact objective by damped Newton; caches the result.
 
-    Every Newton system is solved directly: by Cholesky for dense problems
-    and by :meth:`HouseholderOperator.hessian_solve`, O(n k^2) for any
+    Every Newton system is solved directly: by Cholesky
+    (:func:`~stochnewton.linalg.solve_direct`) for dense problems and by :meth:`HouseholderOperator.hessian_solve`, O(n k^2) for any
     ``kappa``, for factored ones.  Fails loudly (see
     :func:`~stochnewton.linalg.damped_newton`) if the gradient norm does not
     drop below ``tol`` within ``max_iters`` iterations.

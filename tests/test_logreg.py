@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stochnewton import logreg
 from stochnewton.core import RngStream
 from stochnewton.finitesum import ALL_ROWS
 from stochnewton.linalg import fd_gradient_check, fd_hvp_check
@@ -363,6 +364,27 @@ class TestReferenceOptimum:
     def test_default_mu_is_one_over_N(self):
         ds = generate_synthetic_classification(40, 3, 1.0, RngStream(9, 0))
         assert LogRegModel(ds).mu == pytest.approx(1.0 / 40)
+
+    def test_each_newton_step_is_one_cholesky_solve(self, monkeypatch):
+        steps, solves = [], []
+        damped_newton, solve_direct = logreg.damped_newton, logreg.solve_direct
+
+        def counted_newton(value, gradient, newton_solve, *args):
+            def step(x, g):
+                steps.append(1)
+                return newton_solve(x, g)
+            return damped_newton(value, gradient, step, *args)
+
+        def counted_solve(op, rhs):
+            solves.append(op.dense.shape)
+            return solve_direct(op, rhs)
+
+        monkeypatch.setattr(logreg, "damped_newton", counted_newton)
+        monkeypatch.setattr(logreg, "solve_direct", counted_solve)
+        ds = generate_synthetic_classification(150, 6, 1.5, RngStream(8, 0))
+        LogRegModel(ds).reference_optimum(tol=1e-10)
+        assert len(steps) >= 2
+        assert solves == [(6, 6)] * len(steps)
 
 
 class TestLossSplitSagaTable:

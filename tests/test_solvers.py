@@ -319,6 +319,13 @@ class TestConfig:
             run_fs_solver(quadratic_sum_problem(4, 3), SolverConfig(),
                           np.zeros(3), rng)
 
+    @pytest.mark.parametrize("method, name", [
+        ("lsos_inexact", "cg_max_iters"), ("lsos_bfgs", "m"),
+        ("lsos_bfgs", "l")])
+    def test_rejects_counts_below_one(self, method, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1"):
+            SolverConfig(method=method, max_epochs=1, **{name: 0})
+
 
 class TestRobustness:
     def test_fallback_to_gradient_on_indefinite_hessian(self, rng):

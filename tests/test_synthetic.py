@@ -18,6 +18,15 @@ def _problem(n=10, kappa=100.0, sigma=0.0, form=HESS_DENSE, seed=0, density=1.0)
                             rng=RngStream(seed, 0))
 
 
+def _reflector_product(op):
+    """Dense ``V D V^T`` with ``V = H3 H2 H1`` multiplied out reflector by
+    reflector, independent of the compact form the operator computes with."""
+    v = np.eye(op.n)
+    for u in op.vs:
+        v = (np.eye(op.n) - 2.0 * np.outer(u, u)) @ v
+    return (v * op.d) @ v.T
+
+
 class TestSpectrum:
     def test_log_spacing_n4(self):
         p = _problem(n=4, kappa=100.0)
@@ -37,7 +46,7 @@ class TestSpectrum:
 
     def test_householder_matrix_has_prescribed_eigenvalues(self):
         p = _problem(n=10, kappa=1e3, form=HESS_HOUSEHOLDER)
-        eigs = np.linalg.eigvalsh(p.a_factored.materialize())
+        eigs = np.linalg.eigvalsh(_reflector_product(p.a_factored))
         np.testing.assert_allclose(np.sort(eigs), p.lambdas, atol=1e-10)
 
     def test_spd_probe(self, rng):
@@ -68,30 +77,48 @@ class TestHouseholderOperator:
         with pytest.raises(ValueError):
             HouseholderOperator(np.ones(3), [np.array([1.0, 1.0, 0.0])] * 3)
 
-    def test_apply_matches_dense_on_random_probes(self, rng):
-        p = _problem(n=50, kappa=100.0, form=HESS_HOUSEHOLDER, seed=3)
-        dense = p.a_factored.materialize()
-        for _ in range(100):
-            v = rng.standard_normal(50)
-            err = np.max(np.abs(p.a_factored.apply(v) - dense @ v))
-            assert err < 1e-10
-
     def test_positive_diagonal_required(self):
         v = np.zeros(3)
         v[0] = 1.0
         with pytest.raises(ValueError):
             HouseholderOperator(np.array([1.0, -1.0, 2.0]), [v, v, v])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_diagonal_required(self, bad):
+        v = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="diagonal"):
+            HouseholderOperator(np.array([1.0, bad, 2.0]), [v, v, v])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_reflector_required(self, bad):
+        v = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="reflector"):
+            HouseholderOperator(np.ones(3), [v, np.array([bad, 0.0, 0.0]), v])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50])
+    @pytest.mark.parametrize("kappa", [1e2, 1e6])
+    def test_apply_matches_dense_on_random_probes(self, n, kappa):
+        # both sides are backward-stable products of O(n) flops per entry,
+        # so each errs by a few n eps relative to ||A|| ||v|| = kappa ||v||;
+        # 1e-13 is 450 eps, ample for n <= 50
+        p = _problem(n=n, kappa=kappa, form=HESS_HOUSEHOLDER, seed=n)
+        dense = _reflector_product(p.a_factored)
+        draw = RngStream(n, 1)
+        for _ in range(20):
+            v = draw.standard_normal(n)
+            err = np.linalg.norm(p.a_factored.apply(v) - dense @ v)
+            assert err <= 1e-13 * kappa * np.linalg.norm(v)
+
     def test_reflector_length_must_match_diagonal(self):
         with pytest.raises(ValueError, match="length 2.*length 3"):
             HouseholderOperator(np.ones(3), [np.array([1.0, 0.0])] * 3)
 
     def test_hessian_matvec_matches_dense_on_random_probes(self, rng):
-        # the compact form differs from the reflector loop only by rounding:
+        # the compact form differs from the reflector product only by rounding:
         # about 4500 float64 eps relative to the output leaves room for n = 50
         p = _problem(n=50, kappa=100.0, form=HESS_HOUSEHOLDER, seed=3)
         c = rng.standard_normal(50)
-        dense = np.diag(c) + 2.0 * p.a_factored.materialize()
+        dense = np.diag(c) + 2.0 * _reflector_product(p.a_factored)
         matvec = p.a_factored.hessian_matvec(c)
         for _ in range(100):
             v = rng.standard_normal(50)
@@ -110,7 +137,7 @@ class TestHouseholderOperator:
         draw = RngStream(n, 1)
         c = scale * p.lambdas * np.exp(draw.uniform(-1.0, 1.0, n))
         rhs = draw.standard_normal(n)
-        dense = np.diag(c) + 2.0 * p.a_factored.materialize()
+        dense = np.diag(c) + 2.0 * _reflector_product(p.a_factored)
         d = p.a_factored.hessian_solve(c, rhs)
         ref = np.linalg.solve(dense, rhs)
         bound = 1e-13 * kappa
