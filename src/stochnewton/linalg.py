@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .core import Vector
 from .steplen import LineSearchConfig, backtrack
@@ -73,6 +72,9 @@ def solve_direct(op: SpdOperator, rhs: Vector) -> Vector:
     """
     if not op.is_explicit:
         raise ValueError("solve_direct needs an explicit matrix")
+    # LAPACK loads at the first dense factorization, so processes that only
+    # solve matrix-free (Householder noisy runs and their workers) never map it
+    import scipy.linalg
     try:
         cho = scipy.linalg.cho_factor(op.dense, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

@@ -345,10 +345,6 @@ class LogRegModel(FiniteSumProblem):
         part = self._slice(idx) if idx is ALL_ROWS else self.take(idx).data
         return _loss_factors(*part, x)
 
-    def accuracy(self, x: Vector) -> float:
-        pred = np.where(self.store @ x >= 0, 1.0, -1.0)
-        return float(np.mean(pred == self.dataset.labels))
-
     @property
     def f_star(self) -> Optional[float]:
         """Reference optimal value, if :meth:`reference_optimum` has run."""

@@ -2,6 +2,7 @@
 PASS/FAIL line.  Tolerances are pinned here and nowhere else."""
 
 import csv
+import os
 import time
 from itertools import combinations
 from pathlib import Path
@@ -233,6 +234,7 @@ class TestCriterion09InexactNewtonSavesCg:
             "problem.hess_form": "householder",
             "run.solvers": "lsos,lsos_inexact", "run.max_iters": "150",
             "run.reps": "20", "run.seed": "812",
+            "run.workers": str(min(2, os.cpu_count() or 1)),
         })
         res = run_experiment(spec)
 

@@ -1,5 +1,11 @@
 """Direct and CG solvers for SPD systems, plus the finite-difference checker."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,6 +84,33 @@ class TestSolveDirect:
         op = SpdOperator(3, matvec=lambda v: v)
         with pytest.raises(ValueError):
             solve_direct(op, np.ones(3))
+
+    def test_lapack_loads_at_the_first_dense_factorization(self):
+        # a child process: other tests load scipy.linalg into this one
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from stochnewton.harness import ExperimentSpec, run_experiment
+            from stochnewton.linalg import SpdOperator, solve_direct
+            run_experiment(ExperimentSpec.from_mapping({
+                "problem.kind": "synthetic", "problem.n": "50",
+                "problem.hess_form": "householder", "run.solvers": "lsos",
+                "run.max_iters": "5", "run.reps": "1"}))
+            assert "scipy.linalg" not in sys.modules
+            b = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+            rhs = np.array([1.0, -2.0, 0.5])
+            d = solve_direct(SpdOperator.from_dense(b), rhs)
+            assert "scipy.linalg" in sys.modules
+            import scipy.linalg
+            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(b, lower=True), rhs)
+            assert np.array_equal(d, ref)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", code],
+                               env={**os.environ, "PYTHONPATH": path},
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
 
 
 class TestSolveCg:

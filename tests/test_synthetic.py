@@ -310,6 +310,14 @@ class TestExactSolution:
         x_star, _ = exact_solution(p, tol=1e-8)
         assert np.linalg.norm(p.gradient(x_star)) <= 1e-8
 
+    @pytest.mark.parametrize("n, seed", [(4, 2), (50, 0)])
+    def test_kappa_1e8_factored_problem_converges(self, no_cg, n, seed):
+        # the gradient is a difference of kappa-sized terms (ulp 1.49e-8 at
+        # kappa = 1e8), so it stops at 32 eps kappa rather than tol = 1e-8
+        p = _problem(n=n, kappa=1e8, form=HESS_HOUSEHOLDER, seed=seed)
+        x_star, _ = exact_solution(p, tol=1e-8)
+        assert np.linalg.norm(p.gradient(x_star)) <= 32 * np.finfo(float).eps * 1e8
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             exact_solution(_problem(), tol=0.0)
