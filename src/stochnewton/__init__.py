@@ -18,7 +18,7 @@ from .fs_solvers import run_fs_solver
 from .harness import (AggregateCurve, ExperimentSpec, aggregate,
                       grid_search_step, run_experiment)
 from .linalg import (CgResult, NotPositiveDefiniteError, SpdOperator,
-                     fd_gradient_check, fd_hvp_check, solve_cg, solve_direct)
+                     solve_cg, solve_direct)
 from .logreg import (Dataset, LogRegModel, LogRegSagaTable,
                      generate_synthetic_classification, parse_libsvm)
 from .slbfgs import LbfgsMemory

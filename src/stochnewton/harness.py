@@ -168,7 +168,7 @@ SCHEMA = {
     "problem.path": _Key(str),
     "run.solvers": _Key(_names, "lsos"),
     "run.reps": _Key(_int_min(1), "20"),
-    "run.seed": _Key(int, "20200731"),
+    "run.seed": _Key(_int_min(0), "20200731"),
     "run.max_iters": _Key(_int_min(1), "50"),
     "run.max_epochs": _Key(_int_min(0), "0"),
     "run.time_budget_s": _Key(_float_min(0, strict=True, finite=False), "inf"),

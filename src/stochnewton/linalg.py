@@ -1,9 +1,10 @@
 """SPD linear algebra kernels for the Newton systems.
 
 Direct solves go through a Cholesky factorization; the iterative path is a
-plain conjugate-gradient loop with a *relative* residual stopping rule (the
+conjugate-gradient loop with a *relative* residual stopping rule (the
 achieved residual is always recomputed from scratch before being reported, so
-the returned certificate can be trusted).  Indefiniteness surfaces as
+the returned certificate can be trusted), preconditioned by the operator's
+positive diagonal part when it has one.  Indefiniteness surfaces as
 :class:`NotPositiveDefiniteError`; the solver drivers decide the fallback.
 :func:`damped_newton` is the exact Newton loop behind every reference
 optimum; each problem family passes its own Newton solve, and its steps
@@ -31,17 +32,21 @@ class SpdOperator:
 
     Backed by an explicit dense matrix (``dense is not None``), a matvec
     closure, or both; :meth:`apply` prefers the closure.  ``n`` is the
-    dimension.
+    dimension.  ``diag``, if given, is a diagonal part ``Delta`` of ``B``
+    with ``B - Delta`` of low rank k; :func:`solve_cg` preconditions by it,
+    which takes at most k + 1 iterations in exact arithmetic.
     """
 
-    __slots__ = ("n", "dense", "_matvec")
+    __slots__ = ("n", "dense", "diag", "_matvec")
 
     def __init__(self, n: int, matvec: Optional[Callable[[Vector], Vector]] = None,
-                 dense: Optional[np.ndarray] = None):
+                 dense: Optional[np.ndarray] = None,
+                 diag: Optional[Vector] = None):
         if dense is None and matvec is None:
             raise ValueError("need a dense matrix or a matvec")
         self.n = int(n)
         self.dense = dense
+        self.diag = diag
         self._matvec = matvec
 
     @classmethod
@@ -98,6 +103,11 @@ def solve_cg(op: SpdOperator, rhs: Vector, rel_tol: float,
     from a true matvec every 50 iterations to limit recurrence drift, and the
     reported ``rel_res`` is always recomputed from the returned ``d``.
 
+    An operator with a ``diag`` whose entries are all positive and finite
+    runs CG preconditioned by it, one elementwise product and one dot
+    product more per iteration; the stop test still reads the residual of
+    ``B d = rhs`` itself.  Every other operator runs plain CG.
+
     Raises
     ------
     NotPositiveDefiniteError
@@ -114,12 +124,22 @@ def solve_cg(op: SpdOperator, rhs: Vector, rel_tol: float,
     if rhs_norm == 0.0:
         return CgResult(np.zeros(op.n), 0.0, 0)
 
+    inv = None  # the preconditioner Delta^-1
+    if op.diag is not None:
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / op.diag
+        if not np.all((inv > 0.0) & (inv < math.inf)):  # NaN fails too
+            inv = None
+
     apply = op.apply
     d = np.zeros(op.n)
     r = rhs.copy()
-    p = r.copy()
-    step = np.empty(op.n)  # alpha * p, then alpha * B p
     rs = float(r @ r)
+    # z = Delta^-1 r; plain CG takes z = r, so r^T z is r^T r
+    z = r if inv is None else r * inv
+    rz = rs if inv is None else float(r @ z)
+    p = z.copy()
+    step = np.empty(op.n)  # alpha * p, then alpha * B p
     iters = 0
     threshold = rel_tol * rhs_norm
     while iters < max_iters and math.sqrt(rs) > threshold:
@@ -129,17 +149,21 @@ def solve_cg(op: SpdOperator, rhs: Vector, rel_tol: float,
             raise NotPositiveDefiniteError(
                 f"negative curvature in CG at iteration {iters}: p^T B p = {curv}"
             )
-        alpha = rs / curv
+        alpha = rz / curv
         d += np.multiply(p, alpha, out=step)
         iters += 1
         if iters % 50 == 0:
             r = rhs - apply(d)
         else:
             r -= np.multiply(bp, alpha, out=step)
-        rs_new = float(r @ r)
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
+        rs = float(r @ r)
+        if inv is None:
+            z, rz_new = r, rs
+        else:
+            rz_new = float(r @ np.multiply(r, inv, out=z))
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
 
     final = float(np.linalg.norm(rhs - apply(d))) / rhs_norm
     return CgResult(d, final, iters)
@@ -179,40 +203,3 @@ def damped_newton(value: Callable[[Vector], float],
     raise RuntimeError(
         f"damped Newton did not reach ||grad|| <= {tol} in {max_iters} "
         f"iterations (last ||grad|| = {gnorm:.3e})")
-
-
-def fd_gradient_check(f: Callable[[Vector], float], grad: Callable[[Vector], Vector],
-                      x: Vector, h: float = 1e-6) -> float:
-    """Max scaled error between ``grad(x)`` and central differences of ``f``.
-
-    Per-coordinate central differences ``(f(x + h e_i) - f(x - h e_i)) / 2h``
-    are compared against ``grad(x)``; errors are scaled by
-    ``max(1, ||grad(x)||_inf)`` so the result is meaningful both near and far
-    from stationary points.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(grad(x), dtype=np.float64)
-    fd = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd[i] = (f(xp) - f(xm)) / (2.0 * h)
-    scale = max(1.0, float(np.max(np.abs(g))))
-    return float(np.max(np.abs(fd - g)) / scale)
-
-
-def fd_hvp_check(grad: Callable[[Vector], Vector], hvp: Callable[[Vector, Vector], Vector],
-                 x: Vector, v: Vector, h: float = 1e-6) -> float:
-    """Scaled error of ``hvp(x, v)`` against central differences of ``grad`` along ``v``."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    hv = np.asarray(hvp(x, v), dtype=np.float64)
-    fd = (np.asarray(grad(x + h * v)) - np.asarray(grad(x - h * v))) / (2.0 * h)
-    scale = max(1.0, float(np.max(np.abs(hv))))
-    return float(np.max(np.abs(fd - hv)) / scale)

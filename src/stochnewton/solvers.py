@@ -18,6 +18,10 @@ method                direction                  step length
 ``sgd_ls``            ``-g(x_k)``                line search, then gain sequence
 ====================  =========================  ==============================
 
+A dense sampled Hessian is factorized when ``delta_k = 0`` and otherwise
+runs plain CG; a Householder one always runs CG, preconditioned by its
+diagonal part, in at most 7 iterations in exact arithmetic.
+
 The two families differ in one policy, what an exhausted search does.  The
 noisy line-search methods start in an active phase and deactivate it --
 once, irreversibly -- when the search is exhausted or the accepted

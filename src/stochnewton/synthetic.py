@@ -12,10 +12,11 @@ of three Householder reflectors, which keeps every matvec O(n) and never
 materializes ``V``.  Every product with a factored ``A`` uses its compact
 form ``A = D + Z M Z^T`` (``Z`` of size n x 6): one elementwise product
 and two thin matrix-vector products, for the exact objective and gradient
-and for the sampled Hessian alike.  The sampled Hessian's Newton systems
-are solved by CG.  The exact Hessian is a positive diagonal plus that
-rank-6 term, so the reference optimum solves each of its Newton systems
-directly by Sherman-Morrison-Woodbury in O(n k^2) (k = 6).
+and for the sampled Hessian alike.  Both the sampled and the exact
+Hessian are a diagonal plus that rank-6 term.  The sampled Hessian's
+Newton systems are solved by CG preconditioned by the diagonal, in at most
+7 iterations in exact arithmetic; the reference optimum solves each of its
+Newton systems directly by Sherman-Morrison-Woodbury in O(n k^2) (k = 6).
 
 Noise model: ``f = phi + eps_f`` with ``eps_f ~ N(0, sigma)``; gradient
 noise is i.i.d. ``N(0, sigma)`` per coordinate; Hessian noise is a diagonal
@@ -92,15 +93,21 @@ class HouseholderOperator:
         return y
 
     def hessian_matvec(self, c: Vector):
-        """The matvec ``v -> (diag(c) + 2 A) v`` in the compact form."""
-        diag = c + 2.0 * self.d
+        """The matvec ``v -> (diag(c) + 2 A) v`` in the compact form.
+
+        Returns ``(matvec, delta)``: the matrix is
+        ``Delta + Z (2 M) Z^T`` with ``Delta = diag(c + 2 D)``, and ``delta``
+        holds ``c + 2 D``, the diagonal part that preconditions its CG
+        solves (see :func:`~stochnewton.linalg.solve_cg`).
+        """
+        delta = c + 2.0 * self.d
         zt, z, m2 = self._zt, self._zt.T, 2.0 * self._m
 
         def matvec(v):
-            out = diag * v
+            out = delta * v
             out += z @ (m2 @ (zt @ v))
             return out
-        return matvec
+        return matvec, delta
 
     def hessian_solve(self, c: Vector, rhs: Vector) -> Vector:
         """Solve ``(diag(c) + 2 A) d = rhs`` directly, O(n k^2) for any kappa.
@@ -168,9 +175,6 @@ class ConvexRandomProblem:
     def hess_diag_part(self, x: Vector) -> Vector:
         with np.errstate(over="ignore"):
             return self.lambdas * np.exp(x)
-
-    def hess_matvec(self, x: Vector, v: Vector) -> Vector:
-        return self.hess_diag_part(x) * v + 2.0 * self.quad_apply(v)
 
     def hess_dense(self, x: Vector) -> np.ndarray:
         if self.a_dense is None:
@@ -281,7 +285,8 @@ class NoisyOracle:
         With ``sigma == 0`` the exact quantities are returned.  The Hessian
         handle freezes its diagonal noise realization, so all matvecs within
         one sample see the same perturbed matrix; each matvec counts one
-        Hessian-vector product.
+        Hessian-vector product.  A factored problem's handle carries the
+        diagonal part of its matrix, which preconditions its CG solves.
         """
         p = self.problem
         x = as_vector(x, p.n)
@@ -294,19 +299,20 @@ class NoisyOracle:
             gradient = p.gradient(x) + self.rng.normal(0.0, p.sigma, p.n)
         if want_hessian:
             noise = self.rng.normal(0.0, p.sigma, p.n)
-            dense = None
+            dense = delta = None
             if p.a_dense is not None:
                 dense = p.hess_dense(x)
                 dense[np.diag_indices(p.n)] += noise
                 apply = dense.__matmul__
             else:
-                apply = p.a_factored.hessian_matvec(p.hess_diag_part(x) + noise)
+                apply, delta = p.a_factored.hessian_matvec(
+                    p.hess_diag_part(x) + noise)
 
             def matvec(v):
                 self._hvp_evals += 1
                 return apply(v)
 
-            hess = SpdOperator(p.n, matvec=matvec, dense=dense)
+            hess = SpdOperator(p.n, matvec=matvec, dense=dense, diag=delta)
         return OracleSample(value=value, gradient=gradient, hessian=hess)
 
     def counts(self) -> EvalCounts:

@@ -13,6 +13,41 @@ def random_spd(n, rng, eig_lo=1.0, eig_hi=10.0):
     return (q * np.linspace(eig_lo, eig_hi, n)) @ q.T
 
 
+def fd_gradient_check(f, grad, x, h=1e-6):
+    """Max scaled error between ``grad(x)`` and central differences of ``f``.
+
+    Per-coordinate central differences ``(f(x + h e_i) - f(x - h e_i)) / 2h``
+    are compared against ``grad(x)``; errors are scaled by
+    ``max(1, ||grad(x)||_inf)`` so the result is meaningful both near and far
+    from stationary points.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(grad(x), dtype=np.float64)
+    fd = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fd[i] = (f(xp) - f(xm)) / (2.0 * h)
+    scale = max(1.0, float(np.max(np.abs(g))))
+    return float(np.max(np.abs(fd - g)) / scale)
+
+
+def fd_hvp_check(grad, hvp, x, v, h=1e-6):
+    """Scaled error of ``hvp(x, v)`` against central differences of ``grad`` along ``v``."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    hv = np.asarray(hvp(x, v), dtype=np.float64)
+    fd = (np.asarray(grad(x + h * v)) - np.asarray(grad(x - h * v))) / (2.0 * h)
+    scale = max(1.0, float(np.max(np.abs(hv))))
+    return float(np.max(np.abs(fd - hv)) / scale)
+
+
 class ExactQuadraticOracle:
     """Noise-free oracle for f(x) = x^T H x / 2 - b^T x (solver-driver tests)."""
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from stochnewton.cli import main
-from stochnewton.harness import GridSearchError
+from stochnewton.harness import GridSearchError, SpecError
 
 TINY_SPEC = """\
 problem.kind = synthetic
@@ -43,6 +43,12 @@ class TestRun:
                    "--max-iters", "5", "--seed", "1", "--out", str(out)])
         assert rc == 0
         assert len(list(out.glob("*_rep*.csv"))) == 3  # lsos, sos, sgd
+
+    def test_negative_seed_names_the_key(self, tmp_path):
+        with pytest.raises(SpecError, match="run.seed"):
+            main(["run", "--preset", "fig1-small", "--seed", "-1",
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_missing_spec_errors(self):
         with pytest.raises(SystemExit):

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from stochnewton.core import RngStream
 from stochnewton.finitesum import (Batch, QuadraticSumProblem, SagaTable,
                                    default_batch_size, make_partition)
-from stochnewton.linalg import fd_hvp_check
 from stochnewton.logreg import (Dataset, LogRegModel, LogRegSagaTable,
                                 generate_synthetic_classification)
 
-from conftest import quadratic_sum_problem
+from conftest import fd_hvp_check, quadratic_sum_problem
 
 
 class TestPartition:

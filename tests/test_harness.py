@@ -239,6 +239,8 @@ class TestSpecParsing:
           for param in ("t_ini", "t_min") for value in ("nan", "inf")],
         ({"solver.lsos.T": "inf"}, "solver.lsos.T"),
         ({"solver.sos.alpha0": "inf"}, "solver.sos.alpha0"),
+        # seeds are non-negative
+        ({"run.seed": "-1"}, "run.seed"),
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:

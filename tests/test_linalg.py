@@ -1,4 +1,5 @@
-"""Direct and CG solvers for SPD systems, plus the finite-difference checker."""
+"""Direct and CG solvers for SPD systems, plus the tests' finite-difference
+checkers (``conftest.py``)."""
 
 import os
 import subprocess
@@ -10,10 +11,9 @@ import numpy as np
 import pytest
 
 from stochnewton.linalg import (NotPositiveDefiniteError, SpdOperator,
-                                damped_newton, fd_gradient_check, fd_hvp_check,
-                                solve_cg, solve_direct)
+                                damped_newton, solve_cg, solve_direct)
 
-from conftest import random_spd
+from conftest import fd_gradient_check, fd_hvp_check, random_spd
 
 
 def _reference_cg(op, rhs, rel_tol, max_iters):

@@ -12,11 +12,12 @@ import scipy.sparse as sp
 from stochnewton import logreg
 from stochnewton.core import RngStream
 from stochnewton.finitesum import ALL_ROWS
-from stochnewton.linalg import fd_gradient_check, fd_hvp_check
 from stochnewton.logreg import (Dataset, LibsvmFormatError, LogRegModel,
                                 LogRegSagaTable, _curvatures, _sigmoid,
                                 _softplus, generate_synthetic_classification,
                                 parse_libsvm)
+
+from conftest import fd_gradient_check, fd_hvp_check
 
 
 def _tiny_model(mu=0.1):

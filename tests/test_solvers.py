@@ -215,6 +215,19 @@ class TestLsosInexact:
         assert SolverConfig(method="lsos").delta == DeltaSchedule("zero")
 
 
+class TestPreconditionedNewtonSystems:
+    def test_lsos_meets_the_residual_floor_at_kappa_1e6(self):
+        # fig2-small's Householder shape at kappa = 1e6: plain CG stopped
+        # at its 2n cap with residuals up to 2.4e-3; preconditioned by the
+        # diagonal part, every Newton system meets cg_rel_floor = 1e-6
+        _, oracle, x0 = _noisy_setup(2000, 1e6, 1e-3, seed=5,
+                                     form=HESS_HOUSEHOLDER)
+        res = run_solver(oracle, SolverConfig(method="lsos", max_iters=30), x0)
+        assert len(res.trace) == 30
+        for rec in res.trace.records:
+            assert rec.cg_relres is not None and rec.cg_relres <= 1e-6
+
+
 class TestHvpAccounting:
     def test_hvp_evals_count_every_matvec_of_the_sampled_hessian(self):
         # solve_cg applies B once per iteration, once per 50-iteration

@@ -6,11 +6,13 @@ from scipy.optimize import brentq
 
 from stochnewton import synthetic
 from stochnewton.core import RngStream
-from stochnewton.linalg import fd_gradient_check
+from stochnewton.linalg import SpdOperator, solve_cg
 from stochnewton.synthetic import (ConvexRandomProblem, HESS_DENSE,
                                    HESS_HOUSEHOLDER, HouseholderOperator,
                                    NoisyOracle, exact_solution,
                                    generate_problem)
+
+from conftest import fd_gradient_check
 
 
 def _problem(n=10, kappa=100.0, sigma=0.0, form=HESS_DENSE, seed=0, density=1.0):
@@ -119,7 +121,8 @@ class TestHouseholderOperator:
         p = _problem(n=50, kappa=100.0, form=HESS_HOUSEHOLDER, seed=3)
         c = rng.standard_normal(50)
         dense = np.diag(c) + 2.0 * _reflector_product(p.a_factored)
-        matvec = p.a_factored.hessian_matvec(c)
+        matvec, delta = p.a_factored.hessian_matvec(c)
+        assert np.array_equal(delta, c + 2.0 * p.a_factored.d)
         for _ in range(100):
             v = rng.standard_normal(50)
             ref = dense @ v
@@ -143,6 +146,47 @@ class TestHouseholderOperator:
         bound = 1e-13 * kappa
         assert np.linalg.norm(dense @ d - rhs) <= bound * np.linalg.norm(rhs)
         assert np.linalg.norm(d - ref) <= bound * np.linalg.norm(ref)
+
+
+class TestPreconditionedCg:
+    """The sampled Householder Hessian is ``Delta + Z (2M) Z^T`` with a
+    positive diagonal ``Delta`` and a rank-6 term, so CG preconditioned by
+    ``Delta`` sees at most 7 distinct eigenvalues: 7 iterations in exact
+    arithmetic, a few more in floating point at large kappa."""
+
+    @pytest.mark.parametrize("n", [50, 2000])
+    @pytest.mark.parametrize("kappa, rel_tol, bound", [
+        (1e2, 1e-6, 7), (1e2, 1e-10, 7),
+        (1e4, 1e-10, 20), (1e6, 1e-10, 20), (1e8, 1e-10, 20)])
+    @pytest.mark.parametrize("start", ["zeros", "gauss5"])
+    def test_sampled_newton_system_solves_in_few_iterations(
+            self, n, kappa, rel_tol, bound, start):
+        p = _problem(n=n, kappa=kappa, sigma=1e-3, form=HESS_HOUSEHOLDER,
+                     seed=n)
+        x = (np.zeros(n) if start == "zeros"
+             else RngStream(n, 1).normal(0.0, 5.0, n))
+        s = NoisyOracle(p, RngStream(n, 2)).sample(
+            x, want_gradient=True, want_hessian=True)
+        res = solve_cg(s.hessian, -s.gradient, rel_tol)
+        assert res.iters <= bound
+        assert res.rel_res <= rel_tol
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_non_positive_diagonal_part_runs_plain_cg(self, shift):
+        # c_0 = -2 lambda_0 - shift makes Delta_0 = -shift <= 0 while the
+        # matrix itself stays positive definite
+        p = _problem(n=50, kappa=100.0, form=HESS_HOUSEHOLDER, seed=4)
+        c = p.lambdas.copy()
+        c[0] = -2.0 * p.lambdas[0] - shift
+        matvec, delta = p.a_factored.hessian_matvec(c)
+        assert delta[0] == -shift
+        dense = np.diag(c) + 2.0 * _reflector_product(p.a_factored)
+        assert np.linalg.eigvalsh(dense)[0] > 0
+        rhs = RngStream(4, 1).standard_normal(50)
+        plain = solve_cg(SpdOperator(50, matvec=matvec), rhs, 1e-10)
+        given = solve_cg(SpdOperator(50, matvec=matvec, diag=delta), rhs, 1e-10)
+        assert np.array_equal(given.d, plain.d)
+        assert given.iters == plain.iters and given.rel_res == plain.rel_res
 
 
 class TestSparsification:
