@@ -10,14 +10,14 @@ accounting is what the SAGA cost contract is asserted against).
 Two gradient estimators are provided:
 
 * plain subsampling, ``(1/|K|) sum_{i in K} grad phi_i(x)``, and
-* a mini-batch SAGA estimator that keeps one stored gradient per component
-  and combines a fresh mini-batch correction with the table average.
+* a mini-batch SAGA estimator that combines a fresh mini-batch correction
+  with the average of a table of stored per-component gradients; the
+  problem chooses the table (:meth:`FiniteSumProblem.saga_table`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -115,6 +115,10 @@ class FiniteSumProblem:
         """The cumulative component-evaluation counters."""
         return EvalCounts(self.value_evals, self.grad_evals, self.hvp_evals)
 
+    def saga_table(self, x0: Vector) -> "SagaTable":
+        """The SAGA table of this problem, filled at `x0` (one counted pass)."""
+        return SagaTable(self, x0)
+
     # -- uncounted exact queries (instrumentation) ---------------------------
 
     def objective(self, x: Vector) -> float:
@@ -128,48 +132,6 @@ class FiniteSumProblem:
         with one pass over its data for the whole block.
         """
         return np.array([self.objective(x) for x in xs])
-
-    def full_gradient_exact(self, x: Vector) -> Vector:
-        """Full gradient, outside the evaluation accounting."""
-        return self._batch_gradient(self._slice(ALL_ROWS), x)
-
-
-class QuadraticSumProblem(FiniteSumProblem):
-    """``phi_i(x) = 0.5 x^T H_i x - b_i^T x`` with SPD mean Hessian (test/demo).
-
-    ``hessians`` has shape ``(N, n, n)`` and ``rhs`` shape ``(N, n)``.
-    """
-
-    def __init__(self, hessians: Sequence[np.ndarray], rhs: Sequence[Vector]):
-        self.hessians = np.asarray(hessians, dtype=np.float64)
-        self.rhs = np.asarray(rhs, dtype=np.float64)
-        shape = self.rhs.shape  # (N, n)
-        if len(shape) != 2 or self.hessians.shape != shape + shape[1:]:
-            raise ValueError(f"need Hessians of shape (N, n, n) and rhs of "
-                             f"shape (N, n), got {self.hessians.shape} and "
-                             f"{shape}")
-        super().__init__(*shape)
-
-    def _slice(self, idx):
-        return self.hessians[idx], self.rhs[idx]
-
-    def _batch_value(self, part, x):
-        hessians, rhs = part
-        hx = hessians @ x
-        return float(np.mean(0.5 * (hx @ x) - rhs @ x))
-
-    def _component_gradients(self, part, x):
-        hessians, rhs = part
-        return hessians @ x - rhs
-
-    def _batch_gradient(self, part, x):
-        return self._component_gradients(part, x).mean(axis=0)
-
-    def _batch_hvp(self, part, x, v):
-        return (part[0] @ v).mean(axis=0)
-
-    def _batch_hessian(self, part, x):
-        return part[0].mean(axis=0)
 
 
 # -- mini-batch plumbing ------------------------------------------------------

@@ -18,6 +18,9 @@ exhausted search takes its smallest trial step, with one warning per run.
     the memory is empty.
 ``saga_ls``
     The first-order baseline: SAGA estimate, direction ``-g``, same search.
+
+Both SAGA methods use the table the problem chooses,
+:meth:`~stochnewton.finitesum.FiniteSumProblem.saga_table`.
 """
 
 from __future__ import annotations
@@ -29,15 +32,13 @@ from typing import Optional
 import numpy as np
 
 from .core import Vector, as_vector
-from .finitesum import (FiniteSumProblem, SagaTable, default_batch_size,
-                        make_partition)
+from .finitesum import FiniteSumProblem, default_batch_size, make_partition
 # solve_cg, solve_direct and backtrack go unused here; perfbench/tracer.py patches them
 from .linalg import SpdOperator, solve_cg, solve_direct  # noqa: F401
-from .logreg import LogRegModel, LogRegSagaTable
 from .slbfgs import LbfgsMemory
 from .solvers import (FS_METHODS, METHOD_LSOS_BFGS, METHOD_LSOS_FS,
-                      SCHEME_PARTITION, STORAGE_LOSS_SPLIT, SolverConfig,
-                      SolverResult, _lsos_loop, _newton_direction)
+                      SCHEME_PARTITION, SolverConfig, SolverResult, _lsos_loop,
+                      _newton_direction)
 from .steplen import backtrack  # noqa: F401
 
 
@@ -46,10 +47,11 @@ def run_fs_solver(problem: FiniteSumProblem, cfg: SolverConfig, x0: Vector,
                   final_error_only: bool = False) -> SolverResult:
     """Run one finite-sum method of :data:`FS_METHODS` from ``x0``.
 
-    ``rng`` owns the batch draws; ``f_star``, when known, gives the trace
-    its true errors, from :meth:`FiniteSumProblem.objectives` over blocks
-    of :func:`_error_block` iterates (``final_error_only``: see
-    :func:`_lsos_loop`).
+    The SAGA methods fill the problem's own table,
+    :meth:`FiniteSumProblem.saga_table`, at ``x0``.  ``rng`` owns the batch
+    draws; ``f_star``, when known, gives the trace its true errors, from
+    :meth:`FiniteSumProblem.objectives` over blocks of :func:`_error_block`
+    iterates (``final_error_only``: see :func:`_lsos_loop`).
     """
     if cfg.method not in FS_METHODS:
         raise ValueError(f"{cfg.method!r} is not a finite-sum method")
@@ -61,8 +63,7 @@ def run_fs_solver(problem: FiniteSumProblem, cfg: SolverConfig, x0: Vector,
 
     since = problem.counts()  # the SAGA table's pass counts toward the run
     tic = time.perf_counter()
-    table = (_make_saga_table(problem, cfg, x) if cfg.method != METHOD_LSOS_FS
-             else None)
+    table = problem.saga_table(x) if cfg.method != METHOD_LSOS_FS else None
     memory = LbfgsMemory(cfg.m, cfg.l) if cfg.method == METHOD_LSOS_BFGS else None
     setup_s = time.perf_counter() - tic
 
@@ -127,10 +128,3 @@ def _epoch_batches(N: int, batch_size: int, cfg: SolverConfig, rng):
             for _ in range(n_b):
                 yield np.sort(rng.choice(N, size=batch_size))
 
-
-def _make_saga_table(problem, cfg, x0):
-    if cfg.saga_storage == STORAGE_LOSS_SPLIT:
-        if not isinstance(problem, LogRegModel):
-            raise ValueError("loss_split storage requires a logistic model")
-        return LogRegSagaTable(problem, x0)
-    return SagaTable(problem, x0)

@@ -196,7 +196,7 @@ SCHEMA = {
     "solver.*.batch_scheme": _Key(str, field="batch_scheme"),
     "solver.*.m": _Key(_int_min(1), field="m"),
     "solver.*.l": _Key(_int_min(1), field="l"),
-    "solver.*.saga_storage": _Key(str, field="saga_storage"),
+    "solver.*.saga_storage": _Key(_choice("loss_split"), field="saga_storage"),
 }
 DEFAULTS = {key: row.default for key, row in SCHEMA.items() if row.default}
 
@@ -317,6 +317,10 @@ def _solver_config(spec: ExperimentSpec, name: str):
         if row.field not in _READS[method] and owner not in _READS[method]:
             raise SpecError(f"{key}: method {method!r} has no such setting")
         if value == GRID:
+            continue
+        if row.field == "saga_storage":
+            # the problem chooses its SAGA table; the key sets nothing and
+            # goes once no spec names it (ROADMAP 11(b))
             continue
         try:
             if owner:

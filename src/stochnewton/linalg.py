@@ -183,8 +183,13 @@ def damped_newton(value: Callable[[Vector], float],
     ``H(x) d = -g``.  Each step length comes from :func:`backtrack`: halving
     from ``t = 1`` for at most 60 trials until the Armijo test with
     parameter 1e-4 holds, non-finite trial values rejected.  Returns the
-    first iterate with ``||g|| <= tol`` and raises :class:`RuntimeError` if
-    none is reached within ``max_iters`` iterations.
+    first iterate with ``||g|| <= tol``, or the one after the first full
+    step (``t = 1``) whose Newton decrement ``-g^T d`` is at most
+    ``8 eps max(1, |f|)``: the predicted decrease is then below the rounding
+    of ``f`` and the full step converges quadratically, while the gradient
+    of an ill-conditioned ``f`` may stall above `tol` (Boyd & Vandenberghe,
+    *Convex Optimization*, section 9.5).  Raises :class:`RuntimeError` if
+    neither happens within ``max_iters`` iterations.
     """
     gnorm = math.inf
     for _ in range(max_iters):
@@ -194,12 +199,16 @@ def damped_newton(value: Callable[[Vector], float],
             return x
         d = newton_solve(x, g)
         f0 = value(x)
+        gd = float(g @ d)
         # rounding slack: near the optimum the predicted decrease drops below
         # the float resolution of f, which must not stall the full Newton step
         slack = 8.0 * np.finfo(float).eps * max(1.0, abs(f0))
-        t = backtrack(lambda t: value(x + t * d), f0, float(g @ d),
-                      _NEWTON_SEARCH, slack).t
+        t = backtrack(lambda t: value(x + t * d), f0, gd, _NEWTON_SEARCH,
+                      slack).t
         x = x + t * d
+        if t == 1.0 and -gd <= slack:
+            return x
     raise RuntimeError(
-        f"damped Newton did not reach ||grad|| <= {tol} in {max_iters} "
-        f"iterations (last ||grad|| = {gnorm:.3e})")
+        f"damped Newton did not reach ||grad|| <= {tol} or a Newton "
+        f"decrement within the rounding of f in {max_iters} iterations "
+        f"(last ||grad|| = {gnorm:.3e})")

@@ -305,15 +305,20 @@ class LogRegModel(FiniteSumProblem):
         return float(np.mean(_softplus(-m)) + 0.5 * self.mu * (x @ x))
 
     def objectives(self, xs) -> np.ndarray:
-        """Full objective at each row of `xs`, by one product ``store @ xs.T``.
+        """Full objective at each row of `xs`, equal to :meth:`objective`.
 
-        The margins are copied to C order, ``(B, N)``, so each row's mean
-        is numpy's pairwise sum as in :meth:`_batch_value`: equal to
-        :meth:`objective` to the last bit on a CSR store, and within 1 ulp
-        on a dense one, whose ``B >= 2`` product is a matrix product.
+        A CSR store takes one product ``store @ xs.T`` for the whole block;
+        a dense store takes one matrix-vector product per row of `xs`, since
+        a matrix product would round differently.  The margins are in C
+        order, ``(B, N)``, so each row's mean is numpy's pairwise sum as in
+        :meth:`_batch_value`, and every value is bit-identical to
+        :meth:`objective`'s.
         """
         xs = np.asarray(xs, dtype=np.float64)
-        t = np.ascontiguousarray((self.store @ xs.T).T)
+        if sp.issparse(self.store):
+            t = np.ascontiguousarray((self.store @ xs.T).T)
+        else:
+            t = np.stack([self.store @ x for x in xs])
         losses = _softplus(np.multiply(t, -self.dataset.labels, out=t), out=t)
         regs = np.array([x @ x for x in xs])
         return np.mean(losses, axis=1) + 0.5 * self.mu * regs
@@ -339,6 +344,10 @@ class LogRegModel(FiniteSumProblem):
         w = _curvatures(rows, labels, x)
         h = _to_dense(_scale_rows(rows, w).T @ rows) / labels.size
         return h + self.mu * np.eye(self.n)
+
+    def saga_table(self, x0: Vector) -> "LogRegSagaTable":
+        """The loss-split SAGA table, one scalar per component."""
+        return LogRegSagaTable(self, x0)
 
     def loss_factors(self, idx, x: Vector) -> np.ndarray:
         """Per-row loss-gradient scalars ``(1-z_i)/z_i * b_i``, uncounted."""
@@ -372,14 +381,16 @@ class LogRegModel(FiniteSumProblem):
 
 
 class LogRegSagaTable:
-    """Memory-lean SAGA table for logistic components with sparse rows.
+    """The SAGA table of every logistic run: one scalar per component.
 
     Components share the structure ``grad phi_i(x) = c_i(x) a_i + mu x``, so
-    the table stores one scalar per component and a single accumulated
-    loss-part sum; the regularizer term is added analytically at the current
-    iterate instead of being replayed from per-slot storage.  The estimator
-    stays exactly unbiased and coincides with the dense table whenever all
-    slots were refreshed at the same iterate.
+    the table stores the loss factors ``c_i`` and a single accumulated
+    loss-part sum, O(N) memory on dense or sparse rows; the regularizer
+    term ``mu x`` is added exactly at the current iterate instead of being
+    replayed from per-slot storage (the standard SAGA form for linear
+    models: Defazio, Bach & Lacoste-Julien 2014, section 4).  The estimator
+    stays exactly unbiased and coincides with :class:`SagaTable` whenever
+    all slots were refreshed at the same iterate.
     """
 
     def __init__(self, model: LogRegModel, x0: Vector):

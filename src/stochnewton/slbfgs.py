@@ -107,12 +107,3 @@ class LbfgsMemory:
             v = np.eye(n) - rho * np.outer(y, s)
             h = v.T @ h @ v + rho * np.outer(s, s)
         return h
-
-    def verify_secant(self, tol: float = 1e-8) -> bool:
-        """Check ``H y_m = s_m`` for the most recent pair."""
-        if not self.pairs:
-            raise ValueError("no stored pairs")
-        s_m, y_m, _ = self.pairs[-1]
-        lhs = self.apply_inverse_hessian(y_m)
-        scale = max(1.0, float(np.linalg.norm(s_m)))
-        return bool(np.linalg.norm(lhs - s_m) <= tol * scale)

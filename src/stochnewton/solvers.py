@@ -69,9 +69,6 @@ FS_METHODS = (METHOD_LSOS_FS, METHOD_LSOS_BFGS, METHOD_SAGA_LS)
 SCHEME_PARTITION = "partition"
 SCHEME_UNIFORM = "uniform"
 
-STORAGE_DENSE = "dense"
-STORAGE_LOSS_SPLIT = "loss_split"
-
 DELTA_ZERO = "zero"
 DELTA_GEOMETRIC = "geometric"
 DELTA_CONSTANT = "constant"
@@ -143,7 +140,6 @@ class SolverConfig:
     batch_scheme: Optional[str] = None
     m: int = 10
     l: int = 5
-    saga_storage: str = STORAGE_DENSE
     cg_rel_floor: float = 1e-6
     cg_max_iters: Optional[int] = None
     max_epochs: Optional[int] = None
@@ -184,8 +180,6 @@ class SolverConfig:
             raise ValueError("need at least one of max_epochs/max_iters/time budget")
         if self.batch_scheme not in (SCHEME_PARTITION, SCHEME_UNIFORM):
             raise ValueError(f"unknown batch scheme {self.batch_scheme!r}")
-        if self.saga_storage not in (STORAGE_DENSE, STORAGE_LOSS_SPLIT):
-            raise ValueError(f"unknown saga storage {self.saga_storage!r}")
 
 
 @dataclass

@@ -330,12 +330,13 @@ def exact_solution(problem: ConvexRandomProblem, tol: float = 1e-8,
     """Minimize the exact objective by damped Newton; caches the result.
 
     Every Newton system is solved directly: by Cholesky
-    (:func:`~stochnewton.linalg.solve_direct`) for dense problems and by :meth:`HouseholderOperator.hessian_solve`, O(n k^2) for any
-    ``kappa``, for factored ones.  The gradient is a difference of terms up
-    to ``max lambda`` in size, so ``||g||`` must drop to
-    ``max(tol, 32 eps max lambda)`` (a floor above 1e-8 only for
-    ``kappa`` > 1.4e6) within ``max_iters`` iterations, or the call fails
-    loudly (see :func:`~stochnewton.linalg.damped_newton`).
+    (:func:`~stochnewton.linalg.solve_direct`) for dense problems and by
+    :meth:`HouseholderOperator.hessian_solve`, O(n k^2) for any ``kappa``,
+    for factored ones.  The loop stops at ``||g|| <= tol`` or once the
+    Newton decrement is below the rounding of ``f`` (the gradient, a
+    difference of terms up to ``max lambda`` in size, may stall above
+    `tol`), and fails loudly if neither happens within ``max_iters``
+    iterations (see :func:`~stochnewton.linalg.damped_newton`).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -347,9 +348,8 @@ def exact_solution(problem: ConvexRandomProblem, tol: float = 1e-8,
             return solve_direct(SpdOperator.from_dense(problem.hess_dense(x)), -g)
         return problem.a_factored.hessian_solve(problem.hess_diag_part(x), -g)
 
-    floor = 32.0 * np.finfo(float).eps * float(np.max(problem.lambdas))
     x = damped_newton(problem.value, problem.gradient, newton_solve,
-                      np.zeros(problem.n), max(tol, floor), max_iters)
+                      np.zeros(problem.n), tol, max_iters)
     problem.x_star = x
     problem.f_star = problem.value(x)
     return problem.x_star, problem.f_star

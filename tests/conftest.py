@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochnewton.core import EvalCounts, OracleSample, RngStream
-from stochnewton.finitesum import QuadraticSumProblem
+from stochnewton.finitesum import ALL_ROWS, FiniteSumProblem
 from stochnewton.linalg import SpdOperator
 
 
@@ -75,6 +75,59 @@ class ExactQuadraticOracle:
 
     def true_error(self, x):
         return self._value(x) - self.f_star
+
+
+class QuadraticSumProblem(FiniteSumProblem):
+    """``phi_i(x) = 0.5 x^T H_i x - b_i^T x`` with SPD mean Hessian.
+
+    ``hessians`` has shape ``(N, n, n)`` and ``rhs`` shape ``(N, n)``.
+    """
+
+    def __init__(self, hessians, rhs):
+        self.hessians = np.asarray(hessians, dtype=np.float64)
+        self.rhs = np.asarray(rhs, dtype=np.float64)
+        shape = self.rhs.shape  # (N, n)
+        if len(shape) != 2 or self.hessians.shape != shape + shape[1:]:
+            raise ValueError(f"need Hessians of shape (N, n, n) and rhs of "
+                             f"shape (N, n), got {self.hessians.shape} and "
+                             f"{shape}")
+        super().__init__(*shape)
+
+    def _slice(self, idx):
+        return self.hessians[idx], self.rhs[idx]
+
+    def _batch_value(self, part, x):
+        hessians, rhs = part
+        hx = hessians @ x
+        return float(np.mean(0.5 * (hx @ x) - rhs @ x))
+
+    def _component_gradients(self, part, x):
+        hessians, rhs = part
+        return hessians @ x - rhs
+
+    def _batch_gradient(self, part, x):
+        return self._component_gradients(part, x).mean(axis=0)
+
+    def _batch_hvp(self, part, x, v):
+        return (part[0] @ v).mean(axis=0)
+
+    def _batch_hessian(self, part, x):
+        return part[0].mean(axis=0)
+
+
+def full_gradient_exact(problem, x):
+    """The full gradient of a finite-sum `problem`, outside its accounting."""
+    return problem._batch_gradient(problem._slice(ALL_ROWS), x)
+
+
+def verify_secant(memory, tol=1e-8):
+    """Check ``H y_m = s_m`` for the most recent pair of an L-BFGS `memory`."""
+    if not memory.pairs:
+        raise ValueError("no stored pairs")
+    s_m, y_m, _ = memory.pairs[-1]
+    lhs = memory.apply_inverse_hessian(y_m)
+    scale = max(1.0, float(np.linalg.norm(s_m)))
+    return bool(np.linalg.norm(lhs - s_m) <= tol * scale)
 
 
 def quadratic_sum_problem(N, n, seed=0):

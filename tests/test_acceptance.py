@@ -22,8 +22,8 @@ from stochnewton.steplen import LineSearchConfig, backtrack
 from stochnewton.synthetic import (HESS_HOUSEHOLDER, NoisyOracle,
                                    exact_solution, generate_problem)
 
-from conftest import (fd_gradient_check, fd_hvp_check, quadratic_sum_problem,
-                      random_spd)
+from conftest import (fd_gradient_check, fd_hvp_check, full_gradient_exact,
+                      quadratic_sum_problem, random_spd, verify_secant)
 
 
 def _report(num, name, ok, detail=""):
@@ -67,7 +67,7 @@ class TestCriterion02EstimatorUnbiasedness:
         model = LogRegModel(data, mu=0.2)
         rng = RngStream(803, 0)
         x = rng.standard_normal(4)
-        full = model.full_gradient_exact(x)
+        full = full_gradient_exact(model, x)
         batches = [np.array(b) for b in combinations(range(6), 2)]
 
         sub_mean = np.mean([model.batch_gradient(b, x) for b in batches],
@@ -108,7 +108,7 @@ class TestCriterion04LbfgsCorrectness:
         max_dev = max(
             float(np.max(np.abs(mem.apply_inverse_hessian(v) - dense @ v)))
             for v in (rng.standard_normal(20) for _ in range(25)))
-        secant = mem.verify_secant(tol=1e-8)
+        secant = verify_secant(mem, tol=1e-8)
         positive = all(float(v @ mem.apply_inverse_hessian(v)) > 0
                        for v in (rng.standard_normal(20) for _ in range(100)))
         ok = max_dev <= 1e-10 and secant and positive

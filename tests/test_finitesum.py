@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochnewton.core import RngStream
-from stochnewton.finitesum import (Batch, QuadraticSumProblem, SagaTable,
-                                   default_batch_size, make_partition)
+from stochnewton.finitesum import (Batch, SagaTable, default_batch_size,
+                                   make_partition)
 from stochnewton.logreg import (Dataset, LogRegModel, LogRegSagaTable,
                                 generate_synthetic_classification)
 
-from conftest import fd_hvp_check, quadratic_sum_problem
+from conftest import (QuadraticSumProblem, fd_hvp_check, full_gradient_exact,
+                      quadratic_sum_problem)
 
 
 class TestPartition:
@@ -59,7 +60,7 @@ class TestSubsampledEstimators:
         self.x = RngStream(4, 0).standard_normal(4)
 
     def test_full_batch_equals_full_gradient(self):
-        full = self.prob.full_gradient_exact(self.x)
+        full = full_gradient_exact(self.prob, self.x)
         got = self.prob.batch_gradient(np.arange(6), self.x)
         np.testing.assert_allclose(got, full, atol=1e-12)
 
@@ -69,7 +70,7 @@ class TestSubsampledEstimators:
         np.testing.assert_allclose(got, expected, atol=0)
 
     def test_exhaustive_mean_is_unbiased(self):
-        full = self.prob.full_gradient_exact(self.x)
+        full = full_gradient_exact(self.prob, self.x)
         batches = list(combinations(range(6), 2))
         mean = np.mean([self.prob.batch_gradient(np.array(b), self.x)
                         for b in batches], axis=0)
@@ -117,7 +118,7 @@ class TestSubsampledEstimators:
         fv = np.mean([prob.batch_value([i], x) for i in range(20)])
         assert prob.objective(x) == pytest.approx(fv, rel=1e-12)
         gv = np.mean([prob.batch_gradient([i], x) for i in range(20)], axis=0)
-        np.testing.assert_allclose(prob.full_gradient_exact(x), gv, atol=1e-12)
+        np.testing.assert_allclose(full_gradient_exact(prob, x), gv, atol=1e-12)
 
 
 class TestSagaTable:
@@ -125,7 +126,7 @@ class TestSagaTable:
         prob = quadratic_sum_problem(6, 4, seed=11)
         x0 = RngStream(8, 0).standard_normal(4)
         table = SagaTable(prob, x0)
-        full = prob.full_gradient_exact(x0)
+        full = full_gradient_exact(prob, x0)
         for batch in ([0], [2, 4], np.arange(6)):
             np.testing.assert_allclose(table.estimate(x0, batch),
                                        full, atol=1e-12)
@@ -138,7 +139,7 @@ class TestSagaTable:
         for _ in range(5):
             table.update(rng.choice(6, size=2), rng.standard_normal(4))
         x = rng.standard_normal(4)
-        full = prob.full_gradient_exact(x)
+        full = full_gradient_exact(prob, x)
         batches = list(combinations(range(6), 2))
         mean = np.mean([table.estimate(x, np.array(b))
                         for b in batches], axis=0)
@@ -151,7 +152,7 @@ class TestSagaTable:
         x = rng.standard_normal(4)
         for batch in make_partition(6, 3, rng):
             table.update(batch, x)
-        full = prob.full_gradient_exact(x)
+        full = full_gradient_exact(prob, x)
         np.testing.assert_allclose(table.table,
                                    prob.component_gradients(np.arange(6), x),
                                    atol=1e-12)
@@ -323,6 +324,16 @@ class TestObjectives:
         np.testing.assert_allclose(model.objectives(xs),
                                    self._per_point(model, xs),
                                    rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("B", [2, 6, 8])
+    def test_dense_store_is_bit_identical(self, B):
+        # a grid pilot scores its last iterate alone, while the full run
+        # evaluates it in a block: the two must agree to the last bit
+        model = LogRegModel(generate_synthetic_classification(
+            2000, 50, 2.0, RngStream(25, 0)))
+        assert isinstance(model.store, np.ndarray)
+        xs = self._iterates(model, B)
+        assert np.array_equal(model.objectives(xs), self._per_point(model, xs))
 
     @pytest.mark.parametrize("B", [1, 4])
     def test_quadratic_maps_the_objective(self, B):

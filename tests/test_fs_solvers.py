@@ -6,13 +6,14 @@ import scipy.sparse as sp
 
 from stochnewton import solvers
 from stochnewton.core import EvalCounts, PHASE_LINE_SEARCH, RngStream
+from stochnewton.finitesum import SagaTable
 from stochnewton.fs_solvers import _epoch_batches, _error_block, run_fs_solver
 from stochnewton.logreg import (Dataset, LogRegModel, LogRegSagaTable,
                                 generate_synthetic_classification)
 from stochnewton.solvers import DeltaSchedule, SolverConfig
 from stochnewton.steplen import BacktrackResult, LineSearchConfig, backtrack
 
-from conftest import quadratic_sum_problem
+from conftest import full_gradient_exact, quadratic_sum_problem
 
 
 def _logistic(N=400, n=10, seed=50, feature_condition=1.0):
@@ -124,7 +125,7 @@ class TestLsosBfgs:
         res = run_fs_solver(prob, cfg, np.zeros(5), RngStream(74, 0))
         # full-batch SAGA estimate equals the full gradient; check the first
         # update is collinear with it
-        g0 = prob.full_gradient_exact(np.zeros(5))
+        g0 = full_gradient_exact(prob, np.zeros(5))
         first_step = res.trace.records[0]
         assert first_step.grad_norm_hat == pytest.approx(np.linalg.norm(g0))
 
@@ -165,20 +166,6 @@ class TestSagaLs:
         errs = res.trace.column("true_error")
         assert errs[-1] < 1e-3 * errs[0]
 
-    def test_loss_split_storage_converges_like_dense(self):
-        model_a = _logistic(seed=57)
-        model_b = LogRegModel(model_a.dataset)
-        out = {}
-        for storage, model in (("dense", model_a), ("loss_split", model_b)):
-            cfg = SolverConfig(method="saga_ls", max_epochs=6,
-                               saga_storage=storage)
-            res = run_fs_solver(model, cfg, np.zeros(model.n),
-                                RngStream(58, 0).child(1),
-                                f_star=model_a.f_star)
-            out[storage] = res.trace.records[-1].true_error
-        assert out["loss_split"] < 10 * out["dense"] + 1e-9
-        assert out["dense"] < 10 * out["loss_split"] + 1e-9
-
     def test_eval_counts_are_per_run(self):
         # the counters live on the shared problem; each result reports only
         # its own run, the SAGA table's initial pass included
@@ -214,12 +201,31 @@ class TestSagaLs:
         assert set(res.trace.column("phase")) == {PHASE_LINE_SEARCH}
         assert sum("exhausted" in r.getMessage() for r in caplog.records) == 1
 
-    def test_loss_split_requires_logistic(self):
-        prob = quadratic_sum_problem(6, 3, seed=59)
-        cfg = SolverConfig(method="saga_ls", max_epochs=1,
-                           saga_storage="loss_split")
-        with pytest.raises(ValueError):
-            run_fs_solver(prob, cfg, np.zeros(3), RngStream(0, 0))
+
+class TestSagaTableChoice:
+    """The problem chooses the SAGA table; no setting selects another."""
+
+    @pytest.mark.parametrize("method", ["saga_ls", "lsos_bfgs"])
+    @pytest.mark.parametrize("make, table_class", [
+        (lambda: _logistic(N=60, n=4, seed=57), LogRegSagaTable),
+        (lambda: quadratic_sum_problem(12, 3, seed=58), SagaTable),
+    ], ids=["logistic", "quadratic"])
+    def test_each_problem_runs_its_own_table(self, monkeypatch, method, make,
+                                             table_class):
+        used = []
+        for cls in (SagaTable, LogRegSagaTable):
+            for name in ("estimate", "update"):
+                def spy(table, *args, _orig=getattr(cls, name)):
+                    used.append(type(table))
+                    return _orig(table, *args)
+                monkeypatch.setattr(cls, name, spy)
+        problem = make()
+        cfg = SolverConfig(method=method, batch_size=4, max_epochs=1)
+        res = run_fs_solver(problem, cfg, np.zeros(problem.n),
+                            RngStream(59, 0))
+        assert res.iterations > 0
+        assert set(used) == {table_class}
+        assert len(used) == 2 * res.iterations
 
 
 class TestOneSlicePerIteration:
@@ -250,8 +256,7 @@ class TestOneSlicePerIteration:
         return slices
 
     @pytest.mark.parametrize("cfg", [
-        SolverConfig(method="saga_ls", saga_storage="loss_split",
-                     max_epochs=2),
+        SolverConfig(method="saga_ls", max_epochs=2),
         SolverConfig(method="lsos_fs", batch_size=100, max_epochs=2),
     ], ids=["saga_ls-loss_split", "lsos_fs"])
     def test_store_is_sliced_once_per_iteration(self, cfg):
@@ -275,8 +280,7 @@ class TestTrueErrorBlocks:
             update(table, batch, x_next)
 
         monkeypatch.setattr(LogRegSagaTable, "update", capture)
-        cfg = SolverConfig(method="saga_ls", saga_storage="loss_split",
-                           max_epochs=2)
+        cfg = SolverConfig(method="saga_ls", max_epochs=2)
         res = run_fs_solver(model, cfg, iterates[0], RngStream(93, 0),
                             f_star=f_star)
         block = _error_block(model.N)

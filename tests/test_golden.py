@@ -19,8 +19,10 @@ A change that moves iterates on purpose regenerates the file with
 and lists in CHANGES.md which digests moved and by how much.  The
 finite-sum cases are the fig3-synthetic preset at reps 2 and 2 epochs (grid
 search included, one worker) and a small sparse LIBSVM file that runs
-``lsos_fs``, ``saga_ls`` on the ``loss_split`` table and ``lsos_bfgs``;
-neither depends on the BLAS thread count.  The noisy-oracle cases are the
+``lsos_fs``, ``saga_ls`` and ``lsos_bfgs``; both SAGA methods run the
+logistic model's loss-split table, its only one (the spec still names it
+for ``saga_ls`` through the ``saga_storage`` key, which sets nothing).
+Neither case depends on the BLAS thread count.  The noisy-oracle cases are the
 fig1-small preset at reps 2 and fig2-small at reps 2 and 40 iterations.
 The dense fig1 solves change in the last bits with the BLAS thread count,
 so the noisy cases run in a child process with one BLAS thread.  The

@@ -143,8 +143,7 @@ class TestSpecParsing:
             return SolverConfig(method=method, ls=ls(0.999, t_start=0.1),
                                 delta=DeltaSchedule("zero"), batch_size=None,
                                 hess_batch_size=None, batch_scheme="partition",
-                                m=10, l=5, saga_storage="dense",
-                                cg_rel_floor=1e-6, cg_max_iters=None,
+                                m=10, l=5, cg_rel_floor=1e-6, cg_max_iters=None,
                                 max_epochs=10, max_iters=None,
                                 time_budget_s=math.inf, grad_tol=None)
 
@@ -241,6 +240,13 @@ class TestSpecParsing:
         ({"solver.sos.alpha0": "inf"}, "solver.sos.alpha0"),
         # seeds are non-negative
         ({"run.seed": "-1"}, "run.seed"),
+        # a logistic run has one SAGA table; only lsos_bfgs and saga_ls
+        # accept the key
+        *[({"problem.kind": "logistic_synthetic", "run.solvers": method,
+            f"solver.{method}.saga_storage": value},
+           f"solver.{method}.saga_storage")
+          for method, value in [("saga_ls", "dense"),
+                                ("lsos_fs", "loss_split")]],
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:

@@ -7,7 +7,7 @@ import pytest
 from stochnewton.core import RngStream
 from stochnewton.slbfgs import LbfgsMemory
 
-from conftest import quadratic_sum_problem, random_spd
+from conftest import quadratic_sum_problem, random_spd, verify_secant
 
 
 def _pairs_from_spd(mem, h, rng, count):
@@ -157,13 +157,13 @@ class TestSecant:
         h = random_spd(5, rng)
         mem = LbfgsMemory()
         _pairs_from_spd(mem, h, rng, 1)
-        assert mem.verify_secant()
+        assert verify_secant(mem)
 
     def test_many_pairs(self, rng):
         h = random_spd(8, rng, 1, 40)
         mem = LbfgsMemory(m=10)
         _pairs_from_spd(mem, h, rng, 10)
-        assert mem.verify_secant()
+        assert verify_secant(mem)
 
     def test_corrupted_pair_fails(self, rng):
         h = random_spd(5, rng)
@@ -171,8 +171,8 @@ class TestSecant:
         _pairs_from_spd(mem, h, rng, 1)
         s, y, rho = mem.pairs[-1]
         mem.pairs[-1] = (s, -y, rho)  # bypass the insertion guard
-        assert not mem.verify_secant()
+        assert not verify_secant(mem)
 
     def test_requires_pairs(self):
         with pytest.raises(ValueError):
-            LbfgsMemory().verify_secant()
+            verify_secant(LbfgsMemory())

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from stochnewton import synthetic
 from stochnewton.core import RngStream
-from stochnewton.linalg import SpdOperator, solve_cg
+from stochnewton.linalg import SpdOperator, solve_cg, solve_direct
 from stochnewton.synthetic import (ConvexRandomProblem, HESS_DENSE,
                                    HESS_HOUSEHOLDER, HouseholderOperator,
                                    NoisyOracle, exact_solution,
@@ -354,10 +354,21 @@ class TestExactSolution:
         x_star, _ = exact_solution(p, tol=1e-8)
         assert np.linalg.norm(p.gradient(x_star)) <= 1e-8
 
+    def test_dense_ill_conditioned_problem_stops_on_the_decrement(self):
+        # ||g|| stalls near 2e-8, above tol = 1e-8, while the Newton
+        # decrement -g^T d falls to about 1e-19 against eps |f| = 3e-8
+        p = _problem(n=2000, kappa=1e6, sigma=0.1, seed=0)
+        x_star, f_star = exact_solution(p, tol=1e-8)
+        g = p.gradient(x_star)
+        d = solve_direct(SpdOperator.from_dense(p.hess_dense(x_star)), -g)
+        assert -(g @ d) <= 8 * np.finfo(float).eps * abs(f_star)
+        assert np.linalg.norm(g) <= 1e-7
+
     @pytest.mark.parametrize("n, seed", [(4, 2), (50, 0)])
     def test_kappa_1e8_factored_problem_converges(self, no_cg, n, seed):
         # the gradient is a difference of kappa-sized terms (ulp 1.49e-8 at
-        # kappa = 1e8), so it stops at 32 eps kappa rather than tol = 1e-8
+        # kappa = 1e8), so it cannot reach tol = 1e-8; the Newton decrement
+        # stops the loop instead
         p = _problem(n=n, kappa=1e8, form=HESS_HOUSEHOLDER, seed=seed)
         x_star, _ = exact_solution(p, tol=1e-8)
         assert np.linalg.norm(p.gradient(x_star)) <= 32 * np.finfo(float).eps * 1e8
