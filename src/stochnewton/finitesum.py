@@ -161,8 +161,7 @@ class SagaTable:
 
     and ``update`` overwrites the slots of the batch with gradients taken at
     the *new* iterate, fixing the running sum incrementally.  ``running_sum``
-    is the only derived state; :meth:`recompute_sum` is the test oracle for
-    its consistency.
+    is the only derived state, ``table.sum(axis=0)`` up to rounding.
     """
 
     def __init__(self, problem: FiniteSumProblem, x0: Vector):
@@ -183,6 +182,3 @@ class SagaTable:
         self.running_sum = self.running_sum + (fresh.sum(axis=0)
                                                - self.table[batch.idx].sum(axis=0))
         self.table[batch.idx] = fresh
-
-    def recompute_sum(self) -> Vector:
-        return self.table.sum(axis=0)

@@ -71,7 +71,7 @@ def run_fs_solver(problem: FiniteSumProblem, cfg: SolverConfig, x0: Vector,
         return problem.batch_gradient(batch, x)
 
     def newton_step(x, batch, g, k):
-        b = SpdOperator.from_dense(problem.batch_hessian(batch, x))
+        b = SpdOperator(problem.n, dense=problem.batch_hessian(batch, x))
         return _newton_direction(b, g, cfg, k)
 
     def lbfgs_step(x, batch, g, k):
@@ -110,9 +110,10 @@ def run_fs_solver(problem: FiniteSumProblem, cfg: SolverConfig, x0: Vector,
 def _error_block(N: int) -> int:
     """Iterates per true-error block over ``N`` components.
 
-    A block's ``(B, N)`` buffer holds at most ``2**17`` values (1 MiB), and
-    ``B <= 8``: at ``N = 20000`` the pass is fastest from ``B = 4`` on,
-    while larger blocks only add transient memory in every pool worker.
+    A sparse store's ``(B, N)`` margin buffer holds at most ``2**17`` values
+    (1 MiB), and ``B <= 8``: at ``N = 20000`` the pass is fastest from
+    ``B = 4`` on, while larger blocks only add transient memory in every
+    pool worker.  A dense store evaluates the rows of a block one by one.
     """
     return max(1, min(8, 2**17 // N))
 

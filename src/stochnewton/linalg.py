@@ -1,11 +1,13 @@
 """SPD linear algebra kernels for the Newton systems.
 
-Direct solves go through a Cholesky factorization; the iterative path is a
-conjugate-gradient loop with a *relative* residual stopping rule (the
-achieved residual is always recomputed from scratch before being reported, so
-the returned certificate can be trusted), preconditioned by the operator's
-positive diagonal part when it has one.  Indefiniteness surfaces as
-:class:`NotPositiveDefiniteError`; the solver drivers decide the fallback.
+Direct solves go through a Cholesky factorization of an explicit matrix;
+the iterative path is one preconditioned conjugate-gradient loop with a
+*relative* residual stopping rule (the achieved residual is always
+recomputed from scratch before being reported, so the returned certificate
+can be trusted).  It preconditions by the operator's positive diagonal part
+when it has one and by the identity, which is plain CG, otherwise.
+Indefiniteness surfaces as :class:`NotPositiveDefiniteError`; the solver
+drivers decide the fallback.
 :func:`damped_newton` is the exact Newton loop behind every reference
 optimum; each problem family passes its own Newton solve, and its steps
 come from the solvers' Armijo search, :func:`~stochnewton.steplen.backtrack`.
@@ -30,8 +32,9 @@ class NotPositiveDefiniteError(Exception):
 class SpdOperator:
     """A symmetric positive definite linear map ``v -> B v``.
 
-    Backed by an explicit dense matrix (``dense is not None``), a matvec
-    closure, or both; :meth:`apply` prefers the closure.  ``n`` is the
+    Backed by an explicit ``n x n`` matrix (``dense is not None``), a matvec
+    closure, or both; :meth:`apply` prefers the closure, and a direct solve
+    takes the matrix itself (:func:`solve_direct`).  ``n`` is the
     dimension.  ``diag``, if given, is a diagonal part ``Delta`` of ``B``
     with ``B - Delta`` of low rank k; :func:`solve_cg` preconditions by it,
     which takes at most k + 1 iterations in exact arithmetic.
@@ -45,20 +48,12 @@ class SpdOperator:
         if dense is None and matvec is None:
             raise ValueError("need a dense matrix or a matvec")
         self.n = int(n)
+        if dense is not None and np.shape(dense) != (self.n, self.n):
+            raise ValueError(f"expected a {self.n} x {self.n} matrix, got "
+                             f"shape {np.shape(dense)}")
         self.dense = dense
         self.diag = diag
         self._matvec = matvec
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SpdOperator":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        return cls(a.shape[0], dense=a)
-
-    @property
-    def is_explicit(self) -> bool:
-        return self.dense is not None
 
     def apply(self, v: Vector) -> Vector:
         if self._matvec is not None:
@@ -66,22 +61,22 @@ class SpdOperator:
         return self.dense @ v
 
 
-def solve_direct(op: SpdOperator, rhs: Vector) -> Vector:
-    """Solve ``B d = rhs`` by Cholesky factorization of the explicit matrix.
+def solve_direct(a: np.ndarray, rhs: Vector) -> Vector:
+    """Solve ``a d = rhs`` by Cholesky factorization of the square matrix `a`.
 
     Raises
     ------
     NotPositiveDefiniteError
         If the factorization meets a non-positive pivot.  Callers treat this
         as "the sampled Hessian is not SPD" and fall back to steepest descent.
+    ValueError
+        If `a` is not square.
     """
-    if not op.is_explicit:
-        raise ValueError("solve_direct needs an explicit matrix")
     # LAPACK loads at the first dense factorization, so processes that only
     # solve matrix-free (Householder noisy runs and their workers) never map it
     import scipy.linalg
     try:
-        cho = scipy.linalg.cho_factor(op.dense, lower=True, check_finite=False)
+        cho = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
     return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
@@ -103,10 +98,11 @@ def solve_cg(op: SpdOperator, rhs: Vector, rel_tol: float,
     from a true matvec every 50 iterations to limit recurrence drift, and the
     reported ``rel_res`` is always recomputed from the returned ``d``.
 
-    An operator with a ``diag`` whose entries are all positive and finite
-    runs CG preconditioned by it, one elementwise product and one dot
-    product more per iteration; the stop test still reads the residual of
-    ``B d = rhs`` itself.  Every other operator runs plain CG.
+    The loop is preconditioned CG (Saad, *Iterative Methods for Sparse
+    Linear Systems*, 2003, Alg. 9.1) with ``Delta^-1``: the operator's
+    ``diag`` when its entries are all positive and finite, and the identity
+    otherwise, which runs plain CG's arithmetic to the bit (``r * 1.0`` is
+    ``r``).  The stop test reads the residual of ``B d = rhs`` itself.
 
     Raises
     ------
@@ -124,20 +120,19 @@ def solve_cg(op: SpdOperator, rhs: Vector, rel_tol: float,
     if rhs_norm == 0.0:
         return CgResult(np.zeros(op.n), 0.0, 0)
 
-    inv = None  # the preconditioner Delta^-1
+    inv = np.ones(op.n)  # the preconditioner Delta^-1
     if op.diag is not None:
         with np.errstate(divide="ignore", over="ignore"):
-            inv = 1.0 / op.diag
-        if not np.all((inv > 0.0) & (inv < math.inf)):  # NaN fails too
-            inv = None
+            scaled = 1.0 / op.diag
+        if np.all((scaled > 0.0) & (scaled < math.inf)):  # NaN fails
+            inv = scaled
 
     apply = op.apply
     d = np.zeros(op.n)
     r = rhs.copy()
     rs = float(r @ r)
-    # z = Delta^-1 r; plain CG takes z = r, so r^T z is r^T r
-    z = r if inv is None else r * inv
-    rz = rs if inv is None else float(r @ z)
+    z = r * inv
+    rz = float(r @ z)
     p = z.copy()
     step = np.empty(op.n)  # alpha * p, then alpha * B p
     iters = 0
@@ -157,10 +152,7 @@ def solve_cg(op: SpdOperator, rhs: Vector, rel_tol: float,
         else:
             r -= np.multiply(bp, alpha, out=step)
         rs = float(r @ r)
-        if inv is None:
-            z, rz_new = r, rs
-        else:
-            rz_new = float(r @ np.multiply(r, inv, out=z))
+        rz_new = float(r @ np.multiply(r, inv, out=z))
         p *= rz_new / rz
         p += z
         rz = rz_new

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .core import RngStream, Vector
 from .finitesum import ALL_ROWS, FiniteSumProblem
-from .linalg import SpdOperator, damped_newton, solve_direct
+from .linalg import damped_newton, solve_direct
 
 
 class LibsvmFormatError(ValueError):
@@ -281,8 +281,8 @@ class LogRegModel(FiniteSumProblem):
     def __init__(self, dataset: Dataset, mu: Optional[float] = None):
         self.dataset = dataset
         self.mu = float(mu) if mu is not None else 1.0 / dataset.N
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:  # NaN fails too
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         super().__init__(dataset.N, dataset.n)
         features = dataset.features
         dense = 8 * self.N * self.n <= 12 * features.nnz + 4 * (self.N + 1)
@@ -307,18 +307,16 @@ class LogRegModel(FiniteSumProblem):
     def objectives(self, xs) -> np.ndarray:
         """Full objective at each row of `xs`, equal to :meth:`objective`.
 
-        A CSR store takes one product ``store @ xs.T`` for the whole block;
-        a dense store takes one matrix-vector product per row of `xs`, since
-        a matrix product would round differently.  The margins are in C
-        order, ``(B, N)``, so each row's mean is numpy's pairwise sum as in
-        :meth:`_batch_value`, and every value is bit-identical to
-        :meth:`objective`'s.
+        A CSR store takes one product ``store @ xs.T`` for the whole block.
+        The margins are in C order, ``(B, N)``, so each row's mean is
+        numpy's pairwise sum as in :meth:`_batch_value`, and every value is
+        bit-identical to :meth:`objective`'s.  A dense store calls
+        :meth:`objective` per row: a matrix product would round differently.
         """
+        if not sp.issparse(self.store):
+            return super().objectives(xs)
         xs = np.asarray(xs, dtype=np.float64)
-        if sp.issparse(self.store):
-            t = np.ascontiguousarray((self.store @ xs.T).T)
-        else:
-            t = np.stack([self.store @ x for x in xs])
+        t = np.ascontiguousarray((self.store @ xs.T).T)
         losses = _softplus(np.multiply(t, -self.dataset.labels, out=t), out=t)
         regs = np.array([x @ x for x in xs])
         return np.mean(losses, axis=1) + 0.5 * self.mu * regs
@@ -372,8 +370,7 @@ class LogRegModel(FiniteSumProblem):
         x = damped_newton(
             lambda x: self._batch_value(whole, x),
             lambda x: self._batch_gradient(whole, x),
-            lambda x, g: solve_direct(
-                SpdOperator.from_dense(self._batch_hessian(whole, x)), -g),
+            lambda x, g: solve_direct(self._batch_hessian(whole, x), -g),
             np.zeros(self.n), tol, max_iters)
         self._x_star = x
         self._f_star = self._batch_value(whole, x)
@@ -414,6 +411,3 @@ class LogRegSagaTable:
         self.model.grad_evals += batch.size
         self.loss_sum = self.loss_sum + rows.T @ (fresh - self.scalars[batch.idx])
         self.scalars[batch.idx] = fresh
-
-    def recompute_sum(self) -> Vector:
-        return self.model.store.T @ self.scalars

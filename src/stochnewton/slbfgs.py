@@ -9,10 +9,9 @@ whenever ``s != 0``; insertion still guards against degenerate pairs.
 
 The inverse-Hessian approximation is the product of BFGS updates over the
 stored pairs (oldest to newest), seeded with ``(s^T y / ||y||^2) I`` from the
-most recent pair.  It is applied matrix-free by the two-loop recursion;
-:meth:`LbfgsMemory.materialize` builds the same matrix densely and exists as
-the equivalence oracle for tests.  An empty memory acts as the identity,
-which is exactly the gradient-direction warmup of the finite-sum solver.
+most recent pair.  It is applied matrix-free by the two-loop recursion.
+An empty memory acts as the identity, which is exactly the
+gradient-direction warmup of the finite-sum solver.
 """
 
 from __future__ import annotations
@@ -96,14 +95,3 @@ class LbfgsMemory:
             b = rho * float(y @ r)
             r += (a - b) * s
         return r
-
-    def materialize(self, n: int) -> np.ndarray:
-        """Dense inverse-Hessian approximation (test oracle, small n only)."""
-        if not self.pairs:
-            return np.eye(n)
-        s_m, y_m, _ = self.pairs[-1]
-        h = (float(s_m @ y_m) / float(y_m @ y_m)) * np.eye(n)
-        for s, y, rho in self.pairs:
-            v = np.eye(n) - rho * np.outer(y, s)
-            h = v.T @ h @ v + rho * np.outer(s, s)
-        return h

@@ -18,9 +18,11 @@ method                direction                  step length
 ``sgd_ls``            ``-g(x_k)``                line search, then gain sequence
 ====================  =========================  ==============================
 
-A dense sampled Hessian is factorized when ``delta_k = 0`` and otherwise
-runs plain CG; a Householder one always runs CG, preconditioned by its
-diagonal part, in at most 7 iterations in exact arithmetic.
+A dense sampled Hessian is factorized when ``delta_k = 0``; every other
+Newton system runs the one CG loop of :func:`~stochnewton.linalg.solve_cg`.
+A dense one has no diagonal part, so its CG is preconditioned by the
+identity; a Householder one is preconditioned by its diagonal part and
+takes at most 7 iterations in exact arithmetic.
 
 The two families differ in one policy, what an exhausted search does.  The
 noisy line-search methods start in an active phase and deactivate it --
@@ -87,8 +89,8 @@ class DeltaSchedule:
             raise ValueError(f"unknown delta kind {self.kind!r}")
         if self.kind == DELTA_GEOMETRIC and not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
-        if self.kind == DELTA_CONSTANT and self.value < 0:
-            raise ValueError("constant delta must be >= 0")
+        if self.kind == DELTA_CONSTANT and not 0.0 <= self.value < math.inf:
+            raise ValueError("constant delta must be finite and >= 0")
 
     def at(self, k: int) -> float:
         if self.kind == DELTA_ZERO:
@@ -230,8 +232,8 @@ def _newton_direction(b: SpdOperator, g: Vector, cfg, k: int):
     """Return (d, cg_iters, cg_relres, fallback) honoring the residual rule."""
     delta_k = cfg.delta.at(k)
     try:
-        if delta_k == 0.0 and b.is_explicit:
-            return solve_direct(b, -g), None, None, False
+        if delta_k == 0.0 and b.dense is not None:
+            return solve_direct(b.dense, -g), None, None, False
         # the residual rule caps at 1: an unclamped tolerance >= 1 would
         # accept d = 0, so force at least one CG step
         rel = min(max(delta_k, cfg.cg_rel_floor), 1.0 - 1e-12)

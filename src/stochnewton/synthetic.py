@@ -345,7 +345,7 @@ def exact_solution(problem: ConvexRandomProblem, tol: float = 1e-8,
 
     def newton_solve(x, g):
         if problem.a_dense is not None:
-            return solve_direct(SpdOperator.from_dense(problem.hess_dense(x)), -g)
+            return solve_direct(problem.hess_dense(x), -g)
         return problem.a_factored.hessian_solve(problem.hess_diag_part(x), -g)
 
     x = damped_newton(problem.value, problem.gradient, newton_solve,

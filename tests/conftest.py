@@ -67,7 +67,7 @@ class ExactQuadraticOracle:
         return OracleSample(
             value=self._value(x) if want_value else None,
             gradient=self.h @ x - self.b if want_gradient else None,
-            hessian=SpdOperator.from_dense(self.h) if want_hessian else None,
+            hessian=SpdOperator(self.n, dense=self.h) if want_hessian else None,
         )
 
     def counts(self):
@@ -118,6 +118,60 @@ class QuadraticSumProblem(FiniteSumProblem):
 def full_gradient_exact(problem, x):
     """The full gradient of a finite-sum `problem`, outside its accounting."""
     return problem._batch_gradient(problem._slice(ALL_ROWS), x)
+
+
+def reference_cg(op, rhs, rel_tol, max_iters):
+    """Plain CG, allocating and unpreconditioned, with ``solve_cg``'s stop
+    test, residual refresh and certificate: the reference for its loop
+    preconditioned by the identity.  Returns ``(d, rel_res, iters)``."""
+    rhs_norm = float(np.linalg.norm(rhs))
+    d = np.zeros(op.n)
+    r = rhs.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    iters = 0
+    threshold = rel_tol * rhs_norm
+    while iters < max_iters and np.sqrt(rs) > threshold:
+        bp = op.apply(p)
+        curv = float(p @ bp)
+        alpha = rs / curv
+        d += alpha * p
+        iters += 1
+        if iters % 50 == 0:
+            r = rhs - op.apply(d)
+        else:
+            r -= alpha * bp
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    final = float(np.linalg.norm(rhs - op.apply(d))) / rhs_norm
+    return d, final, iters
+
+
+def materialize(memory, n):
+    """The dense inverse-Hessian approximation of an L-BFGS `memory` (small n).
+
+    Applies the BFGS update ``H <- V^T H V + rho s s^T``, ``V = I - rho y s^T``,
+    over the stored pairs, oldest first, from the two-loop recursion's seed.
+    """
+    if not memory.pairs:
+        return np.eye(n)
+    s_m, y_m, _ = memory.pairs[-1]
+    h = (float(s_m @ y_m) / float(y_m @ y_m)) * np.eye(n)
+    for s, y, rho in memory.pairs:
+        v = np.eye(n) - rho * np.outer(y, s)
+        h = v.T @ h @ v + rho * np.outer(s, s)
+    return h
+
+
+def recompute_sum(table):
+    """A ``SagaTable``'s ``running_sum`` recomputed from its slots."""
+    return table.table.sum(axis=0)
+
+
+def recompute_loss_sum(table):
+    """A ``LogRegSagaTable``'s ``loss_sum`` recomputed from its scalars."""
+    return table.model.store.T @ table.scalars
 
 
 def verify_secant(memory, tol=1e-8):

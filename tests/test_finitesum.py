@@ -16,7 +16,7 @@ from stochnewton.logreg import (Dataset, LogRegModel, LogRegSagaTable,
                                 generate_synthetic_classification)
 
 from conftest import (QuadraticSumProblem, fd_hvp_check, full_gradient_exact,
-                      quadratic_sum_problem)
+                      quadratic_sum_problem, recompute_sum)
 
 
 class TestPartition:
@@ -166,7 +166,7 @@ class TestSagaTable:
         for _ in range(300):
             batch = rng.choice(50, size=int(rng.integers(1, 8)))
             table.update(batch, rng.standard_normal(5))
-        drift = np.max(np.abs(table.running_sum - table.recompute_sum()))
+        drift = np.max(np.abs(table.running_sum - recompute_sum(table)))
         assert drift <= 1e-10
 
     def test_cost_contract(self):
@@ -315,17 +315,7 @@ class TestObjectives:
         xs = self._iterates(model, B)
         assert np.array_equal(model.objectives(xs), self._per_point(model, xs))
 
-    @pytest.mark.parametrize("B", [1, 2, 5, 9])
-    def test_dense_store_matches_to_rounding(self, B):
-        model = LogRegModel(generate_synthetic_classification(
-            2000, 30, 1.0, RngStream(23, 0)))
-        assert isinstance(model.store, np.ndarray)
-        xs = self._iterates(model, B)
-        np.testing.assert_allclose(model.objectives(xs),
-                                   self._per_point(model, xs),
-                                   rtol=1e-15, atol=0.0)
-
-    @pytest.mark.parametrize("B", [2, 6, 8])
+    @pytest.mark.parametrize("B", [1, 2, 5, 6, 8, 9])
     def test_dense_store_is_bit_identical(self, B):
         # a grid pilot scores its last iterate alone, while the full run
         # evaluates it in a block: the two must agree to the last bit

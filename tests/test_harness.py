@@ -247,6 +247,9 @@ class TestSpecParsing:
            f"solver.{method}.saga_storage")
           for method, value in [("saga_ls", "dense"),
                                 ("lsos_fs", "loss_split")]],
+        # a constant forcing term is finite
+        *[({"solver.lsos.delta": f"constant:{value}"}, "solver.lsos.delta")
+          for value in ("nan", "inf")],
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:

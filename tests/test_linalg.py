@@ -13,38 +13,13 @@ import pytest
 from stochnewton.linalg import (NotPositiveDefiniteError, SpdOperator,
                                 damped_newton, solve_cg, solve_direct)
 
-from conftest import fd_gradient_check, fd_hvp_check, random_spd
-
-
-def _reference_cg(op, rhs, rel_tol, max_iters):
-    """The allocating CG loop that solve_cg replaced, kept as its reference."""
-    rhs_norm = float(np.linalg.norm(rhs))
-    d = np.zeros(op.n)
-    r = rhs.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    iters = 0
-    threshold = rel_tol * rhs_norm
-    while iters < max_iters and np.sqrt(rs) > threshold:
-        bp = op.apply(p)
-        curv = float(p @ bp)
-        alpha = rs / curv
-        d += alpha * p
-        iters += 1
-        if iters % 50 == 0:
-            r = rhs - op.apply(d)
-        else:
-            r -= alpha * bp
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    final = float(np.linalg.norm(rhs - op.apply(d))) / rhs_norm
-    return d, final, iters
+from conftest import (fd_gradient_check, fd_hvp_check, random_spd,
+                      reference_cg)
 
 
 class TestSpdOperator:
     def test_linearity_and_symmetry_probes(self, rng):
-        op = SpdOperator.from_dense(random_spd(12, rng))
+        op = SpdOperator(12, dense=random_spd(12, rng))
         for _ in range(20):
             u = rng.standard_normal(12)
             v = rng.standard_normal(12)
@@ -57,33 +32,36 @@ class TestSpdOperator:
         with pytest.raises(ValueError):
             SpdOperator(3)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (3,)])
+    def test_rejects_a_matrix_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="3 x 3 matrix"):
+            SpdOperator(3, dense=np.ones(shape))
+
 
 class TestSolveDirect:
     def test_identity(self):
         r = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(solve_direct(SpdOperator.from_dense(np.eye(3)), r), r)
+        assert np.array_equal(solve_direct(np.eye(3), r), r)
 
     def test_diagonal(self):
-        op = SpdOperator.from_dense(np.diag([1.0, 2.0, 4.0]))
-        d = solve_direct(op, np.array([1.0, 2.0, 4.0]))
+        d = solve_direct(np.diag([1.0, 2.0, 4.0]), np.array([1.0, 2.0, 4.0]))
         np.testing.assert_allclose(d, np.ones(3), atol=1e-14)
 
     def test_random_spd_residual(self, rng):
         b = random_spd(8, rng)
         rhs = rng.standard_normal(8)
-        d = solve_direct(SpdOperator.from_dense(b), rhs)
+        d = solve_direct(b, rhs)
         assert np.linalg.norm(b @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_indefinite_raises(self, rng):
         b = random_spd(6, rng)
         b[0, 0] = -5.0
         with pytest.raises(NotPositiveDefiniteError):
-            solve_direct(SpdOperator.from_dense(b), rng.standard_normal(6))
+            solve_direct(b, rng.standard_normal(6))
 
-    def test_requires_explicit_matrix(self):
-        op = SpdOperator(3, matvec=lambda v: v)
-        with pytest.raises(ValueError):
-            solve_direct(op, np.ones(3))
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            solve_direct(np.ones((3, 2)), np.ones(3))
 
     def test_lapack_loads_at_the_first_dense_factorization(self):
         # a child process: other tests load scipy.linalg into this one
@@ -91,7 +69,7 @@ class TestSolveDirect:
             import sys
             import numpy as np
             from stochnewton.harness import ExperimentSpec, run_experiment
-            from stochnewton.linalg import SpdOperator, solve_direct
+            from stochnewton.linalg import solve_direct
             run_experiment(ExperimentSpec.from_mapping({
                 "problem.kind": "synthetic", "problem.n": "50",
                 "problem.hess_form": "householder", "run.solvers": "lsos",
@@ -99,7 +77,7 @@ class TestSolveDirect:
             assert "scipy.linalg" not in sys.modules
             b = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
             rhs = np.array([1.0, -2.0, 0.5])
-            d = solve_direct(SpdOperator.from_dense(b), rhs)
+            d = solve_direct(b, rhs)
             assert "scipy.linalg" in sys.modules
             import scipy.linalg
             ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(b, lower=True), rhs)
@@ -116,7 +94,7 @@ class TestSolveDirect:
 class TestSolveCg:
     def test_identity_one_iteration(self):
         rhs = np.array([1.0, 2.0, -1.0])
-        res = solve_cg(SpdOperator.from_dense(np.eye(3)), rhs, rel_tol=1e-12)
+        res = solve_cg(SpdOperator(3, dense=np.eye(3)), rhs, rel_tol=1e-12)
         assert res.iters == 1
         np.testing.assert_allclose(res.d, rhs, atol=1e-14)
 
@@ -127,7 +105,7 @@ class TestSolveCg:
         eigs = np.array([1.0] * 7 + [4.0] * 7 + [9.0] * 6)
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
         b = (q * eigs) @ q.T
-        res = solve_cg(SpdOperator.from_dense(b), rng.standard_normal(n),
+        res = solve_cg(SpdOperator(n, dense=b), rng.standard_normal(n),
                        rel_tol=1e-12)
         assert res.iters <= 3
         assert res.rel_res <= 1e-12
@@ -135,7 +113,7 @@ class TestSolveCg:
     def test_certificate_matches_recomputation(self, rng):
         b = random_spd(25, rng, 1, 50)
         rhs = rng.standard_normal(25)
-        res = solve_cg(SpdOperator.from_dense(b), rhs, rel_tol=1e-4)
+        res = solve_cg(SpdOperator(25, dense=b), rhs, rel_tol=1e-4)
         recomputed = np.linalg.norm(b @ res.d - rhs) / np.linalg.norm(rhs)
         assert abs(res.rel_res - recomputed) < 1e-12
         assert res.rel_res <= 1e-4
@@ -143,32 +121,31 @@ class TestSolveCg:
     def test_agrees_with_direct_solve(self, rng):
         b = random_spd(100, rng, 1, 100)
         rhs = rng.standard_normal(100)
-        op = SpdOperator.from_dense(b)
-        d_cg = solve_cg(op, rhs, rel_tol=1e-10).d
-        d_direct = solve_direct(op, rhs)
+        d_cg = solve_cg(SpdOperator(100, dense=b), rhs, rel_tol=1e-10).d
+        d_direct = solve_direct(b, rhs)
         assert np.linalg.norm(d_cg - d_direct) / np.linalg.norm(d_direct) < 1e-6
 
     def test_negative_curvature_detected(self, rng):
         b = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefiniteError):
-            solve_cg(SpdOperator.from_dense(b), np.array([1.0, 1.0, 1.0]),
+            solve_cg(SpdOperator(3, dense=b), np.array([1.0, 1.0, 1.0]),
                      rel_tol=1e-8)
 
     def test_rel_tol_validation(self):
-        op = SpdOperator.from_dense(np.eye(2))
+        op = SpdOperator(2, dense=np.eye(2))
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 solve_cg(op, np.ones(2), rel_tol=bad)
 
     def test_zero_rhs(self):
-        res = solve_cg(SpdOperator.from_dense(np.eye(4)), np.zeros(4), 1e-8)
+        res = solve_cg(SpdOperator(4, dense=np.eye(4)), np.zeros(4), 1e-8)
         assert res.iters == 0 and res.rel_res == 0.0
         assert np.array_equal(res.d, np.zeros(4))
 
     def test_deterministic(self, rng):
         b = random_spd(15, rng)
         rhs = rng.standard_normal(15)
-        op = SpdOperator.from_dense(b)
+        op = SpdOperator(15, dense=b)
         r1 = solve_cg(op, rhs, 1e-8)
         r2 = solve_cg(op, rhs, 1e-8)
         assert np.array_equal(r1.d, r2.d) and r1.iters == r2.iters
@@ -176,18 +153,18 @@ class TestSolveCg:
     def test_same_arithmetic_as_reference_loop_through_refresh(self, rng):
         # kappa 1e4 at n = 200 needs well over 50 iterations, so the
         # residual refresh runs at least once
-        op = SpdOperator.from_dense(random_spd(200, rng, 1.0, 1e4))
+        op = SpdOperator(200, dense=random_spd(200, rng, 1.0, 1e4))
         rhs = rng.standard_normal(200)
         res = solve_cg(op, rhs, rel_tol=1e-10, max_iters=1000)
-        d, rel_res, iters = _reference_cg(op, rhs, 1e-10, 1000)
+        d, rel_res, iters = reference_cg(op, rhs, 1e-10, 1000)
         assert res.iters == iters > 50
         assert np.array_equal(res.d, d) and res.rel_res == rel_res
 
     def test_same_arithmetic_as_reference_loop_at_max_iters(self, rng):
-        op = SpdOperator.from_dense(random_spd(60, rng, 1.0, 1e3))
+        op = SpdOperator(60, dense=random_spd(60, rng, 1.0, 1e3))
         rhs = rng.standard_normal(60)
         res = solve_cg(op, rhs, rel_tol=1e-12, max_iters=7)
-        d, rel_res, iters = _reference_cg(op, rhs, 1e-12, 7)
+        d, rel_res, iters = reference_cg(op, rhs, 1e-12, 7)
         assert res.iters == iters == 7 and res.rel_res > 1e-12
         assert np.array_equal(res.d, d) and res.rel_res == rel_res
 

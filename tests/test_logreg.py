@@ -2,6 +2,7 @@
 
 import gzip
 import io
+import math
 import tracemalloc
 import warnings
 
@@ -17,7 +18,8 @@ from stochnewton.logreg import (Dataset, LibsvmFormatError, LogRegModel,
                                 _softplus, generate_synthetic_classification,
                                 parse_libsvm)
 
-from conftest import fd_gradient_check, fd_hvp_check, full_gradient_exact
+from conftest import (fd_gradient_check, fd_hvp_check, full_gradient_exact,
+                      recompute_loss_sum)
 
 
 def _tiny_model(mu=0.1):
@@ -367,6 +369,12 @@ class TestReferenceOptimum:
         ds = generate_synthetic_classification(40, 3, 1.0, RngStream(9, 0))
         assert LogRegModel(ds).mu == pytest.approx(1.0 / 40)
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+    def test_mu_must_be_positive_and_finite(self, mu):
+        ds = generate_synthetic_classification(40, 3, 1.0, RngStream(9, 0))
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            LogRegModel(ds, mu=mu)
+
     def test_each_newton_step_is_one_cholesky_solve(self, monkeypatch):
         steps, solves = [], []
         damped_newton, solve_direct = logreg.damped_newton, logreg.solve_direct
@@ -377,9 +385,9 @@ class TestReferenceOptimum:
                 return newton_solve(x, g)
             return damped_newton(value, gradient, step, *args)
 
-        def counted_solve(op, rhs):
-            solves.append(op.dense.shape)
-            return solve_direct(op, rhs)
+        def counted_solve(a, rhs):
+            solves.append(a.shape)
+            return solve_direct(a, rhs)
 
         monkeypatch.setattr(logreg, "damped_newton", counted_newton)
         monkeypatch.setattr(logreg, "solve_direct", counted_solve)
@@ -423,7 +431,7 @@ class TestLossSplitSagaTable:
         table = LogRegSagaTable(model, np.zeros(5))
         for _ in range(100):
             table.update(rng.choice(40, size=4), rng.standard_normal(5))
-        drift = np.max(np.abs(table.loss_sum - table.recompute_sum()))
+        drift = np.max(np.abs(table.loss_sum - recompute_loss_sum(table)))
         assert drift <= 1e-10
 
 

@@ -7,7 +7,8 @@ import pytest
 from stochnewton.core import RngStream
 from stochnewton.slbfgs import LbfgsMemory
 
-from conftest import quadratic_sum_problem, random_spd, verify_secant
+from conftest import (materialize, quadratic_sum_problem, random_spd,
+                      verify_secant)
 
 
 def _pairs_from_spd(mem, h, rng, count):
@@ -87,7 +88,7 @@ class TestApplyInverseHessian:
         h = random_spd(20, rng, 1, 30)
         mem = LbfgsMemory(m=10)
         _pairs_from_spd(mem, h, rng, 10)
-        dense = mem.materialize(20)
+        dense = materialize(mem, 20)
         for _ in range(20):
             v = rng.standard_normal(20)
             err = np.max(np.abs(mem.apply_inverse_hessian(v) - dense @ v))

@@ -214,6 +214,11 @@ class TestLsosInexact:
             DeltaSchedule("geometric", rho=0.95)
         assert SolverConfig(method="lsos").delta == DeltaSchedule("zero")
 
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+    def test_constant_delta_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="constant delta"):
+            DeltaSchedule("constant", value=value)
+
 
 class TestPreconditionedNewtonSystems:
     def test_lsos_meets_the_residual_floor_at_kappa_1e6(self):
@@ -257,7 +262,7 @@ class TestDescentBound:
             h = random_spd(n, rng, mu, L)
             g = h @ rng.standard_normal(n)
             delta = mu / (2 * L)
-            d = solve_cg(SpdOperator.from_dense(h), -g, rel_tol=delta).d
+            d = solve_cg(SpdOperator(n, dense=h), -g, rel_tol=delta).d
             assert float(g @ d) <= -float(g @ g) / (2 * L) * (1 - 1e-10)
 
 
@@ -349,7 +354,7 @@ class TestRobustness:
                     bad = self.h.copy()
                     bad[0, 0] = -1.0
                     s = type(s)(value=s.value, gradient=s.gradient,
-                                hessian=SpdOperator.from_dense(bad))
+                                hessian=SpdOperator(self.n, dense=bad))
                 return s
 
         oracle = IndefiniteOracle(random_spd(5, rng), rng.standard_normal(5))
