@@ -79,59 +79,91 @@ class Dataset:
 
 
 def _open_maybe_gzip(path: str):
-    # surrogateescape: an undecodable byte reaches the parser as a lone
-    # surrogate, so a comment line stays skipped and a token fails by line
+    # utf-8-sig drops a leading byte-order mark.  surrogateescape: an
+    # undecodable byte reaches the parser as a lone surrogate, so a comment
+    # line stays skipped and a token fails by line
     with open(path, "rb") as probe:
         magic = probe.read(2)
     if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8",
+        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8-sig",
                                 errors="surrogateescape")
-    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    return open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
 
 
-def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = None) -> Dataset:
-    """Parse LIBSVM text: ``<label> <idx>:<val> ...`` with 1-based indices.
+_BLOCK_CHARS = 1 << 16  # text converted per block; bounds the transient
 
-    ``source`` is a path (gzip detected by magic bytes) or a text stream.
-    Label sets {0,1}, {-1,+1} and {1,2} are normalized to {-1,+1} by mapping
-    the smaller raw label to -1; the mapping is recorded on the dataset.
-    Malformed tokens, indices beyond int64, non-finite labels or values and
-    bytes that are not UTF-8 (outside comment lines) raise
-    :class:`LibsvmFormatError` with the line number;
-    non-increasing indices within a line only warn.  An index repeated
-    within a line keeps its last value, and zero values are not stored.
 
-    Tokens go straight into typed buffers, 16 bytes per nonzero (index and
-    value), and the value buffer becomes the CSR data without a copy when
-    nothing is dropped.  Input whose lines are all strictly increasing (as
-    :meth:`Dataset.to_libsvm` writes) is not re-sorted.
-    """
-    if isinstance(source, str):
-        fh = _open_maybe_gzip(source)
-        close = True
-    else:
-        fh, close = source, False
-    raw_labels = array("d")
-    row_sizes = array("q")
-    row_lines = array("q")  # the file line of each data row
-    all_cols = array("q")
-    all_vals = array("d")
-    add_col, add_val = all_cols.append, all_vals.append
-    ordered = True
-    try:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
+def _warn_unordered(lineno: int, idx: int) -> None:
+    warnings.warn(f"line {lineno}: non-increasing feature index {idx}")
+
+
+class _LibsvmRows:
+    """The typed buffers :func:`parse_libsvm` fills, one block of data lines
+    at a time.  A block is its file line numbers, label tokens, feature
+    token counts and the feature tokens of all its lines in order."""
+
+    def __init__(self):
+        self.labels = array("d")
+        self.sizes = array("q")
+        self.lines = array("q")  # the file line of each data row
+        self.cols = array("q")
+        self.vals = array("d")
+        self.ordered = True
+
+    def add(self, lines, labels, sizes, tokens) -> None:
+        if not self._add_bulk(lines, labels, sizes, tokens):
+            self._add_tokenwise(lines, labels, sizes, tokens)
+
+    def _add_bulk(self, lines, labels, sizes, tokens) -> bool:
+        """Convert the block by one numpy call each for its labels, indices
+        and values.  Returns False, having added nothing, when a token fails
+        a check: the token-wise scan then names the first bad line."""
+        text = " ".join(tokens)
+        raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        colons = np.flatnonzero(raw == ord(":"))
+        if colons.size != len(tokens):
+            return False
+        # token k spans the bytes between edges[k] and edges[k + 1]; with as
+        # many colons as tokens, each holds one, with text on both sides
+        edges = np.concatenate(([-1], np.flatnonzero(raw == ord(" ")), [raw.size]))
+        if not np.all((edges[:-1] + 1 < colons) & (colons < edges[1:] - 1)):
+            return False
+        pieces = text.replace(":", " ").split()
+        try:  # the conversions of float() and int(), into arrays
+            label_vals = np.array(labels, dtype=np.float64)
+            cols = np.array(pieces[0::2], dtype=np.int64)
+            vals = np.array(pieces[1::2], dtype=np.float64)
+        except (ValueError, OverflowError):
+            return False
+        if not np.isfinite(label_vals).all() or np.any(cols < 1):
+            return False
+        ends = np.cumsum(sizes, dtype=np.int64)
+        fresh = np.zeros(len(tokens) + 1, dtype=bool)
+        fresh[ends] = True  # token k starts a row: its index is not compared
+        down = np.flatnonzero((cols[1:] <= cols[:-1]) & ~fresh[1:-1]) + 1
+        if down.size:
+            self.ordered = False
+            rows = np.searchsorted(ends, down, side="right")
+            for row, k in zip(rows.tolist(), down.tolist()):
+                _warn_unordered(lines[row], int(cols[k]))
+        self.labels.frombytes(label_vals.tobytes())
+        self.sizes.extend(sizes)
+        self.lines.extend(lines)
+        self.cols.frombytes(cols.tobytes())
+        self.vals.frombytes(vals.tobytes())
+        return True
+
+    def _add_tokenwise(self, lines, labels, sizes, tokens) -> None:
+        start = 0
+        for lineno, label_tok, size in zip(lines, labels, sizes):
             try:
-                label = float(tokens[0])
+                label = float(label_tok)
             except ValueError as exc:
-                raise LibsvmFormatError(f"line {lineno}: bad label {tokens[0]!r}") from exc
+                raise LibsvmFormatError(f"line {lineno}: bad label {label_tok!r}") from exc
             if not math.isfinite(label):
-                raise LibsvmFormatError(f"line {lineno}: bad label {tokens[0]!r}")
+                raise LibsvmFormatError(f"line {lineno}: bad label {label_tok!r}")
             prev_idx = 0
-            for tok in tokens[1:]:
+            for tok in tokens[start:start + size]:
                 try:
                     idx_s, val_s = tok.split(":", 1)
                     idx, val = int(idx_s), float(val_s)
@@ -140,24 +172,72 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
                 if idx < 1:
                     raise LibsvmFormatError(f"line {lineno}: index {idx} < 1")
                 if idx <= prev_idx:
-                    warnings.warn(f"line {lineno}: non-increasing feature index {idx}")
-                    ordered = False
+                    _warn_unordered(lineno, idx)
+                    self.ordered = False
                 prev_idx = idx
                 try:
-                    add_col(idx)
+                    self.cols.append(idx)
                 except OverflowError as exc:
                     raise LibsvmFormatError(f"line {lineno}: index {idx} beyond int64") from exc
-                add_val(val)
-            raw_labels.append(label)
-            row_sizes.append(len(tokens) - 1)
-            row_lines.append(lineno)
+                self.vals.append(val)
+            start += size
+            self.labels.append(label)
+            self.sizes.append(size)
+            self.lines.append(lineno)
+
+
+def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = None) -> Dataset:
+    """Parse LIBSVM text: ``<label> <idx>:<val> ...`` with 1-based indices.
+
+    ``source`` is a path (gzip detected by magic bytes; a leading UTF-8
+    byte-order mark is skipped) or a text stream.
+    Label sets {0,1}, {-1,+1} and {1,2} are normalized to {-1,+1} by mapping
+    the smaller raw label to -1; the mapping is recorded on the dataset.
+    Malformed tokens, indices beyond int64, non-finite labels or values and
+    bytes that are not UTF-8 (outside comment lines) raise
+    :class:`LibsvmFormatError` with the line number;
+    non-increasing indices within a line only warn.  An index repeated
+    within a line keeps its last value, and zero values are not stored.
+
+    Each line is split once.  The lines are converted in blocks of about
+    64k characters: one numpy call for a block's labels, one for its
+    indices and one for its values (``float()`` and ``int()`` semantics),
+    with the colon layout, index >= 1, int64-range, label finiteness and
+    index-order checks run over arrays.  A block that fails a check is
+    scanned again token by token, which names its first bad line.  Indices
+    and values go into typed buffers, 16 bytes per nonzero, and the value
+    buffer becomes the CSR data without a copy when nothing is dropped.
+    Input whose lines are all strictly increasing (as
+    :meth:`Dataset.to_libsvm` writes) is not re-sorted.
+    """
+    if isinstance(source, str):
+        fh = _open_maybe_gzip(source)
+        close = True
+    else:
+        fh, close = source, False
+    buf = _LibsvmRows()
+    try:
+        lines, labels, sizes, tokens, chars = [], [], [], [], 0
+        for lineno, line in enumerate(fh, start=1):
+            words = line.split()
+            if not words or words[0].startswith("#"):
+                continue
+            lines.append(lineno)
+            labels.append(words[0])
+            sizes.append(len(words) - 1)
+            tokens += words[1:]
+            chars += len(line)
+            if chars >= _BLOCK_CHARS:
+                buf.add(lines, labels, sizes, tokens)
+                lines, labels, sizes, tokens, chars = [], [], [], [], 0
+        buf.add(lines, labels, sizes, tokens)
     finally:
         if close:
             fh.close()
-    if not raw_labels:
+    if not buf.labels:
         raise LibsvmFormatError("no data lines found")
 
-    uniq = sorted(set(raw_labels))
+    uniq = sorted(set(buf.labels))
     if len(uniq) > 2:
         raise LibsvmFormatError(f"expected two classes, found labels {uniq}")
     if uniq == [-1.0, 1.0] or uniq in ([-1.0], [1.0]):
@@ -166,26 +246,26 @@ def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = 
         mapping = {uniq[0]: -1.0, uniq[1]: 1.0}
     else:
         mapping = {uniq[0]: 1.0}
-    labels = np.array([mapping[l] for l in raw_labels])
+    labels = np.array([mapping[l] for l in buf.labels])
 
-    cols = np.frombuffer(all_cols, dtype=np.int64)
-    vals = np.frombuffer(all_vals, dtype=np.float64)
+    cols = np.frombuffer(buf.cols, dtype=np.int64)
+    vals = np.frombuffer(buf.vals, dtype=np.float64)
     max_index = int(cols.max()) if cols.size else 0
     n = n_features if n_features is not None else max_index
     if n < max_index:
         raise LibsvmFormatError(f"n_features={n} below max index {max_index}")
     n = max(n, 1)
-    n_rows = len(row_sizes)
+    n_rows = len(buf.sizes)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    sizes = np.frombuffer(row_sizes, dtype=np.int64)
+    sizes = np.frombuffer(buf.sizes, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     if not np.isfinite(vals).all():
         k = int(np.argmin(np.isfinite(vals)))  # the first non-finite value
-        line = row_lines[int(np.searchsorted(indptr, k, side="right")) - 1]
-        raise LibsvmFormatError(f"line {line}: non-finite value {all_vals[k]!r} "
-                                f"at index {all_cols[k]}")
+        line = buf.lines[int(np.searchsorted(indptr, k, side="right")) - 1]
+        raise LibsvmFormatError(f"line {line}: non-finite value {buf.vals[k]!r} "
+                                f"at index {buf.cols[k]}")
     cols -= 1  # in place: the buffer is not read again
-    if ordered:
+    if buf.ordered:
         keep = vals != 0.0
     else:
         # stable sort by (row, column): repeats of an index keep file order,
@@ -248,8 +328,16 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 def _scale_rows(rows, w: np.ndarray):
-    """``diag(w) @ rows``, in the layout of `rows`."""
-    return rows.multiply(w[:, None]) if sp.issparse(rows) else w[:, None] * rows
+    """``diag(w) @ rows``, in the layout of `rows`.
+
+    CSR rows stay CSR: each stored entry is scaled by its row's weight on
+    the rows' own ``indices`` and ``indptr``, without the COO matrix that
+    ``rows.multiply`` returns and a sparse product converts back.
+    """
+    if not sp.issparse(rows):
+        return w[:, None] * rows
+    data = rows.data * np.repeat(w, np.diff(rows.indptr))
+    return sp.csr_matrix((data, rows.indices, rows.indptr), shape=rows.shape)
 
 
 def _to_dense(a) -> np.ndarray:
@@ -337,10 +425,13 @@ class LogRegModel(FiniteSumProblem):
         hv = rows.T @ (w * (rows @ v)) / labels.size
         return hv + self.mu * v
 
-    def _batch_hessian(self, part, x):
+    def _batch_hessian(self, part, x, columns=None):
+        """Dense batch Hessian; `columns`, if given, is the batch's rows in
+        CSC layout, which the sparse product would otherwise build."""
         rows, labels = part
         w = _curvatures(rows, labels, x)
-        h = _to_dense(_scale_rows(rows, w).T @ rows) / labels.size
+        right = rows if columns is None else columns
+        h = _to_dense(_scale_rows(rows, w).T @ right) / labels.size
         return h + self.mu * np.eye(self.n)
 
     def saga_table(self, x0: Vector) -> "LogRegSagaTable":
@@ -362,15 +453,18 @@ class LogRegModel(FiniteSumProblem):
         """Deterministic full-gradient damped Newton reference; cached.
 
         Each Newton step is a Cholesky solve (:func:`solve_direct`): the
-        full Hessian is SPD since ``mu > 0``.
+        full Hessian is SPD since ``mu > 0``.  A CSR store stays CSR in
+        every Hessian; one column-major (CSC) copy of it is built for the
+        whole loop and dropped when it ends.
         """
         if self._x_star is not None:
             return self._x_star, self._f_star
         whole = self._slice(ALL_ROWS)
+        columns = self.store.tocsc() if sp.issparse(self.store) else None
         x = damped_newton(
             lambda x: self._batch_value(whole, x),
             lambda x: self._batch_gradient(whole, x),
-            lambda x, g: solve_direct(self._batch_hessian(whole, x), -g),
+            lambda x, g: solve_direct(self._batch_hessian(whole, x, columns), -g),
             np.zeros(self.n), tol, max_iters)
         self._x_star = x
         self._f_star = self._batch_value(whole, x)

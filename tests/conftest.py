@@ -1,9 +1,15 @@
+import math
+import warnings
+from array import array
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stochnewton.core import EvalCounts, OracleSample, RngStream
 from stochnewton.finitesum import ALL_ROWS, FiniteSumProblem
 from stochnewton.linalg import SpdOperator
+from stochnewton.logreg import Dataset, LibsvmFormatError, _open_maybe_gzip
 
 
 def random_spd(n, rng, eig_lo=1.0, eig_hi=10.0):
@@ -191,6 +197,108 @@ def quadratic_sum_problem(N, n, seed=0):
         hessians.append(random_spd(n, rng))
         rhs.append(rng.standard_normal(n))
     return QuadraticSumProblem(hessians, rhs)
+
+
+def reference_parse_libsvm(source, n_features=None):
+    """``parse_libsvm`` as it was before block-wise conversion: one Python
+    conversion per token.  The reference for the differential parser test;
+    a path is opened by the library's ``_open_maybe_gzip``, as there."""
+    if isinstance(source, str):
+        fh = _open_maybe_gzip(source)
+        close = True
+    else:
+        fh, close = source, False
+    raw_labels = array("d")
+    row_sizes = array("q")
+    row_lines = array("q")  # the file line of each data row
+    all_cols = array("q")
+    all_vals = array("d")
+    add_col, add_val = all_cols.append, all_vals.append
+    ordered = True
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            try:
+                label = float(tokens[0])
+            except ValueError as exc:
+                raise LibsvmFormatError(f"line {lineno}: bad label {tokens[0]!r}") from exc
+            if not math.isfinite(label):
+                raise LibsvmFormatError(f"line {lineno}: bad label {tokens[0]!r}")
+            prev_idx = 0
+            for tok in tokens[1:]:
+                try:
+                    idx_s, val_s = tok.split(":", 1)
+                    idx, val = int(idx_s), float(val_s)
+                except ValueError as exc:
+                    raise LibsvmFormatError(f"line {lineno}: bad token {tok!r}") from exc
+                if idx < 1:
+                    raise LibsvmFormatError(f"line {lineno}: index {idx} < 1")
+                if idx <= prev_idx:
+                    warnings.warn(f"line {lineno}: non-increasing feature index {idx}")
+                    ordered = False
+                prev_idx = idx
+                try:
+                    add_col(idx)
+                except OverflowError as exc:
+                    raise LibsvmFormatError(f"line {lineno}: index {idx} beyond int64") from exc
+                add_val(val)
+            raw_labels.append(label)
+            row_sizes.append(len(tokens) - 1)
+            row_lines.append(lineno)
+    finally:
+        if close:
+            fh.close()
+    if not raw_labels:
+        raise LibsvmFormatError("no data lines found")
+
+    uniq = sorted(set(raw_labels))
+    if len(uniq) > 2:
+        raise LibsvmFormatError(f"expected two classes, found labels {uniq}")
+    if uniq == [-1.0, 1.0] or uniq in ([-1.0], [1.0]):
+        mapping = {-1.0: -1.0, 1.0: 1.0}
+    elif len(uniq) == 2:
+        mapping = {uniq[0]: -1.0, uniq[1]: 1.0}
+    else:
+        mapping = {uniq[0]: 1.0}
+    labels = np.array([mapping[l] for l in raw_labels])
+
+    cols = np.frombuffer(all_cols, dtype=np.int64)
+    vals = np.frombuffer(all_vals, dtype=np.float64)
+    max_index = int(cols.max()) if cols.size else 0
+    n = n_features if n_features is not None else max_index
+    if n < max_index:
+        raise LibsvmFormatError(f"n_features={n} below max index {max_index}")
+    n = max(n, 1)
+    n_rows = len(row_sizes)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    sizes = np.frombuffer(row_sizes, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    if not np.isfinite(vals).all():
+        k = int(np.argmin(np.isfinite(vals)))  # the first non-finite value
+        line = row_lines[int(np.searchsorted(indptr, k, side="right")) - 1]
+        raise LibsvmFormatError(f"line {line}: non-finite value {all_vals[k]!r} "
+                                f"at index {all_cols[k]}")
+    cols -= 1  # in place: the buffer is not read again
+    if ordered:
+        keep = vals != 0.0
+    else:
+        # stable sort by (row, column): repeats of an index keep file order,
+        # so the last one survives; rows are already in order and stay put
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), sizes)
+        order = np.lexsort((cols, rows))
+        cols, vals = cols[order], vals[order]
+        keep = vals != 0.0
+        keep[:-1] &= (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    dropped = np.flatnonzero(~keep)
+    if dropped.size:
+        cols, vals = cols[keep], vals[keep]
+        dropped_rows = np.searchsorted(indptr, dropped, side="right") - 1
+        indptr[1:] -= np.cumsum(np.bincount(dropped_rows, minlength=n_rows))
+    features = sp.csr_matrix((vals, cols, indptr), shape=(n_rows, n))
+    return Dataset(features, labels, label_mapping=mapping)
 
 
 @pytest.fixture

@@ -16,7 +16,10 @@ A change that moves iterates on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and lists in CHANGES.md which digests moved and by how much.  The
+and lists in CHANGES.md which digests moved and by how much.  The same
+script with ``--check`` recomputes every case as the test does (the pinned
+ones in a child process) and exits non-zero, naming each ``case/file``
+whose digest differs from the file.  The
 finite-sum cases are the fig3-synthetic preset at reps 2 and 2 epochs (grid
 search included, one worker) and a small sparse LIBSVM file that runs
 ``lsos_fs``, ``saga_ls`` and ``lsos_bfgs``; both SAGA methods run the
@@ -166,13 +169,38 @@ def test_outputs_match_golden_digests(name, tmp_path, request):
     assert digests == expected
 
 
+def all_digests() -> dict:
+    """Every case's digests, the pinned cases computed as the test does."""
+    digests = _digests_here(sorted(set(CASES) - set(PINNED)))
+    digests.update(pinned_digests(PINNED))
+    return digests
+
+
+def differences(expected: dict, got: dict) -> list:
+    """``case/file`` of each digest that differs or is in only one side."""
+    return [f"{case}/{key}" for case in sorted(expected.keys() | got.keys())
+            for key in sorted(expected.get(case, {}).keys() | got.get(case, {}).keys())
+            if expected.get(case, {}).get(key) != got.get(case, {}).get(key)]
+
+
+def test_differences_name_each_moved_digest():
+    expected = {"a": {"x.csv": "1", "f_star": "0.5"}, "b": {"y.csv": "2"}}
+    got = {"a": {"x.csv": "1", "f_star": "0.6"}, "c": {"z.csv": "3"}}
+    assert differences(expected, expected) == []
+    assert differences(expected, got) == ["a/f_star", "b/y.csv", "c/z.csv"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--digest"]:
         print(json.dumps(_digests_here(sys.argv[2:])))
     elif sys.argv[1:] == ["--write"]:
-        golden = _digests_here(sorted(set(CASES) - set(PINNED)))
-        golden.update(pinned_digests(PINNED))
-        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
+        GOLDEN.write_text(json.dumps(all_digests(), indent=1, sort_keys=True)
+                          + "\n", encoding="utf-8")
+    elif sys.argv[1:] == ["--check"]:
+        moved = differences(json.loads(GOLDEN.read_text(encoding="utf-8")),
+                            all_digests())
+        print("\n".join(f"differs: {name}" for name in moved)
+              or f"all {len(CASES)} cases match {GOLDEN.name}")
+        sys.exit(1 if moved else 0)
     else:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write | --check")

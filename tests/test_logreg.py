@@ -13,10 +13,11 @@ import scipy.sparse as sp
 from stochnewton import logreg
 from stochnewton.core import RngStream
 from stochnewton.finitesum import ALL_ROWS
+from stochnewton.linalg import damped_newton, solve_direct
 from stochnewton.logreg import (Dataset, LibsvmFormatError, LogRegModel,
-                                LogRegSagaTable, _curvatures, _sigmoid,
-                                _softplus, generate_synthetic_classification,
-                                parse_libsvm)
+                                LogRegSagaTable, _curvatures, _loss_factors,
+                                _scale_rows, _sigmoid, _softplus,
+                                generate_synthetic_classification, parse_libsvm)
 
 from conftest import (fd_gradient_check, fd_hvp_check, full_gradient_exact,
                       recompute_loss_sum)
@@ -316,6 +317,81 @@ class TestLibsvmParsing:
     def test_comments_and_blanks_skipped(self):
         ds = parse_libsvm(io.StringIO("# header\n\n+1 1:1\n-1 1:2\n"))
         assert ds.N == 2
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_byte_order_mark_skipped(self, tmp_path, compress):
+        raw = b"\xef\xbb\xbf+1 1:1.5\n-1 2:-0.5\n"
+        path = tmp_path / "bom.svm"
+        path.write_bytes(gzip.compress(raw) if compress else raw)
+        ds = parse_libsvm(str(path))
+        assert ds.labels.tolist() == [1.0, -1.0]
+        assert ds.features.toarray().tolist() == [[1.5, 0.0], [0.0, -0.5]]
+
+
+class TestCsrScaling:
+    """CSR rows are scaled in CSR; every result equals, bit for bit, that of
+    the COO product ``rows.multiply(w[:, None])`` used before."""
+
+    @pytest.fixture
+    def model(self):
+        rng = np.random.default_rng(31)
+        features = sp.random(300, 40, density=0.1, format="csr",
+                             random_state=rng, data_rvs=rng.standard_normal)
+        labels = np.where(rng.uniform(size=300) < 0.5, -1.0, 1.0)
+        model = LogRegModel(Dataset(features, labels), mu=0.01)
+        assert sp.isspmatrix_csr(model.store)
+        return model
+
+    @staticmethod
+    def _coo_hessian(model, rows, labels, x):
+        w = _curvatures(rows, labels, x)
+        h = (rows.multiply(w[:, None]).T @ rows).toarray() / labels.size
+        return h + model.mu * np.eye(model.n)
+
+    @pytest.mark.parametrize("idx", [[5, 17, 5, 299, 0, 17, 17], ALL_ROWS],
+                             ids=["repeats", "all-rows"])
+    def test_matches_coo_products(self, model, idx):
+        x = RngStream(32, 0).standard_normal(model.n)
+        rows, labels = model._slice(idx)
+        w = _loss_factors(rows, labels, x)
+        scaled = _scale_rows(rows, w)
+        assert sp.isspmatrix_csr(scaled)
+        assert np.shares_memory(scaled.indices, rows.indices)
+        assert np.shares_memory(scaled.indptr, rows.indptr)
+        assert np.array_equal(scaled.toarray(), rows.multiply(w[:, None]).toarray())
+        expected = self._coo_hessian(model, rows, labels, x)
+        assert np.array_equal(model._batch_hessian((rows, labels), x), expected)
+        assert np.array_equal(
+            model._batch_hessian((rows, labels), x, rows.tocsc()), expected)
+        grads = rows.multiply(w[:, None]).toarray() + model.mu * x[None, :]
+        batch = model.take(np.arange(model.N)) if idx is ALL_ROWS else idx
+        assert np.array_equal(model.component_gradients(batch, x), grads)
+        if idx is not ALL_ROWS:
+            assert np.array_equal(model.batch_hessian(idx, x), expected)
+
+    def test_reference_optimum_matches_coo_newton(self, model):
+        whole = model._slice(ALL_ROWS)
+        x = damped_newton(
+            lambda x: model._batch_value(whole, x),
+            lambda x: model._batch_gradient(whole, x),
+            lambda x, g: solve_direct(self._coo_hessian(model, *whole, x), -g),
+            np.zeros(model.n), 1e-10, 200)
+        x_star, f_star = model.reference_optimum()
+        assert np.array_equal(x_star, x)
+        assert f_star == model._batch_value(whole, x)
+
+    def test_dense_rows_scale_as_before(self):
+        model = _tiny_model(mu=0.1)
+        assert type(model.store) is np.ndarray
+        x = np.array([0.3, -0.2, 0.1])
+        rows, labels = model._slice([2, 0, 2])
+        w = _curvatures(rows, labels, x)
+        assert np.array_equal(_scale_rows(rows, w), w[:, None] * rows)
+        expected = (w[:, None] * rows).T @ rows / 3 + 0.1 * np.eye(3)
+        assert np.array_equal(model._batch_hessian((rows, labels), x), expected)
+        f = _loss_factors(rows, labels, x)
+        assert np.array_equal(model.component_gradients([2, 0, 2], x),
+                              f[:, None] * rows + 0.1 * x[None, :])
 
 
 class TestSyntheticClassification:
