@@ -8,7 +8,7 @@ mini-batch SAGA gradient estimates with averaged-iterate stochastic L-BFGS.
 A seeded benchmark harness reproduces the experiment protocol at desk scale.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (EvalCounts, OracleSample, RngStream, RunTrace, TraceRecord,
                    read_trace_csv, write_trace_csv)

@@ -89,7 +89,7 @@ def _int_min(low: int) -> Callable[[str], int]:
     return parse
 
 
-def _float_min(low: float, *, strict: bool = False, high: float = math.inf,
+def _float_min(low: float, *, strict: bool = False,
                finite: bool = True) -> Callable[[str], float]:
     def parse(raw: str) -> float:
         value = float(raw)
@@ -97,8 +97,6 @@ def _float_min(low: float, *, strict: bool = False, high: float = math.inf,
             raise ValueError("must be finite")
         if not (value > low if strict else value >= low):  # NaN fails too
             raise ValueError(f"must be {'>' if strict else '>='} {low:g}")
-        if value > high:
-            raise ValueError(f"must be <= {high:g}")
         return value
     return parse
 
@@ -159,7 +157,6 @@ SCHEMA = {
     "problem.sigma": _Key(_float_min(0)),
     "problem.sigma_pct": _Key(_float_min(0), "0.1"),
     "problem.hess_form": _Key(_choice(HESS_DENSE, HESS_HOUSEHOLDER), HESS_DENSE),
-    "problem.density": _Key(_float_min(0, strict=True, high=1), "1.0"),
     "problem.N": _Key(_int_min(1), "2000"),
     "problem.features": _Key(_int_min(1), "50"),
     "problem.separation": _Key(_float_min(-math.inf), "2.0"),
@@ -253,7 +250,10 @@ class ExperimentSpec:
         for name in names + sorted(blocks - set(names)):
             method = self.solver_method(name)
             if method not in NOISY_METHODS + FS_METHODS:
-                raise SpecError(f"solver.{name}.method: unknown method {method!r}")
+                # so solver.<name>.method is unset: a set one parses to a method
+                where = "run.solvers" if name in names else f"solver.{name}"
+                raise SpecError(f"{where}: unknown method {method!r}; "
+                                f"set solver.{name}.method")
             _solver_config(self, name)
             if name in names and (method in NOISY_METHODS) != (kind == "synthetic"):
                 family = "noisy-oracle" if method in NOISY_METHODS else "finite-sum"
@@ -358,8 +358,7 @@ def build_problem(spec: ExperimentSpec):
             sigma = spec.get("problem.sigma_pct") / 100.0 * kappa
         problem = generate_problem(
             n=spec.get("problem.n"), kappa=kappa, sigma=sigma,
-            hess_form=spec.get("problem.hess_form"),
-            density=spec.get("problem.density"), rng=rng)
+            hess_form=spec.get("problem.hess_form"), rng=rng)
         exact_solution(problem)
         return problem, kind
     if kind == "logistic_synthetic":

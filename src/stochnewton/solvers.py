@@ -175,8 +175,8 @@ class SolverConfig:
             raise ValueError("cg_rel_floor must lie in (0, 1)")
         if not self.time_budget_s > 0:  # NaN fails too
             raise ValueError("time_budget_s must be > 0")
-        if self.grad_tol is not None and not self.grad_tol >= 0:
-            raise ValueError("grad_tol must be >= 0")
+        if self.grad_tol is not None and not 0 <= self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be finite and >= 0")
         if finite_sum and self.max_epochs is None and self.max_iters is None \
                 and not math.isfinite(self.time_budget_s):
             raise ValueError("need at least one of max_epochs/max_iters/time budget")

@@ -9,14 +9,16 @@ positive definite with eigenvalues ``lambda_i`` and ``e`` the all-ones
 vector.  ``A`` is built either as an explicit dense matrix (random
 orthogonal basis) or in factored form ``A = V D V^T`` with ``V`` a product
 of three Householder reflectors, which keeps every matvec O(n) and never
-materializes ``V``.  Every product with a factored ``A`` uses its compact
-form ``A = D + Z M Z^T`` (``Z`` of size n x 6): one elementwise product
-and two thin matrix-vector products, for the exact objective and gradient
-and for the sampled Hessian alike.  Both the sampled and the exact
-Hessian are a diagonal plus that rank-6 term.  The sampled Hessian's
-Newton systems are solved by CG preconditioned by the diagonal, in at most
-7 iterations in exact arithmetic; the reference optimum solves each of its
-Newton systems directly by Sherman-Morrison-Woodbury in O(n k^2) (k = 6).
+materializes ``V``.  Either way ``A`` has exactly the eigenvalues
+``lambda_i``, so ``lambda_min(A) = 1`` and ``cond(A) = kappa``.  Every
+product with a factored ``A`` uses its compact form ``A = D + Z M Z^T``
+(``Z`` of size n x 6): one elementwise product and two thin matrix-vector
+products, for the exact objective and gradient and for the sampled
+Hessian alike.  Both the sampled and the exact Hessian are a diagonal plus
+that rank-6 term.  The sampled Hessian's Newton systems are solved by CG
+preconditioned by the diagonal, in at most 7 iterations in exact
+arithmetic; the reference optimum solves each of its Newton systems
+directly by Sherman-Morrison-Woodbury in O(n k^2) (k = 6).
 
 Noise model: ``f = phi + eps_f`` with ``eps_f ~ N(0, sigma)``; gradient
 noise is i.i.d. ``N(0, sigma)`` per coordinate; Hessian noise is a diagonal
@@ -144,7 +146,6 @@ class ConvexRandomProblem:
     hess_form: str
     a_dense: Optional[np.ndarray] = None
     a_factored: Optional[HouseholderOperator] = None
-    achieved_density: float = 1.0
     x_star: Optional[Vector] = None
     f_star: Optional[float] = None
     ones: Vector = field(init=False)
@@ -187,20 +188,18 @@ class ConvexRandomProblem:
             "kappa": self.kappa,
             "sigma": self.sigma,
             "hess_form": self.hess_form,
-            "achieved_density": self.achieved_density,
         }
 
 
 def generate_problem(n: int, kappa: float, sigma: float,
-                     hess_form: str = HESS_DENSE, density: float = 1.0,
-                     rng: Optional[RngStream] = None) -> ConvexRandomProblem:
-    """Draw one problem instance.
+                     hess_form: str = HESS_DENSE, *,
+                     rng: RngStream) -> ConvexRandomProblem:
+    """Draw one problem instance; `rng` owns every draw.
 
-    ``density`` only affects the dense form: the SPD matrix built from a
-    random orthogonal basis is thresholded towards the requested density,
-    but the sparsification is kept only when it provably preserves positive
-    definiteness; otherwise the matrix stays dense and ``achieved_density``
-    records what happened.
+    A dense ``A`` is ``Q diag(lambda) Q^T`` with ``Q`` from the QR
+    factorization of a Gaussian matrix; a factored one is
+    :class:`HouseholderOperator` over three random unit reflectors.  Both
+    have exactly the eigenvalues ``lambda_i``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -208,10 +207,6 @@ def generate_problem(n: int, kappa: float, sigma: float,
         raise ValueError("kappa must be finite and > 1")
     if not 0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and >= 0")
-    if not (0.0 < density <= 1.0):
-        raise ValueError("density must lie in (0, 1]")
-    if rng is None:
-        rng = RngStream(0, 0)
 
     lambdas = _log_spaced(n, kappa)
 
@@ -220,13 +215,8 @@ def generate_problem(n: int, kappa: float, sigma: float,
         q *= np.sign(np.diag(r))  # fix the QR sign convention
         a = (q * lambdas) @ q.T
         a = 0.5 * (a + a.T)
-        achieved = 1.0
-        if density < 1.0:
-            a_sparse, achieved = _sparsify_spd(a, density)
-            if a_sparse is not None:
-                a = a_sparse
         return ConvexRandomProblem(n, kappa, sigma, lambdas, hess_form,
-                                   a_dense=a, achieved_density=achieved)
+                                   a_dense=a)
 
     if hess_form == HESS_HOUSEHOLDER:
         vs = []
@@ -238,28 +228,6 @@ def generate_problem(n: int, kappa: float, sigma: float,
                                    a_factored=op)
 
     raise ValueError(f"unknown hess_form {hess_form!r}")
-
-
-def _sparsify_spd(a: np.ndarray, density: float):
-    """Symmetric thresholding towards `density`; returns (matrix, achieved).
-
-    Keeps the diagonal, zeroes the smallest off-diagonal entries, and
-    accepts the result only if the smallest eigenvalue stays positive.
-    """
-    n = a.shape[0]
-    off = np.abs(a[np.triu_indices(n, k=1)])
-    target_offdiag = max(0, int(round((density * n * n - n) / 2)))
-    if target_offdiag >= off.size:
-        return None, 1.0
-    cut = np.partition(off, off.size - target_offdiag)[off.size - target_offdiag] \
-        if target_offdiag > 0 else np.inf
-    mask = np.abs(a) >= cut
-    np.fill_diagonal(mask, True)
-    a_thr = np.where(mask & mask.T, a, 0.0)
-    if np.linalg.eigvalsh(a_thr)[0] <= 0:
-        return None, 1.0
-    achieved = float(np.count_nonzero(a_thr)) / (n * n)
-    return a_thr, achieved
 
 
 class NoisyOracle:

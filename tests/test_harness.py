@@ -2,9 +2,11 @@
 output files and the manifest contract."""
 
 import csv
+import dataclasses
 import math
 import pickle
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +16,14 @@ from stochnewton.core import (PHASE_LINE_SEARCH, RngStream, RunTrace,
                               TraceRecord)
 from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  ExperimentSpec, GridSearchError, PRESETS,
-                                 SCHEMA, SpecError, _run_jobs, _trace_errors,
-                                 aggregate, aggregate_directory, build_problem,
-                                 build_solver_config, grid_search_step,
-                                 resolve_grid_searches, run_experiment,
-                                 run_replication)
+                                 SCHEMA, SpecError, _READS, _run_jobs,
+                                 _trace_errors, aggregate, aggregate_directory,
+                                 build_problem, build_solver_config,
+                                 grid_search_step, resolve_grid_searches,
+                                 run_experiment, run_replication)
 from stochnewton.logreg import Dataset, LogRegModel
-from stochnewton.solvers import DeltaSchedule, GainParams, SolverConfig
+from stochnewton.solvers import (NOISY_METHODS, DeltaSchedule, GainParams,
+                                 SolverConfig)
 from stochnewton.steplen import LineSearchConfig
 from stochnewton.synthetic import NoisyOracle
 
@@ -273,6 +276,111 @@ class TestSpecParsing:
                        line.split("=", 1)[0].strip())
                 for line in block.splitlines() if line.split("#", 1)[0].strip()}
         assert keys == set(SCHEMA)
+
+
+# -- spec-load probe -------------------------------------------------------------
+
+PROBE_VALUES = ("nan", "inf", "-inf", "-1", "0", "", "1e400")
+
+# Probe values that load because they mean something documented; every other
+# probe value must be rejected.
+SPEC_LOADS = {
+    "problem.sigma": {"0"},              # noise-free oracle
+    "problem.sigma_pct": {"0"},
+    "problem.separation": {"-1", "0"},   # <= 0: the two clouds overlap
+    "problem.path": set(PROBE_VALUES) - {""},  # a file name, read at build
+    "run.seed": {"0"},
+    "run.max_epochs": {"0"},             # no epoch budget
+    "run.grad_tol": {"0"},               # no gradient-norm stop
+    "run.time_budget_s": {"inf", "1e400"},  # no time budget
+}
+
+
+def _probe_contexts():
+    """``(key, base mapping)`` for every schema key, in a spec that reads
+    it: each ``solver.*`` key once per method whose ``_READS`` row has it."""
+    for row_key, row in SCHEMA.items():
+        if not row_key.startswith("solver.*."):
+            base = ({"problem.kind": "libsvm", "run.solvers": "saga_ls"}
+                    if row_key == "problem.path" else {})
+            yield pytest.param(row_key, base, id=row_key)
+            continue
+        owner = row.field.rpartition(".")[0]
+        for method, reads in _READS.items():
+            if row.field and row.field not in reads and owner not in reads:
+                continue
+            kind = ("synthetic" if method in NOISY_METHODS
+                    else "logistic_synthetic")
+            key = row_key.replace("*", method)
+            yield pytest.param(key, {"problem.kind": kind, "run.solvers": method},
+                               id=key)
+
+
+# 1e400 overflows to inf here, as it does when a spec value is parsed
+FLOAT_PROBES = (math.nan, math.inf, -math.inf, -1.0, 0.0, float("1e400"))
+
+# fields read only under another field's value: probed in that setting
+FIELD_SETTINGS = {(DeltaSchedule, "rho"): {"kind": "geometric"},
+                  (DeltaSchedule, "value"): {"kind": "constant"}}
+# probe values a config field accepts by documented meaning
+FIELD_ACCEPTS = {
+    (SolverConfig, "time_budget_s"): {math.inf},  # no time budget
+    (SolverConfig, "grad_tol"): {0.0},            # no gradient-norm stop
+    (DeltaSchedule, "value"): {0.0},              # exact Newton systems
+}
+
+
+def _field_probes():
+    """``(class, field, values)`` for every field of the config classes.
+
+    Each field gets the probe values its type can hold: a float (or an
+    ``object``, like ``alpha0``) all of FLOAT_PROBES, an int -1 and 0, a
+    string "".  Nested configs are probed as classes of their own.
+    """
+    for cls in (SolverConfig, LineSearchConfig, GainParams, DeltaSchedule):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            types = set(typing.get_args(hints[f.name])) or {hints[f.name]}
+            values = ([""] if types & {str, object} else []) + (
+                list(FLOAT_PROBES) if types & {float, object}
+                else [-1, 0] if int in types else [])
+            if values:
+                yield pytest.param(cls, f.name, values,
+                                   id=f"{cls.__name__}.{f.name}")
+
+
+class TestSpecLoadProbe:
+    @pytest.mark.parametrize("key, base", list(_probe_contexts()))
+    def test_every_key_rejects_or_documents_each_probe(self, key, base):
+        allowed = SPEC_LOADS.get(key, set())
+        wrong = []
+        for value in PROBE_VALUES:
+            try:
+                ExperimentSpec.from_mapping({**base, key: value})
+            except SpecError as exc:
+                if value in allowed or key not in str(exc):
+                    wrong.append(f"{value!r} raised {exc}")
+            else:
+                if value not in allowed:
+                    wrong.append(f"{value!r} loaded")
+        assert not wrong, f"{key}: {wrong}"
+
+    @pytest.mark.parametrize("cls, name, values", list(_field_probes()))
+    def test_every_config_field_rejects_or_documents_each_probe(
+            self, cls, name, values):
+        setting = FIELD_SETTINGS.get((cls, name), {})
+        allowed = FIELD_ACCEPTS.get((cls, name), set())
+        wrong = []
+        for value in values:
+            try:
+                cls(**setting, **{name: value})
+            except ValueError:
+                if value in allowed:
+                    wrong.append(f"{value!r} raised")
+            else:
+                if value not in allowed:
+                    wrong.append(f"{value!r} accepted")
+        assert not wrong, f"{cls.__name__}.{name}: {wrong}"
 
 
 class TestAggregate:

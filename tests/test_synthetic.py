@@ -15,8 +15,8 @@ from stochnewton.synthetic import (ConvexRandomProblem, HESS_DENSE,
 from conftest import fd_gradient_check, reference_cg
 
 
-def _problem(n=10, kappa=100.0, sigma=0.0, form=HESS_DENSE, seed=0, density=1.0):
-    return generate_problem(n, kappa, sigma, hess_form=form, density=density,
+def _problem(n=10, kappa=100.0, sigma=0.0, form=HESS_DENSE, seed=0):
+    return generate_problem(n, kappa, sigma, hess_form=form,
                             rng=RngStream(seed, 0))
 
 
@@ -62,16 +62,15 @@ class TestSpectrum:
             _problem(n=0)
         with pytest.raises(ValueError):
             _problem(kappa=1.0)
+        rng = RngStream(0, 0)
         with pytest.raises(ValueError):
-            generate_problem(4, 10.0, -1.0)
+            generate_problem(4, 10.0, -1.0, rng=rng)
         for kappa, sigma in [(np.inf, 0.0), (np.nan, 0.0), (10.0, np.inf),
                              (10.0, np.nan)]:
             with pytest.raises(ValueError, match="finite"):
-                generate_problem(4, kappa, sigma)
+                generate_problem(4, kappa, sigma, rng=rng)
         with pytest.raises(ValueError):
-            generate_problem(4, 10.0, 0.0, density=0.0)
-        with pytest.raises(ValueError):
-            generate_problem(4, 10.0, 0.0, hess_form="banded")
+            generate_problem(4, 10.0, 0.0, hess_form="banded", rng=rng)
 
 
 class TestHouseholderOperator:
@@ -200,15 +199,6 @@ class TestPreconditionedCg:
                                          1e-10, 100)
         assert np.array_equal(given.d, d)
         assert given.iters == iters and given.rel_res == rel_res
-
-
-class TestSparsification:
-    def test_density_request_records_outcome(self):
-        p = _problem(n=30, kappa=10.0, density=0.5, seed=5)
-        assert 0.0 < p.achieved_density <= 1.0
-        # whatever was kept must still be SPD
-        assert np.linalg.eigvalsh(p.a_dense)[0] > 0
-        assert p.metadata()["achieved_density"] == p.achieved_density
 
 
 class TestNoisyEval:
