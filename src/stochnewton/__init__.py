@@ -22,8 +22,7 @@ from .linalg import (CgResult, NotPositiveDefiniteError, SpdOperator,
 from .logreg import (Dataset, LogRegModel, LogRegSagaTable,
                      generate_synthetic_classification, parse_libsvm)
 from .slbfgs import LbfgsMemory
-from .solvers import (DeltaSchedule, GainParams, SolverConfig, SolverResult,
-                      run_solver)
+from .solvers import DeltaSchedule, SolverConfig, SolverResult, run_solver
 from .steplen import (BacktrackResult, GainSchedule, LineSearchConfig,
                       backtrack, switch_check)
 from .synthetic import (ConvexRandomProblem, HouseholderOperator, NoisyOracle,

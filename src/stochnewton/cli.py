@@ -89,9 +89,9 @@ def main(argv=None) -> int:
 
     if args.command == "grid":
         spec = _load_spec(args, p_grid)
-        problem, kind = build_problem(spec)
-        with worker_pool(spec, problem, kind) as pool:
-            resolved = resolve_grid_searches(spec, problem, kind, pool)
+        problem, _ = build_problem(spec)
+        with worker_pool(spec, problem) as pool:
+            resolved = resolve_grid_searches(spec, problem, pool)
         for name in resolved.solver_names():
             t_ini = build_solver_config(resolved, name).ls.t_start
             print(f"solver.{name}.t_ini = {t_ini}")

@@ -143,7 +143,7 @@ def _delta(raw: str) -> DeltaSchedule:
 class _Key(NamedTuple):
     parse: Callable[[str], object]
     default: Optional[str] = None  # the raw value a spec starts from
-    field: str = ""  # solver params: the config field set ("ls.<f>", "gain.<f>")
+    field: str = ""  # solver params: the config field set ("<f>" or "ls.<f>")
 
 
 # Every spec key, once.  ``solver.*.<param>`` stands for any solver name;
@@ -175,8 +175,8 @@ SCHEMA = {
     "run.workers": _Key(_int_min(1), "1"),
     "grid.candidates": _Key(_positives, GRID_DEFAULT),
     "solver.*.method": _Key(_choice(*NOISY_METHODS, *FS_METHODS)),
-    "solver.*.alpha0": _Key(_float_or(AUTO_ALPHA0), field="gain.alpha0"),
-    "solver.*.T": _Key(float, field="gain.T"),
+    "solver.*.alpha0": _Key(_float_or(AUTO_ALPHA0), field="alpha0"),
+    "solver.*.T": _Key(float, field="T"),
     "solver.*.delta": _Key(_delta, field="delta"),
     "solver.*.eta": _Key(float, field="ls.eta"),
     "solver.*.beta": _Key(float, field="ls.beta"),
@@ -198,16 +198,15 @@ SCHEMA = {
 DEFAULTS = {key: row.default for key, row in SCHEMA.items() if row.default}
 
 # The solver params each method reads, by config field or group; a spec
-# setting any other is rejected.  Line searches anchor a switch at t_min, so
-# they read gain.T but never alpha0.
+# setting any other is rejected.  Line searches read T but never alpha0.
 _NEWTON = ("delta", "cg_rel_floor", "cg_max_iters")
 _SAGA = ("ls", "batch_size", "batch_scheme", "saga_storage")
 _READS = {
-    METHOD_SOS: ("gain", *_NEWTON),
-    METHOD_LSOS: ("gain.T", "ls", *_NEWTON),
-    METHOD_LSOS_INEXACT: ("gain.T", "ls", *_NEWTON),
-    METHOD_SGD: ("gain",),
-    METHOD_SGD_LS: ("gain.T", "ls"),
+    METHOD_SOS: ("alpha0", "T", *_NEWTON),
+    METHOD_LSOS: ("T", "ls", *_NEWTON),
+    METHOD_LSOS_INEXACT: ("T", "ls", *_NEWTON),
+    METHOD_SGD: ("alpha0", "T"),
+    METHOD_SGD_LS: ("T", "ls"),
     METHOD_LSOS_FS: ("ls", *_NEWTON, "batch_size", "batch_scheme"),
     METHOD_LSOS_BFGS: (*_SAGA, "hess_batch_size", "m", "l"),
     METHOD_SAGA_LS: _SAGA,
@@ -373,24 +372,24 @@ def build_problem(spec: ExperimentSpec):
     return model, kind
 
 
-def initial_point(spec: ExperimentSpec, problem, kind: str, rep_stream: RngStream):
+def initial_point(spec: ExperimentSpec, problem, rep_stream: RngStream):
     policy = spec.get("run.x0")
     if policy == "auto":
-        policy = "gauss5" if kind == "synthetic" else "zeros"
+        policy = "gauss5" if spec.get("problem.kind") == "synthetic" else "zeros"
     if policy == "gauss5":
         return rep_stream.child(0).normal(0.0, 5.0, problem.n)
     return np.zeros(problem.n)
 
 
-def run_replication(problem, kind: str, spec: ExperimentSpec, name: str,
-                    rep: int, *, final_error_only: bool = False) -> RunTrace:
+def run_replication(problem, spec: ExperimentSpec, name: str, rep: int, *,
+                    final_error_only: bool = False) -> RunTrace:
     """One (solver, replication) run; fully determined by ``(seed, rep)``.
 
     ``final_error_only`` gives a true error only to the last record before
     any divergence record (grid pilots); the iterates are the same.
     """
     rep_stream = RngStream(spec.get("run.seed"), rep)
-    x0 = initial_point(spec, problem, kind, rep_stream)
+    x0 = initial_point(spec, problem, rep_stream)
     cfg = build_solver_config(spec, name)
     if cfg.method in FS_METHODS:
         result = run_fs_solver(problem, cfg, x0, rep_stream.child(1),
@@ -502,7 +501,7 @@ def grid_search_step(final_errors: dict) -> float:
     return min(finite, key=lambda t: (final_errors[t], -t))
 
 
-def resolve_grid_searches(spec: ExperimentSpec, problem, kind: str,
+def resolve_grid_searches(spec: ExperimentSpec, problem,
                           pool=None) -> ExperimentSpec:
     """Replace every ``t_ini = grid`` by its pilot-selected value (rep 0).
 
@@ -519,7 +518,7 @@ def resolve_grid_searches(spec: ExperimentSpec, problem, kind: str,
     jobs = [(spec.override(**{f"solver.{name}.t_ini": repr(t_ini)}), name, 0, True)
             for name, t_ini in pilots]
     final_errors = {name: {} for name in names}
-    for (name, t_ini), error in zip(pilots, _run_jobs(problem, kind, jobs, pool)):
+    for (name, t_ini), error in zip(pilots, _run_jobs(problem, jobs, pool)):
         final_errors[name][t_ini] = error
     return spec.override(**{f"solver.{name}.t_ini": repr(grid_search_step(by_t))
                             for name, by_t in final_errors.items()})
@@ -539,32 +538,31 @@ class ExperimentResult:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(problem, kind: str):
+def _worker_init(problem):
     """Keep the parent's problem for this worker's jobs.
 
     Under fork the worker inherits it without a copy; under spawn or
     forkserver it arrives pickled, once per worker.
     """
-    _WORKER_STATE.update(problem=problem, kind=kind)
+    _WORKER_STATE.update(problem=problem)
 
 
 def _worker_run(job):
-    return _run_job(_WORKER_STATE["problem"], _WORKER_STATE["kind"], job)
+    return _run_job(_WORKER_STATE["problem"], job)
 
 
-def _run_job(problem, kind: str, job):
+def _run_job(problem, job):
     """The trace of a ``(spec, solver name, rep, pilot)`` job; a pilot's
     final error instead (``nan`` when it recorded nothing)."""
     spec, name, rep, pilot = job
-    trace = run_replication(problem, kind, spec, name, rep,
-                            final_error_only=pilot)
+    trace = run_replication(problem, spec, name, rep, final_error_only=pilot)
     if not pilot:
         return trace
     errors = _trace_errors(trace)
     return float(errors[-1]) if errors.size else math.nan
 
 
-def _run_jobs(problem, kind: str, jobs, pool=None) -> list:
+def _run_jobs(problem, jobs, pool=None) -> list:
     """The results of :func:`_run_job` for `jobs`, in job order.
 
     Pool workers run on the parent's problem (see :func:`_worker_init`), so
@@ -573,17 +571,17 @@ def _run_jobs(problem, kind: str, jobs, pool=None) -> list:
     """
     if pool is not None:
         return list(pool.map(_worker_run, jobs))
-    return [_run_job(problem, kind, job) for job in jobs]
+    return [_run_job(problem, job) for job in jobs]
 
 
-def worker_pool(spec: ExperimentSpec, problem, kind: str):
+def worker_pool(spec: ExperimentSpec, problem):
     """A pool of ``run.workers`` processes that run jobs on `problem`; at
     one worker a null context, so the jobs run in this process."""
     workers = spec.get("run.workers")
     if workers == 1:
         return contextlib.nullcontext()
     return concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(problem, kind))
+        max_workers=workers, initializer=_worker_init, initargs=(problem,))
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
@@ -592,13 +590,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     With ``run.workers > 1`` one process pool runs the grid pilots and then
     the replications.
     """
-    problem, kind = build_problem(spec)
+    problem, _ = build_problem(spec)
     reps = spec.get("run.reps")
-    with worker_pool(spec, problem, kind) as pool:
-        spec = resolve_grid_searches(spec, problem, kind, pool)
+    with worker_pool(spec, problem) as pool:
+        spec = resolve_grid_searches(spec, problem, pool)
         names = spec.solver_names()
         jobs = [(spec, name, rep, False) for name in names for rep in range(reps)]
-        traces = _run_jobs(problem, kind, jobs, pool)
+        traces = _run_jobs(problem, jobs, pool)
     result = ExperimentResult(spec=spec)
     for (_, name, _, _), trace in zip(jobs, traces):
         result.traces.setdefault(name, []).append(trace)

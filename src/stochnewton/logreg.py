@@ -112,7 +112,7 @@ class _LibsvmRows:
 
     def add(self, lines, labels, sizes, tokens) -> None:
         if not self._add_bulk(lines, labels, sizes, tokens):
-            self._add_tokenwise(lines, labels, sizes, tokens)
+            self._raise_first_bad_line(lines, labels, sizes, tokens)
 
     def _add_bulk(self, lines, labels, sizes, tokens) -> bool:
         """Convert the block by one numpy call each for its labels, indices
@@ -153,37 +153,37 @@ class _LibsvmRows:
         self.vals.frombytes(vals.tobytes())
         return True
 
-    def _add_tokenwise(self, lines, labels, sizes, tokens) -> None:
+    @staticmethod
+    def _raise_first_bad_line(lines, labels, sizes, tokens) -> None:
+        """Name the first bad line of a block :meth:`_add_bulk` refused.
+
+        Every refusal has a token or label that fails here, so the scan
+        always raises; it warns of the non-increasing indices before it.
+        """
         start = 0
         for lineno, label_tok, size in zip(lines, labels, sizes):
             try:
                 label = float(label_tok)
-            except ValueError as exc:
-                raise LibsvmFormatError(f"line {lineno}: bad label {label_tok!r}") from exc
+            except ValueError:
+                label = math.nan
             if not math.isfinite(label):
                 raise LibsvmFormatError(f"line {lineno}: bad label {label_tok!r}")
             prev_idx = 0
             for tok in tokens[start:start + size]:
                 try:
                     idx_s, val_s = tok.split(":", 1)
-                    idx, val = int(idx_s), float(val_s)
+                    idx, _ = int(idx_s), float(val_s)
                 except ValueError as exc:
                     raise LibsvmFormatError(f"line {lineno}: bad token {tok!r}") from exc
                 if idx < 1:
                     raise LibsvmFormatError(f"line {lineno}: index {idx} < 1")
                 if idx <= prev_idx:
                     _warn_unordered(lineno, idx)
-                    self.ordered = False
+                if idx >= 2**63:
+                    raise LibsvmFormatError(f"line {lineno}: index {idx} beyond int64")
                 prev_idx = idx
-                try:
-                    self.cols.append(idx)
-                except OverflowError as exc:
-                    raise LibsvmFormatError(f"line {lineno}: index {idx} beyond int64") from exc
-                self.vals.append(val)
             start += size
-            self.labels.append(label)
-            self.sizes.append(size)
-            self.lines.append(lineno)
+        raise AssertionError("a refused LIBSVM block has no bad line")
 
 
 def parse_libsvm(source: Union[str, io.TextIOBase], n_features: Optional[int] = None) -> Dataset:

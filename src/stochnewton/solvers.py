@@ -39,8 +39,9 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -63,7 +64,7 @@ METHOD_LSOS_BFGS = "lsos_bfgs"
 METHOD_SAGA_LS = "saga_ls"
 
 _NEWTON_METHODS = (METHOD_SOS, METHOD_LSOS, METHOD_LSOS_INEXACT)
-_LS_METHODS = (METHOD_LSOS, METHOD_LSOS_INEXACT, METHOD_SGD_LS)
+_GAIN_METHODS = (METHOD_SOS, METHOD_SGD)  # gains from the first iteration
 NOISY_METHODS = (METHOD_SOS, METHOD_LSOS, METHOD_LSOS_INEXACT, METHOD_SGD,
                  METHOD_SGD_LS)
 FS_METHODS = (METHOD_LSOS_FS, METHOD_LSOS_BFGS, METHOD_SAGA_LS)
@@ -103,29 +104,13 @@ class DeltaSchedule:
 AUTO_ALPHA0 = "auto"  # alpha0 = 1 / ||d_0||
 
 
-@dataclass(frozen=True)
-class GainParams:
-    """Parameters of the pre-defined gain sequence ``alpha_k = alpha0 T/(T+k)``.
-
-    ``alpha0 = "auto"`` resolves to ``1 / ||d_0||`` at the first iteration,
-    which makes the very first step have unit length.  Methods with a
-    line search never read it: a switch anchors the gains at ``t_min``.
-    """
-
-    alpha0: object = AUTO_ALPHA0
-    T: float = 1e6
-
-    def __post_init__(self):
-        if self.alpha0 != AUTO_ALPHA0 and not 0 < float(self.alpha0) < math.inf:
-            raise ValueError(f"alpha0 must be finite and > 0 or {AUTO_ALPHA0!r}")
-        if not 0 < self.T < math.inf:
-            raise ValueError("T must be finite and > 0")
-
-
 @dataclass
 class SolverConfig:
     """The configuration of every method; ``method`` picks the family.
 
+    ``sos`` and ``sgd`` step by the gains ``alpha_k = alpha0 T/(T+k)``;
+    ``alpha0 = "auto"`` is ``1 / ||d_0||``, a first step of unit length.  A
+    line search's switch anchors the gains at ``t_min`` and reads only ``T``.
     A field left ``None`` takes the method's default: ``delta`` geometric
     for ``lsos_inexact``, else zero; ``ls`` with ``theta = 0.999`` for
     finite sums (the nonmonotone slack lives over whole epochs); uniform
@@ -134,7 +119,8 @@ class SolverConfig:
     """
 
     method: str = METHOD_LSOS
-    gain: GainParams = field(default_factory=GainParams)
+    alpha0: object = AUTO_ALPHA0
+    T: float = 1e6
     ls: Optional[LineSearchConfig] = None
     delta: Optional[DeltaSchedule] = None
     batch_size: Optional[int] = None        # default ceil(sqrt(N))
@@ -166,9 +152,15 @@ class SolverConfig:
                                  else SCHEME_PARTITION)
         if self.max_iters is None and not finite_sum:
             self.max_iters = 100
+        if self.alpha0 != AUTO_ALPHA0 and not 0 < float(self.alpha0) < math.inf:
+            raise ValueError(f"alpha0 must be finite and > 0 or {AUTO_ALPHA0!r}")
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be finite and > 0")
         for name in ("max_iters", "max_epochs", "batch_size", "hess_batch_size",
                      "cg_max_iters", "m", "l"):
             value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not (0.0 < self.cg_rel_floor < 1.0):
@@ -223,9 +215,8 @@ def run_solver(oracle, cfg: SolverConfig, x0: Vector, *,
         cfg, as_vector(x0, oracle.n).copy(), itertools.repeat(None),
         estimate=estimate, direction=newton_step if newton else None,
         objective=objective, after_step=None,
-        true_errors=true_errors if has_ref else None,
-        counts=oracle.counts, since=oracle.counts(), gain=cfg.gain,
-        line_search=cfg.method in _LS_METHODS, final_error_only=final_error_only)
+        true_errors=true_errors if has_ref else None, counts=oracle.counts,
+        since=oracle.counts(), final_error_only=final_error_only)
 
 
 def _newton_direction(b: SpdOperator, g: Vector, cfg, k: int):
@@ -262,8 +253,7 @@ def _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref, t=0.0):
 
 def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
                objective, after_step, true_errors, counts, since: EvalCounts,
-               elapsed: float = 0.0, gain: Optional[GainParams] = None,
-               line_search: bool = True, error_block: int = 1,
+               elapsed: float = 0.0, error_block: int = 1,
                final_error_only: bool = False) -> SolverResult:
     """The LSOS iteration ``x_{k+1} = x_k + t_k d_k`` shared by every method.
 
@@ -277,10 +267,10 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     * ``objective(x, batch)``, the sampled objective of the search;
     * ``after_step(x_next, batch)`` or ``None``.
 
-    ``gain`` is given by the noisy-oracle family only: an exhausted or
-    too-short search switches once to the anchored gain sequence, and
-    ``line_search=False`` runs the gain sequence throughout.  Without it
-    (finite sums) the search stays on, and an exhausted one takes its
+    ``cfg.method`` sets the step policy: ``sos`` and ``sgd`` run the gain
+    sequence throughout; the other noisy-oracle methods switch once to the
+    anchored gain sequence after an exhausted or too-short search; the
+    finite-sum methods keep searching, and an exhausted search takes its
     smallest trial step with one warning per run.  ``counts`` returns the
     cumulative evaluation counters; ``since`` is their value at the start of
     the run and ``elapsed`` the solver time already spent on it.
@@ -312,7 +302,8 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
             trace.records[i].true_error = float(error)
         pending.clear()
 
-    phase = PHASE_LINE_SEARCH if line_search else PHASE_GAIN
+    finite_sum = cfg.method in FS_METHODS
+    phase = PHASE_GAIN if cfg.method in _GAIN_METHODS else PHASE_LINE_SEARCH
     schedule: Optional[GainSchedule] = None
     k_tau: Optional[int] = None
     gnorm: Optional[float] = None
@@ -353,7 +344,7 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
             res = backtrack(lambda t: objective(x + t * d, batch), f_hat,
                             float(g @ d), cfg.ls, cfg.ls.zeta(k))
             t = res.t
-            if gain is None:
+            if finite_sum:
                 if not res.accepted and not exhausted_warned:
                     _logger.warning("line search exhausted %d backtracks at "
                                     "k=%d; taking the smallest trial step",
@@ -366,9 +357,9 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
         if phase == PHASE_GAIN:
             if schedule is None:  # anchored at a switch, else alpha0 or "auto"
                 alpha0 = (cfg.ls.t_min / dnorm if k_tau is not None
-                          else 1.0 / dnorm if gain.alpha0 == AUTO_ALPHA0
-                          else gain.alpha0)
-                schedule = GainSchedule(alpha0=alpha0, T=gain.T)
+                          else 1.0 / dnorm if cfg.alpha0 == AUTO_ALPHA0
+                          else cfg.alpha0)
+                schedule = GainSchedule(alpha0=alpha0, T=cfg.T)
             t = schedule.next_gain()
 
         x_next = x + t * d

@@ -10,6 +10,7 @@ driver switches, once and for all, to a pre-defined decaying gain sequence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,8 +85,9 @@ class LineSearchConfig:
             raise ValueError("theta must lie in (0, 1)")
         if not (0.0 < self.t_start < math.inf and 0.0 < self.t_min < math.inf):
             raise ValueError("t_start and t_min must be positive and finite")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
+        if not (isinstance(self.max_backtracks, numbers.Integral)
+                and self.max_backtracks >= 1):
+            raise ValueError("max_backtracks must be an integer >= 1")
         if self.switch_rule not in (SWITCH_STEP_NORM, SWITCH_STEP_ONLY):
             raise ValueError(f"unknown switch rule {self.switch_rule!r}")
 

@@ -101,9 +101,9 @@ class TestGrid:
         pools = []
         resolve = cli.resolve_grid_searches
 
-        def spy(spec, problem, kind, pool=None):
+        def spy(spec, problem, pool=None):
             pools.append(pool)
-            return resolve(spec, problem, kind, pool)
+            return resolve(spec, problem, pool)
         monkeypatch.setattr(cli, "resolve_grid_searches", spy)
         printed = []
         for workers in (1, 2):

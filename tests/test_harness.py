@@ -22,8 +22,7 @@ from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  grid_search_step, resolve_grid_searches,
                                  run_experiment, run_replication)
 from stochnewton.logreg import Dataset, LogRegModel
-from stochnewton.solvers import (NOISY_METHODS, DeltaSchedule, GainParams,
-                                 SolverConfig)
+from stochnewton.solvers import NOISY_METHODS, DeltaSchedule, SolverConfig
 from stochnewton.steplen import LineSearchConfig
 from stochnewton.synthetic import NoisyOracle
 
@@ -136,8 +135,7 @@ class TestSpecParsing:
                                     switch_rule="step_norm")
 
         def noisy(method, max_iters, delta=DeltaSchedule("zero")):
-            return SolverConfig(method=method,
-                                gain=GainParams(alpha0="auto", T=1e6),
+            return SolverConfig(method=method, alpha0="auto", T=1e6,
                                 ls=ls(0.9), delta=delta, cg_rel_floor=1e-6,
                                 cg_max_iters=None, max_iters=max_iters,
                                 time_budget_s=math.inf, grad_tol=None)
@@ -334,16 +332,18 @@ def _field_probes():
     """``(class, field, values)`` for every field of the config classes.
 
     Each field gets the probe values its type can hold: a float (or an
-    ``object``, like ``alpha0``) all of FLOAT_PROBES, an int -1 and 0, a
-    string "".  Nested configs are probed as classes of their own.
+    ``object``, like ``alpha0``) all of FLOAT_PROBES, an int -1, 0 and the
+    non-integers 2.5, nan and inf, a string "".  Nested configs are probed
+    as classes of their own.
     """
-    for cls in (SolverConfig, LineSearchConfig, GainParams, DeltaSchedule):
+    for cls in (SolverConfig, LineSearchConfig, DeltaSchedule):
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
             types = set(typing.get_args(hints[f.name])) or {hints[f.name]}
             values = ([""] if types & {str, object} else []) + (
                 list(FLOAT_PROBES) if types & {float, object}
-                else [-1, 0] if int in types else [])
+                else [-1, 0, 2.5, math.nan, math.inf] if int in types
+                else [])
             if values:
                 yield pytest.param(cls, f.name, values,
                                    id=f"{cls.__name__}.{f.name}")
@@ -498,19 +498,18 @@ class TestPilots:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("early_ends, spec", PILOT_SPECS)
     def test_pilot_scores_equal_full_trace_final_errors(self, early_ends, spec):
-        problem, kind = build_problem(spec)
+        problem, _ = build_problem(spec)
         seen = set()
         for name in spec.solver_names():
             for t_ini in spec.get("grid.candidates"):
                 pilot = spec.override(**{f"solver.{name}.t_ini": repr(t_ini)})
-                [score] = _run_jobs(problem, kind, [(pilot, name, 0, True)])
-                full = run_replication(problem, kind, pilot, name, 0)
+                [score] = _run_jobs(problem, [(pilot, name, 0, True)])
+                full = run_replication(problem, pilot, name, 0)
                 assert score == _trace_errors(full)[-1], (name, t_ini)
                 no_tol = pilot.override(**{"run.grad_tol": "0"})
                 if score == math.inf:
                     seen.add("diverged")
-                elif len(full) < len(run_replication(problem, kind, no_tol,
-                                                     name, 0)):
+                elif len(full) < len(run_replication(problem, no_tol, name, 0)):
                     seen.add("grad_tol")
         assert seen == early_ends
 
@@ -536,9 +535,9 @@ class TestPilots:
                                          "solver.lsos.t_ini": "grid"}),
         }
         for attr, spec in specs.items():
-            problem, kind = build_problem(spec)
+            problem, _ = build_problem(spec)
             calls.update(objectives=[], true_error=[])
-            resolve_grid_searches(spec, problem, kind)
+            resolve_grid_searches(spec, problem)
             n_grid = sum(spec.get(f"solver.{name}.t_ini") == "grid"
                          for name in spec.solver_names())
             n_pilots = n_grid * len(spec.get("grid.candidates"))
@@ -564,12 +563,12 @@ class TestPilots:
                 "problem.kind": "libsvm", "problem.path": str(data),
                 "problem.mu": "0.05", "run.solvers": "saga_ls,lsos_fs",
                 "run.max_epochs": "2", "run.seed": "6"})
-        problem, kind = build_problem(spec)
+        problem, _ = build_problem(spec)
         copy = pickle.loads(pickle.dumps(problem))
         for name in spec.solver_names():
             for rep in range(2):
-                t1 = run_replication(problem, kind, spec, name, rep)
-                t2 = run_replication(copy, kind, spec, name, rep)
+                t1 = run_replication(problem, spec, name, rep)
+                t2 = run_replication(copy, spec, name, rep)
                 assert len(t1) > 0
                 for column in ITERATE_COLUMNS:
                     assert t1.column(column) == t2.column(column), (name, column)
@@ -596,9 +595,9 @@ class TestRunExperiment:
 
     def test_x0_shared_across_solvers_within_replication(self):
         spec = _small_spec()
-        problem, kind = build_problem(spec)
-        tr_a = run_replication(problem, kind, spec, "lsos", rep=1)
-        tr_b = run_replication(problem, kind, spec, "sgd", rep=1)
+        problem, _ = build_problem(spec)
+        tr_a = run_replication(problem, spec, "lsos", rep=1)
+        tr_b = run_replication(problem, spec, "sgd", rep=1)
         # both start at the same point: identical first-iteration error
         assert tr_a.records[0].true_error == tr_b.records[0].true_error
 

@@ -13,8 +13,7 @@ from stochnewton.core import (PHASE_GAIN, PHASE_LINE_SEARCH, EvalCounts,
                               RngStream)
 from stochnewton.fs_solvers import run_fs_solver
 from stochnewton.linalg import SpdOperator, solve_cg
-from stochnewton.solvers import (DeltaSchedule, GainParams, SolverConfig,
-                                 run_solver)
+from stochnewton.solvers import DeltaSchedule, SolverConfig, run_solver
 from stochnewton.steplen import BacktrackResult, LineSearchConfig, backtrack
 from stochnewton.synthetic import (HESS_HOUSEHOLDER, NoisyOracle,
                                    exact_solution, generate_problem)
@@ -35,16 +34,15 @@ def _noisy_setup(n, kappa, sigma, seed, form="dense"):
 class TestSos:
     def test_newton_step_solves_quadratic_in_one_iteration(self, rng):
         oracle = ExactQuadraticOracle(random_spd(8, rng), rng.standard_normal(8))
-        cfg = SolverConfig(method="sos", gain=GainParams(alpha0=1.0),
-                           max_iters=5, grad_tol=1e-12)
+        cfg = SolverConfig(method="sos", alpha0=1.0, max_iters=5,
+                           grad_tol=1e-12)
         res = run_solver(oracle, cfg, rng.standard_normal(8))
         assert res.iterations == 1
         assert np.linalg.norm(res.x - oracle.x_star) <= 1e-10
 
     def test_gain_steps_match_schedule_exactly(self, rng):
         oracle = ExactQuadraticOracle(random_spd(5, rng))
-        cfg = SolverConfig(method="sos", gain=GainParams(alpha0=0.3, T=100.0),
-                           max_iters=6)
+        cfg = SolverConfig(method="sos", alpha0=0.3, T=100.0, max_iters=6)
         res = run_solver(oracle, cfg, rng.standard_normal(5))
         for rec in res.trace.records:
             assert rec.phase == PHASE_GAIN
@@ -156,7 +154,7 @@ class TestLsosNoisy:
         recs = res.trace.records
         k_tau = res.k_tau
         t_anchor = next(r.step_len for r in recs if r.iter == k_tau)
-        T = cfg.gain.T
+        T = cfg.T
         for r in recs:
             if r.phase == PHASE_GAIN:
                 expected = t_anchor * T / (T + r.iter - k_tau)
@@ -277,8 +275,7 @@ class TestSgd:
     def test_fixed_step_descends_on_quadratic(self, rng):
         h = random_spd(6, rng, 1, 4)
         oracle = ExactQuadraticOracle(h, rng.standard_normal(6))
-        cfg = SolverConfig(method="sgd", gain=GainParams(alpha0=0.2, T=1e12),
-                           max_iters=50)
+        cfg = SolverConfig(method="sgd", alpha0=0.2, T=1e12, max_iters=50)
         res = run_solver(oracle, cfg, rng.standard_normal(6))
         errs = [r.true_error for r in res.trace.records]
         assert errs[-1] < 1e-6 * errs[0]
@@ -339,10 +336,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("method, name", [
         ("lsos_inexact", "cg_max_iters"), ("lsos_bfgs", "m"),
-        ("lsos_bfgs", "l")])
+        ("lsos_bfgs", "l"), ("lsos", "max_iters"), ("saga_ls", "batch_size"),
+        ("lsos_bfgs", "hess_batch_size")])
     def test_rejects_counts_below_one(self, method, name):
         with pytest.raises(ValueError, match=rf"^{name} must be >= 1"):
             SolverConfig(method=method, max_epochs=1, **{name: 0})
+        # a count must be integral: 2.5 would reach islice or range later
+        for value in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+                SolverConfig(method=method, max_epochs=1, **{name: value})
+        cfg = SolverConfig(method=method, max_epochs=1, **{name: np.int64(3)})
+        assert getattr(cfg, name) == 3
 
 
 class TestRobustness:
@@ -367,8 +371,7 @@ class TestRobustness:
 
     def test_divergent_gain_run_is_flagged(self, rng):
         oracle = ExactQuadraticOracle(random_spd(4, rng), rng.standard_normal(4))
-        cfg = SolverConfig(method="sos", gain=GainParams(alpha0=1e6, T=1e12),
-                           max_iters=100)
+        cfg = SolverConfig(method="sos", alpha0=1e6, T=1e12, max_iters=100)
         res = run_solver(oracle, cfg, rng.standard_normal(4))
         assert res.stop_reason == "diverged"
         assert res.trace.records[-1].f_hat == math.inf
@@ -414,7 +417,7 @@ class TestSolverClock:
             cfg, np.ones(3), slow_items(), estimate=lambda x, _: x,
             direction=None, objective=lambda x, _: 0.5 * float(x @ x),
             after_step=None, true_errors=None, counts=EvalCounts,
-            since=EvalCounts(), gain=cfg.gain)
+            since=EvalCounts())
         times = res.trace.column("wall_time_s")
         assert len(times) == 5
         for k, wall in enumerate(times):
@@ -437,7 +440,7 @@ class TestSolverClock:
             cfg, x0, itertools.repeat(None), estimate=lambda x, _: x,
             direction=None, objective=lambda x, _: 0.5 * float(x @ x),
             after_step=lambda x, _: steps.append(x), true_errors=true_errors,
-            counts=EvalCounts, since=EvalCounts(), gain=cfg.gain,
+            counts=EvalCounts, since=EvalCounts(),
             error_block=block, final_error_only=final_error_only)
         assert max(res.trace.column("wall_time_s")) < pause
         iterates = [x0] + steps[:-1]  # record k is taken at x_k
