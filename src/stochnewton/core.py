@@ -236,7 +236,8 @@ def write_trace_csv(trace: RunTrace, fh) -> None:
 
 def read_trace_csv(fh) -> RunTrace:
     """Parse a trace written by :func:`write_trace_csv` (invariants re-checked);
-    a header-only file (no iteration recorded) gives an empty trace."""
+    a header-only file (no iteration recorded) gives an empty trace.  A bad
+    row raises a :class:`ValueError` that names its line."""
     rd = csv.reader(fh)
     header = next(rd, None)
     if header is None:
@@ -247,17 +248,16 @@ def read_trace_csv(fh) -> RunTrace:
     for row in rd:
         if not row:
             continue
-        run_id, it, t, f_hat, true_err, gnorm, step, phase = row
-        trace.run_id = run_id
-        trace.append(
-            TraceRecord(
-                iter=int(it),
-                wall_time_s=float(t),
-                f_hat=float(f_hat),
+        try:
+            if len(row) != len(TRACE_CSV_COLUMNS):
+                raise ValueError(f"expected {len(TRACE_CSV_COLUMNS)} fields, "
+                                 f"got {len(row)}")
+            run_id, it, t, f_hat, true_err, gnorm, step, phase = row
+            trace.append(TraceRecord(
+                iter=int(it), wall_time_s=float(t), f_hat=float(f_hat),
                 true_error=float(true_err) if true_err != "" else None,
-                grad_norm_hat=float(gnorm),
-                step_len=float(step),
-                phase=phase,
-            )
-        )
+                grad_norm_hat=float(gnorm), step_len=float(step), phase=phase))
+        except ValueError as exc:
+            raise ValueError(f"line {rd.line_num}: {exc}") from None
+        trace.run_id = run_id
     return trace

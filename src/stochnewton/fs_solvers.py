@@ -43,15 +43,14 @@ from .steplen import backtrack  # noqa: F401
 
 
 def run_fs_solver(problem: FiniteSumProblem, cfg: SolverConfig, x0: Vector,
-                  rng, f_star: Optional[float] = None, *,
-                  final_error_only: bool = False) -> SolverResult:
+                  rng, f_star: Optional[float] = None) -> SolverResult:
     """Run one finite-sum method of :data:`FS_METHODS` from ``x0``.
 
     The SAGA methods fill the problem's own table,
     :meth:`FiniteSumProblem.saga_table`, at ``x0``.  ``rng`` owns the batch
-    draws; ``f_star``, when known, gives the trace its true errors, from
+    draws; ``f_star``, when given, gives the trace its true errors, from
     :meth:`FiniteSumProblem.objectives` over blocks of :func:`_error_block`
-    iterates (``final_error_only``: see :func:`_lsos_loop`).
+    iterates; without it the run records none.
     """
     if cfg.method not in FS_METHODS:
         raise ValueError(f"{cfg.method!r} is not a finite-sum method")
@@ -104,7 +103,7 @@ def run_fs_solver(problem: FiniteSumProblem, cfg: SolverConfig, x0: Vector,
         after_step=after_step,
         true_errors=None if f_star is None else true_errors,
         counts=problem.counts, since=since, elapsed=setup_s,
-        error_block=_error_block(problem.N), final_error_only=final_error_only)
+        error_block=_error_block(problem.N))
 
 
 def _error_block(N: int) -> int:

@@ -266,7 +266,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
-        mapping = {}
+        mapping, first_line = {}, {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -274,8 +274,12 @@ class ExperimentSpec:
                     continue
                 if "=" not in line:
                     raise SpecError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = line.split("=", 1)
-                mapping[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in first_line:
+                    raise SpecError(f"{path}:{lineno}: {key} is already set "
+                                    f"on line {first_line[key]}")
+                first_line[key] = lineno
+                mapping[key] = value
         return cls.from_mapping(mapping)
 
     @classmethod
@@ -381,25 +385,32 @@ def initial_point(spec: ExperimentSpec, problem, rep_stream: RngStream):
     return np.zeros(problem.n)
 
 
-def run_replication(problem, spec: ExperimentSpec, name: str, rep: int, *,
-                    final_error_only: bool = False) -> RunTrace:
+def run_replication(problem, spec: ExperimentSpec, name: str, rep: int,
+                    pilot: bool = False) -> RunTrace | float:
     """One (solver, replication) run; fully determined by ``(seed, rep)``.
 
-    ``final_error_only`` gives a true error only to the last record before
-    any divergence record (grid pilots); the iterates are the same.
+    Returns the run's trace, with true errors.  A grid pilot records none
+    and returns its score instead: the exact error at the iterate its run
+    returns, ``inf`` when the run diverged and ``nan`` when it recorded
+    nothing.  Its iterates are those of the full run.
     """
     rep_stream = RngStream(spec.get("run.seed"), rep)
     x0 = initial_point(spec, problem, rep_stream)
     cfg = build_solver_config(spec, name)
+    f_star = None if pilot else problem.f_star
     if cfg.method in FS_METHODS:
-        result = run_fs_solver(problem, cfg, x0, rep_stream.child(1),
-                               f_star=problem.f_star,
-                               final_error_only=final_error_only)
+        result = run_fs_solver(problem, cfg, x0, rep_stream.child(1), f_star)
+        error_at = lambda x: problem.objectives([x])[0] - problem.f_star
     else:
         oracle = NoisyOracle(problem, rep_stream.child(1))
-        result = run_solver(oracle, cfg, x0, final_error_only=final_error_only)
-    result.trace.run_id = f"{name}-rep{rep:02d}"
-    return result.trace
+        result = run_solver(oracle, cfg, x0, f_star)
+        error_at = oracle.true_error
+    if not pilot:
+        result.trace.run_id = f"{name}-rep{rep:02d}"
+        return result.trace
+    if result.stop_reason == "diverged":
+        return math.inf
+    return float(error_at(result.x)) if result.trace.records else math.nan
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -508,8 +519,8 @@ def resolve_grid_searches(spec: ExperimentSpec, problem,
     The pilots of all grid-searched solvers run as one batch of jobs, in
     `pool` (see :func:`worker_pool`) when given, else here one after
     another; the selection does not depend on where they ran.  A pilot
-    computes the true error of its last record only, the one number the
-    selection reads, and returns just that number.
+    scores the iterate its run returns with one exact query, and returns
+    just that number (see :func:`run_replication`).
     """
     candidates = sorted(set(spec.get("grid.candidates")), reverse=True)
     names = [name for name in spec.solver_names()
@@ -548,22 +559,11 @@ def _worker_init(problem):
 
 
 def _worker_run(job):
-    return _run_job(_WORKER_STATE["problem"], job)
-
-
-def _run_job(problem, job):
-    """The trace of a ``(spec, solver name, rep, pilot)`` job; a pilot's
-    final error instead (``nan`` when it recorded nothing)."""
-    spec, name, rep, pilot = job
-    trace = run_replication(problem, spec, name, rep, final_error_only=pilot)
-    if not pilot:
-        return trace
-    errors = _trace_errors(trace)
-    return float(errors[-1]) if errors.size else math.nan
+    return run_replication(_WORKER_STATE["problem"], *job)
 
 
 def _run_jobs(problem, jobs, pool=None) -> list:
-    """The results of :func:`_run_job` for `jobs`, in job order.
+    """``run_replication(problem, *job)`` for each of `jobs`, in job order.
 
     Pool workers run on the parent's problem (see :func:`_worker_init`), so
     a result does not depend on where its job ran.  A pilot sends back one
@@ -571,7 +571,7 @@ def _run_jobs(problem, jobs, pool=None) -> list:
     """
     if pool is not None:
         return list(pool.map(_worker_run, jobs))
-    return [_run_job(problem, job) for job in jobs]
+    return [run_replication(problem, *job) for job in jobs]
 
 
 def worker_pool(spec: ExperimentSpec, problem):
@@ -646,7 +646,10 @@ def aggregate_directory(directory, mode: str = AGG_BY_ITERATION) -> dict:
         if match is None:
             continue
         with open(path, "r") as fh:
-            trace = read_trace_csv(fh)
+            try:
+                trace = read_trace_csv(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         name, rep = match.groups()
         trace.run_id = f"{name}-rep{rep}"
         groups.setdefault(name, []).append(trace)

@@ -187,9 +187,10 @@ class SolverResult:
     eval_counts: Optional[EvalCounts] = None
 
 
-def run_solver(oracle, cfg: SolverConfig, x0: Vector, *,
-               final_error_only: bool = False) -> SolverResult:
-    """Run one noisy-oracle method of :data:`NOISY_METHODS` from ``x0``."""
+def run_solver(oracle, cfg: SolverConfig, x0: Vector,
+               f_star: Optional[float] = None) -> SolverResult:
+    """Run one noisy-oracle method of :data:`NOISY_METHODS` from ``x0``; only
+    given ``f_star`` does it record true errors, from ``oracle.true_error``."""
     if cfg.method not in NOISY_METHODS:
         raise ValueError(f"{cfg.method!r} is not a noisy-oracle method")
     newton = cfg.method in _NEWTON_METHODS
@@ -210,13 +211,12 @@ def run_solver(oracle, cfg: SolverConfig, x0: Vector, *,
     def true_errors(xs):
         return [oracle.true_error(x) for x in xs]
 
-    has_ref = getattr(getattr(oracle, "problem", None), "f_star", None) is not None
     return _lsos_loop(
         cfg, as_vector(x0, oracle.n).copy(), itertools.repeat(None),
         estimate=estimate, direction=newton_step if newton else None,
         objective=objective, after_step=None,
-        true_errors=true_errors if has_ref else None, counts=oracle.counts,
-        since=oracle.counts(), final_error_only=final_error_only)
+        true_errors=None if f_star is None else true_errors,
+        counts=oracle.counts, since=oracle.counts())
 
 
 def _newton_direction(b: SpdOperator, g: Vector, cfg, k: int):
@@ -253,8 +253,7 @@ def _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref, t=0.0):
 
 def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
                objective, after_step, true_errors, counts, since: EvalCounts,
-               elapsed: float = 0.0, error_block: int = 1,
-               final_error_only: bool = False) -> SolverResult:
+               elapsed: float = 0.0, error_block: int = 1) -> SolverResult:
     """The LSOS iteration ``x_{k+1} = x_k + t_k d_k`` shared by every method.
 
     ``batches`` yields one item per iteration (``None`` forever for noisy
@@ -286,11 +285,9 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     list of ``error_block`` or fewer vectors.  Each record's iterate waits
     in a queue, uncopied (the loop never writes into an iterate), until
     ``error_block`` are pending or the loop ends.  A divergence record
-    keeps its infinite error.  ``final_error_only`` queues only the newest
-    iterate, so one exact query fills the last record that has one, for a
-    caller that reads only the final error (grid pilots).  The exact query
-    draws no noise and counts nothing, so the iterates are those of a full
-    run.
+    keeps its infinite error.  With ``true_errors`` ``None`` (no reference
+    optimum, or a grid pilot, which scores only the iterate the run
+    returns) every record's true error stays empty.
     """
     trace = RunTrace()
     has_ref = true_errors is not None
@@ -382,9 +379,7 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
         ))
         if has_ref:
             pending.append((k, x))
-            if final_error_only:
-                del pending[:-1]  # only the newest iterate waits
-            elif len(pending) == error_block:
+            if len(pending) == error_block:
                 fill_true_errors()
         x = x_next
         k += 1

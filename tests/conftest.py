@@ -63,7 +63,6 @@ class ExactQuadraticOracle:
         self.b = np.zeros(self.n) if b is None else np.asarray(b, np.float64)
         self.x_star = np.linalg.solve(self.h, self.b)
         self.f_star = self._value(self.x_star)
-        self.problem = self  # divergence marking looks for .problem.f_star
 
     def _value(self, x):
         return float(0.5 * x @ self.h @ x - self.b @ x)

@@ -167,6 +167,13 @@ class TestTraceCsv:
         assert back.records[0].f_hat == math.pi * 1e-7
         assert back.records[0].true_error == 1 / 3
 
+    def test_short_row_names_its_line(self):
+        text = _csv_text(self._trace()) + "demo-rep00,9,1.0,2.0\n"
+        line = len(text.splitlines())
+        with pytest.raises(ValueError,
+                           match=f"line {line}: expected 8 fields, got 4"):
+            read_trace_csv(io.StringIO(text))
+
     def test_rejects_garbage_header(self):
         with pytest.raises(ValueError):
             read_trace_csv(io.StringIO("a,b,c\n1,2,3\n"))

@@ -317,8 +317,9 @@ class TestObjectives:
 
     @pytest.mark.parametrize("B", [1, 2, 5, 6, 8, 9])
     def test_dense_store_is_bit_identical(self, B):
-        # a grid pilot scores its last iterate alone, while the full run
-        # evaluates it in a block: the two must agree to the last bit
+        # a grid pilot scores the iterate its run returns alone, while a
+        # full run evaluates its iterates in blocks: every row of a block
+        # must agree with the lone iterate to the last bit
         model = LogRegModel(generate_synthetic_classification(
             2000, 50, 2.0, RngStream(25, 0)))
         assert isinstance(model.store, np.ndarray)

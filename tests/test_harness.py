@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochnewton import harness
 from stochnewton.core import (PHASE_LINE_SEARCH, RngStream, RunTrace,
                               TraceRecord)
 from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  ExperimentSpec, GridSearchError, PRESETS,
                                  SCHEMA, SpecError, _READS, _run_jobs,
-                                 _trace_errors, aggregate, aggregate_directory,
+                                 aggregate, aggregate_directory,
                                  build_problem, build_solver_config,
                                  grid_search_step, resolve_grid_searches,
                                  run_experiment, run_replication)
@@ -82,6 +83,13 @@ class TestSpecParsing:
         spec = ExperimentSpec.from_file(path)
         assert spec.get("problem.n") == 12
         assert spec.solver_names() == ["sgd"]
+
+    def test_file_rejects_a_repeated_key(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("run.seed = 1\nproblem.n = 12\n\nrun.seed = 2\n")
+        with pytest.raises(SpecError, match=r"spec.txt:4: run.seed is "
+                                            r"already set on line 1"):
+            ExperimentSpec.from_file(path)
 
     def test_file_requires_key_value_shape(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -478,8 +486,8 @@ class TestGridSearch:
 
 
 class TestPilots:
-    """A pilot computes only its final true error; the selection is as if
-    every pilot had recorded a full trace."""
+    """A pilot scores the iterate its run returns with one exact query; its
+    iterates are those of the full run."""
 
     PILOT_SPECS = [
         # 1e308 diverges; t_ini 1 of saga_ls stops early at grad_tol
@@ -497,21 +505,35 @@ class TestPilots:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("early_ends, spec", PILOT_SPECS)
-    def test_pilot_scores_equal_full_trace_final_errors(self, early_ends, spec):
+    def test_pilot_scores_equal_exact_errors_at_full_run_results(
+            self, early_ends, spec, monkeypatch):
+        results = []
+
+        def keep(run):
+            def kept(*args, **kwargs):
+                results.append(run(*args, **kwargs))
+                return results[-1]
+            return kept
+
+        monkeypatch.setattr(harness, "run_solver", keep(harness.run_solver))
+        monkeypatch.setattr(harness, "run_fs_solver",
+                            keep(harness.run_fs_solver))
         problem, _ = build_problem(spec)
+        exact = (problem.value if spec.get("problem.kind") == "synthetic"
+                 else problem.objective)
         seen = set()
         for name in spec.solver_names():
             for t_ini in spec.get("grid.candidates"):
                 pilot = spec.override(**{f"solver.{name}.t_ini": repr(t_ini)})
                 [score] = _run_jobs(problem, [(pilot, name, 0, True)])
-                full = run_replication(problem, pilot, name, 0)
-                assert score == _trace_errors(full)[-1], (name, t_ini)
-                no_tol = pilot.override(**{"run.grad_tol": "0"})
-                if score == math.inf:
-                    seen.add("diverged")
-                elif len(full) < len(run_replication(problem, no_tol, name, 0)):
-                    seen.add("grad_tol")
-        assert seen == early_ends
+                run_replication(problem, pilot, name, 0)
+                full = results[-1]
+                assert full.trace.records, (name, t_ini)
+                expected = (math.inf if full.stop_reason == "diverged"
+                            else exact(full.x) - problem.f_star)
+                assert score == expected, (name, t_ini)
+                seen.add(full.stop_reason)
+        assert seen & {"diverged", "grad_tol"} == early_ends
 
     def test_pilots_make_one_exact_error_query_each(self, monkeypatch):
         calls = {}
@@ -711,4 +733,14 @@ class TestAggregateDirectory:
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            aggregate_directory(tmp_path)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        run_experiment(_small_spec(), out_dir=tmp_path)
+        path = tmp_path / "sgd_rep01.csv"
+        with open(path, "a") as fh:
+            fh.write("sgd-rep01,99,1.0,2.0\n")
+        line = len(path.read_text().splitlines())
+        with pytest.raises(ValueError, match=rf"sgd_rep01.csv: line {line}: "
+                                             rf"expected 8 fields, got 4"):
             aggregate_directory(tmp_path)

@@ -164,9 +164,9 @@ class TestLsosNoisy:
         # statistical sanity: final error far below the wild start
         errors = []
         for rep in range(5):
-            _, oracle, x0 = _noisy_setup(20, 100.0, 0.1, seed=100 + rep)
+            problem, oracle, x0 = _noisy_setup(20, 100.0, 0.1, seed=100 + rep)
             res = run_solver(oracle, SolverConfig(method="lsos", max_iters=80),
-                             x0)
+                             x0, problem.f_star)
             errors.append(res.trace.records[-1].true_error /
                           res.trace.records[0].true_error)
         assert np.mean(errors) < 1e-3
@@ -276,7 +276,7 @@ class TestSgd:
         h = random_spd(6, rng, 1, 4)
         oracle = ExactQuadraticOracle(h, rng.standard_normal(6))
         cfg = SolverConfig(method="sgd", alpha0=0.2, T=1e12, max_iters=50)
-        res = run_solver(oracle, cfg, rng.standard_normal(6))
+        res = run_solver(oracle, cfg, rng.standard_normal(6), oracle.f_star)
         errs = [r.true_error for r in res.trace.records]
         assert errs[-1] < 1e-6 * errs[0]
         ratios = [b / a for a, b in zip(errs, errs[1:]) if a > 1e-14]
@@ -291,7 +291,8 @@ class TestSgd:
             for method in ("sgd", "sgd_ls"):
                 oracle = NoisyOracle(problem, RngStream(300 + rep, 1).child(2))
                 res = run_solver(oracle,
-                                 SolverConfig(method=method, max_iters=40), x0)
+                                 SolverConfig(method=method, max_iters=40), x0,
+                                 problem.f_star)
                 finals[method] = res.trace.records[-1].true_error
             per_seed.append(finals)
         mean_ls = np.mean([f["sgd_ls"] for f in per_seed])
@@ -365,14 +366,14 @@ class TestRobustness:
         cfg = SolverConfig(method="lsos",
                            ls=LineSearchConfig(zeta_kind="zero"), max_iters=30,
                            grad_tol=1e-6)
-        res = run_solver(oracle, cfg, rng.standard_normal(5))
+        res = run_solver(oracle, cfg, rng.standard_normal(5), oracle.f_star)
         assert all(r.fallback for r in res.trace.records)
         assert res.trace.records[-1].true_error < res.trace.records[0].true_error
 
     def test_divergent_gain_run_is_flagged(self, rng):
         oracle = ExactQuadraticOracle(random_spd(4, rng), rng.standard_normal(4))
         cfg = SolverConfig(method="sos", alpha0=1e6, T=1e12, max_iters=100)
-        res = run_solver(oracle, cfg, rng.standard_normal(4))
+        res = run_solver(oracle, cfg, rng.standard_normal(4), oracle.f_star)
         assert res.stop_reason == "diverged"
         assert res.trace.records[-1].f_hat == math.inf
         assert res.trace.records[-1].true_error == math.inf
@@ -423,8 +424,8 @@ class TestSolverClock:
         for k, wall in enumerate(times):
             assert wall >= (k + 1) * pause
 
-    @pytest.mark.parametrize("final_error_only", [False, True])
-    def test_true_errors_come_in_blocks_off_the_clock(self, final_error_only):
+    @pytest.mark.parametrize("with_errors", [True, False])
+    def test_true_errors_come_in_blocks_off_the_clock(self, with_errors):
         # a sleeping stub: its time must not reach the records
         pause, block, x0 = 0.02, 3, np.ones(3)
         steps, queried = [], []
@@ -439,16 +440,15 @@ class TestSolverClock:
         res = solvers._lsos_loop(
             cfg, x0, itertools.repeat(None), estimate=lambda x, _: x,
             direction=None, objective=lambda x, _: 0.5 * float(x @ x),
-            after_step=lambda x, _: steps.append(x), true_errors=true_errors,
-            counts=EvalCounts, since=EvalCounts(),
-            error_block=block, final_error_only=final_error_only)
+            after_step=lambda x, _: steps.append(x),
+            true_errors=true_errors if with_errors else None,
+            counts=EvalCounts, since=EvalCounts(), error_block=block)
         assert max(res.trace.column("wall_time_s")) < pause
         iterates = [x0] + steps[:-1]  # record k is taken at x_k
         errors = [0.5 * float(x @ x) for x in iterates]
         sizes = [3, 3, 2]
-        if final_error_only:  # one query, for the last record
-            sizes, iterates = [1], iterates[-1:]
-            errors = [None] * 7 + errors[-1:]
+        if not with_errors:  # no query, and every error stays empty
+            sizes, iterates, errors = [], [], [None] * 8
         assert [len(xs) for xs in queried] == sizes
         assert res.trace.column("true_error") == errors
         # the queue holds the iterates themselves, not copies
