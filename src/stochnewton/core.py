@@ -3,7 +3,9 @@
 Everything downstream (problem generators, solvers, the experiment harness)
 builds on the three contracts defined here:
 
-* :class:`RngStream` -- splittable, replication-safe random streams,
+* :class:`RngStream` -- splittable, replication-safe random streams, each a
+  numpy ``Generator`` keyed by ``(seed, key)`` whose ``choice`` draws
+  without replacement unless told otherwise,
 * :class:`OracleSample` -- one noisy evaluation of (f, g, B),
 * :class:`RunTrace` -- the per-iteration record emitted by every solver run.
 """
@@ -50,63 +52,45 @@ def as_vector(x, n: Optional[int] = None) -> Vector:
     return v
 
 
-class RngStream:
-    """A named, reproducible random stream.
+class RngStream(np.random.Generator):
+    """A named, reproducible random stream: a numpy ``Generator``.
 
     Streams are identified by ``(seed, key)`` where ``key`` extends
-    ``(stream_id,)`` with the path of :meth:`child` splits.  The generator is
-    PCG64 seeded through ``numpy.random.SeedSequence(entropy=seed,
-    spawn_key=key)``, so
+    ``(stream_id,)`` with the path of :meth:`child` splits.  The bit
+    generator is PCG64 seeded through ``numpy.random.SeedSequence(
+    entropy=seed, spawn_key=key)``, so
 
     * the same ``(seed, key)`` always reproduces the same draw sequence,
       independently of how many other streams exist, and
     * distinct keys yield statistically independent streams.
 
     This is what makes replication ``r`` of an experiment independent of the
-    total replication count: each replication owns stream id ``r``.
+    total replication count: each replication owns stream id ``r``.  Every
+    draw method is numpy's own, except that :meth:`choice` draws without
+    replacement unless told otherwise.  A stream pickles as a stream, with
+    its key and its position in the sequence.
     """
 
-    __slots__ = ("seed", "key", "_gen")
+    __slots__ = ("seed", "key")
 
     def __init__(self, seed: int, stream_id: int = 0, _key: Optional[tuple] = None):
         self.seed = int(seed)
         self.key = _key if _key is not None else (int(stream_id),)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        super().__init__(np.random.PCG64(ss))
 
     def child(self, tag: int) -> "RngStream":
         """Split off an independent stream; never reuses this stream's draws."""
         return RngStream(self.seed, _key=self.key + (int(tag),))
 
-    def gaussian(self, mean: float, stddev: float) -> float:
-        """One draw from N(mean, stddev); ``stddev == 0`` returns ``mean`` exactly."""
-        if stddev < 0:
-            raise ValueError(f"stddev must be >= 0, got {stddev}")
-        if stddev == 0.0:
-            return float(mean)
-        return float(self._gen.normal(mean, stddev))
+    def choice(self, a, size=None, replace: bool = False, **kwargs):
+        return super().choice(a, size, replace, **kwargs)
 
-    def normal(self, mean: float, stddev: float, size) -> Vector:
-        if stddev < 0:
-            raise ValueError(f"stddev must be >= 0, got {stddev}")
-        if stddev == 0.0:
-            return np.full(size, float(mean))
-        return self._gen.normal(mean, stddev, size)
+    def __reduce__(self):
+        return RngStream, (self.seed, 0, self.key), self.bit_generator.state
 
-    def standard_normal(self, size) -> Vector:
-        return self._gen.standard_normal(size)
-
-    def uniform(self, low: float, high: float, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size)
-
-    def permutation(self, n: int) -> NDArray[np.int64]:
-        return self._gen.permutation(n)
-
-    def choice(self, n: int, size: int, replace: bool = False) -> NDArray[np.int64]:
-        return self._gen.choice(n, size=size, replace=replace)
+    def __setstate__(self, state: dict) -> None:
+        self.bit_generator.state = state
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, key={self.key})"

@@ -404,7 +404,7 @@ def run_replication(problem, spec: ExperimentSpec, name: str, rep: int,
     else:
         oracle = NoisyOracle(problem, rep_stream.child(1))
         result = run_solver(oracle, cfg, x0, f_star)
-        error_at = oracle.true_error
+        error_at = lambda x: oracle.true_error(x, problem.f_star)
     if not pilot:
         result.trace.run_id = f"{name}-rep{rep:02d}"
         return result.trace
@@ -439,9 +439,10 @@ class AggregateCurve:
 
 
 def _trace_errors(trace: RunTrace) -> np.ndarray:
-    vals = [r.true_error if r.true_error is not None else r.f_hat
-            for r in trace.records]
-    return np.asarray(vals, dtype=np.float64)
+    errors = trace.column("true_error")
+    if None in errors:
+        raise ValueError(f"trace {trace.run_id} has records without a true error")
+    return np.asarray(errors, dtype=np.float64)
 
 
 def aggregate(traces: list[RunTrace], mode: str = AGG_BY_ITERATION,
@@ -451,8 +452,10 @@ def aggregate(traces: list[RunTrace], mode: str = AGG_BY_ITERATION,
     ``iter`` mode aligns runs on the iteration counter (truncated to the
     shortest run); ``time`` mode interpolates each run's error onto a common
     grid of ``time_buckets`` points spanning the shortest run's horizon.
-    In either mode a run with no record gives an empty curve.  Input order
-    does not matter: traces are sorted by ``run_id`` first.
+    In either mode a run with no record gives an empty curve.  Every record
+    must carry a true error; a run with none, as a solver records without
+    ``f_star``, raises ``ValueError``.  Input order does not matter: traces
+    are sorted by ``run_id`` first.
     """
     if not traces:
         raise ValueError("no traces to aggregate")
@@ -637,7 +640,8 @@ def write_manifest(spec: ExperimentSpec, problem, fh) -> None:
 def aggregate_directory(directory, mode: str = AGG_BY_ITERATION) -> dict:
     """Group ``<solver>_rep<r>.csv`` traces in `directory` and aggregate them.
 
-    Other files, such as earlier aggregates, are skipped.
+    Other files, such as earlier aggregates, are skipped.  A bad row or a
+    record without a true error raises ``ValueError`` naming its file.
     """
     directory = Path(directory)
     groups: dict[str, list[RunTrace]] = {}
@@ -645,13 +649,14 @@ def aggregate_directory(directory, mode: str = AGG_BY_ITERATION) -> dict:
         match = _TRACE_FILE.fullmatch(path.name)
         if match is None:
             continue
+        name, rep = match.groups()
         with open(path, "r") as fh:
             try:
                 trace = read_trace_csv(fh)
+                trace.run_id = f"{name}-rep{rep}"
+                _trace_errors(trace)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-        name, rep = match.groups()
-        trace.run_id = f"{name}-rep{rep}"
         groups.setdefault(name, []).append(trace)
     if not groups:
         raise FileNotFoundError(f"no trace CSVs found under {directory}")

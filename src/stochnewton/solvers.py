@@ -190,7 +190,8 @@ class SolverResult:
 def run_solver(oracle, cfg: SolverConfig, x0: Vector,
                f_star: Optional[float] = None) -> SolverResult:
     """Run one noisy-oracle method of :data:`NOISY_METHODS` from ``x0``; only
-    given ``f_star`` does it record true errors, from ``oracle.true_error``."""
+    given ``f_star`` does it record true errors, ``oracle.true_error(x,
+    f_star)``."""
     if cfg.method not in NOISY_METHODS:
         raise ValueError(f"{cfg.method!r} is not a noisy-oracle method")
     newton = cfg.method in _NEWTON_METHODS
@@ -209,7 +210,7 @@ def run_solver(oracle, cfg: SolverConfig, x0: Vector,
         return oracle.sample(x, want_value=True).value
 
     def true_errors(xs):
-        return [oracle.true_error(x) for x in xs]
+        return [oracle.true_error(x, f_star) for x in xs]
 
     return _lsos_loop(
         cfg, as_vector(x0, oracle.n).copy(), itertools.repeat(None),

@@ -233,9 +233,9 @@ def generate_problem(n: int, kappa: float, sigma: float,
 class NoisyOracle:
     """The counted noisy oracle of one problem, drawing from one stream.
 
-    Also carries the exact objective and the reference optimum (when
-    computed), which the harness uses for true-error traces; those exact
-    queries do not touch the noise stream or the counters.
+    Also answers exact queries, ``true_error(x, f_star)``, which solvers
+    use for true-error traces; those do not touch the noise stream or the
+    counters.
     """
 
     def __init__(self, problem: ConvexRandomProblem, rng: RngStream):
@@ -261,7 +261,7 @@ class NoisyOracle:
         value = gradient = hess = None
         if want_value:
             self._f_evals += 1
-            value = p.value(x) + self.rng.gaussian(0.0, p.sigma)
+            value = p.value(x) + self.rng.normal(0.0, p.sigma)
         if want_gradient:
             self._g_evals += 1
             gradient = p.gradient(x) + self.rng.normal(0.0, p.sigma, p.n)
@@ -287,10 +287,8 @@ class NoisyOracle:
         return EvalCounts(self._f_evals, self._g_evals, self._hvp_evals)
 
     # exact-side query (instrumentation, never noisy)
-    def true_error(self, x: Vector) -> Optional[float]:
-        if self.problem.f_star is None:
-            return None
-        return self.problem.value(x) - self.problem.f_star
+    def true_error(self, x: Vector, f_star: float) -> float:
+        return self.problem.value(x) - f_star
 
 
 def exact_solution(problem: ConvexRandomProblem, tol: float = 1e-8,

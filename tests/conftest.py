@@ -78,8 +78,8 @@ class ExactQuadraticOracle:
     def counts(self):
         return EvalCounts()
 
-    def true_error(self, x):
-        return self._value(x) - self.f_star
+    def true_error(self, x, f_star):
+        return self._value(x) - f_star
 
 
 class QuadraticSumProblem(FiniteSumProblem):

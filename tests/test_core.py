@@ -2,6 +2,7 @@
 
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,14 +18,14 @@ class TestRngStream:
     def test_same_key_replays_identically(self):
         a = RngStream(42, 0)
         b = RngStream(42, 0)
-        da = [a.gaussian(0, 1) for _ in range(100)]
-        db = [b.gaussian(0, 1) for _ in range(100)]
+        da = [a.normal(0, 1) for _ in range(100)]
+        db = [b.normal(0, 1) for _ in range(100)]
         assert da == db
 
     def test_distinct_stream_ids_differ(self):
         a = RngStream(42, 0)
         b = RngStream(42, 1)
-        assert a.gaussian(0, 1) != b.gaussian(0, 1)
+        assert a.normal(0, 1) != b.normal(0, 1)
 
     def test_stream_independent_of_creation_order(self):
         # stream (42, 7) yields the same draws no matter how many other
@@ -42,20 +43,44 @@ class TestRngStream:
         assert not np.allclose(c0, c1)
         assert np.array_equal(c0, RngStream(9, 3).child(0).normal(0, 1, 20))
 
+    def test_streams_are_seed_sequence_keyed_pcg64_generators(self):
+        def reference(key):
+            ss = np.random.SeedSequence(entropy=42, spawn_key=key)
+            return np.random.Generator(np.random.PCG64(ss))
+
+        stream = RngStream(42, 7)
+        assert np.array_equal(stream.standard_normal(20),
+                              reference((7,)).standard_normal(20))
+        assert np.array_equal(stream.child(3).integers(0, 100, 20),
+                              reference((7, 3)).integers(0, 100, 20))
+
+    def test_choice_draws_without_replacement_by_default(self):
+        assert sorted(RngStream(3, 0).choice(50, size=50)) == list(range(50))
+
+    def test_pickled_stream_resumes_its_sequence(self):
+        stream = RngStream(11, 4).child(2)
+        stream.normal(0, 1, 5)
+        copy = pickle.loads(pickle.dumps(stream))
+        assert type(copy) is RngStream
+        assert (copy.seed, copy.key) == (11, (4, 2))
+        assert np.array_equal(copy.normal(0, 1, 10), stream.normal(0, 1, 10))
+        assert np.array_equal(copy.child(0).uniform(0, 1, 5),
+                              stream.child(0).uniform(0, 1, 5))
+
     @given(seed=st.integers(0, 2**63 - 1), sid=st.integers(0, 2**63 - 1))
     @settings(max_examples=25, deadline=None)
     def test_replay_property(self, seed, sid):
-        assert RngStream(seed, sid).gaussian(0, 1) == \
-            RngStream(seed, sid).gaussian(0, 1)
+        assert RngStream(seed, sid).normal(0, 1) == \
+            RngStream(seed, sid).normal(0, 1)
 
 
 class TestGaussian:
     def test_zero_stddev_returns_mean_exactly(self, rng):
-        assert rng.gaussian(3.0, 0.0) == 3.0
+        assert rng.normal(3.0, 0.0) == 3.0
 
     def test_negative_stddev_rejected(self, rng):
         with pytest.raises(ValueError):
-            rng.gaussian(0.0, -1.0)
+            rng.normal(0.0, -1.0)
 
     def test_sample_mean_converges(self):
         # oracle: direct averaging; sd of the mean is 1/sqrt(K)

@@ -14,7 +14,7 @@ import pytest
 
 from stochnewton import harness
 from stochnewton.core import (PHASE_LINE_SEARCH, RngStream, RunTrace,
-                              TraceRecord)
+                              TraceRecord, write_trace_csv)
 from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  ExperimentSpec, GridSearchError, PRESETS,
                                  SCHEMA, SpecError, _READS, _run_jobs,
@@ -451,6 +451,14 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    @pytest.mark.parametrize("mode", [AGG_BY_ITERATION, AGG_BY_TIME])
+    def test_record_without_true_error_rejected(self, mode):
+        # the sampled objective f_hat is no stand-in for the error
+        partial = _fake_trace("a-rep01", [3.0, 2.0])
+        partial.records[1].true_error = None
+        with pytest.raises(ValueError, match="a-rep01"):
+            aggregate([_fake_trace("a-rep00", [3.0, 2.0]), partial], mode)
+
 
 class TestGridSearch:
     def test_single_candidate_returned(self):
@@ -541,9 +549,9 @@ class TestPilots:
         def count(cls, attr):
             original = getattr(cls, attr)
 
-            def counted(self, x):  # the number of iterates of each query
+            def counted(self, x, *args):  # the iterates of each query
                 calls[attr].append(len(np.atleast_2d(x)))
-                return original(self, x)
+                return original(self, x, *args)
             monkeypatch.setattr(cls, attr, counted)
 
         count(LogRegModel, "objectives")  # the logistic block pass
@@ -733,6 +741,14 @@ class TestAggregateDirectory:
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            aggregate_directory(tmp_path)
+
+    def test_trace_without_true_errors_names_file(self, tmp_path):
+        trace = _fake_trace("a-rep00", [3.0, 2.0])
+        trace.records[0].true_error = None
+        with open(tmp_path / "a_rep00.csv", "w") as fh:
+            write_trace_csv(trace, fh)
+        with pytest.raises(ValueError, match=r"a_rep00.csv: trace a-rep00 "):
             aggregate_directory(tmp_path)
 
     def test_short_row_names_file_and_line(self, tmp_path):

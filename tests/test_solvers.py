@@ -171,6 +171,21 @@ class TestLsosNoisy:
                           res.trace.records[0].true_error)
         assert np.mean(errors) < 1e-3
 
+    def test_true_errors_measure_against_the_f_star_given(self):
+        # the caller's reference, whether or not the problem has its own
+        problem = generate_problem(10, 100.0, 0.1, rng=RngStream(12, 2**32))
+        x0 = RngStream(12, 0).child(0).normal(0, 5, 10)
+        cfg = SolverConfig(method="lsos", max_iters=5)
+
+        def errors(f_star):
+            oracle = NoisyOracle(problem, RngStream(12, 0).child(1))
+            return run_solver(oracle, cfg, x0, f_star).trace.column("true_error")
+
+        values = errors(0.0)  # before any reference optimum is computed
+        assert values[0] == problem.value(x0)
+        exact_solution(problem)
+        assert errors(-1e9) == [v + 1e9 for v in values]
+
 
 class TestLsosInexact:
     def test_residual_certificates_respect_forcing_rule(self):

@@ -303,9 +303,9 @@ class TestNoisyOracle:
     def test_true_error_requires_reference(self):
         p = _problem(n=4, kappa=10.0)
         oracle = NoisyOracle(p, RngStream(10, 0))
-        assert oracle.true_error(np.zeros(4)) is None
         exact_solution(p)
-        assert oracle.true_error(p.x_star) == pytest.approx(0.0, abs=1e-12)
+        assert oracle.true_error(p.x_star, p.f_star) == \
+            pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.fixture
