@@ -42,6 +42,7 @@ GRID = "grid"  # the t_ini value that asks for the step-length grid search
 
 AGG_BY_ITERATION = "iter"
 AGG_BY_TIME = "time"
+CI_Z = 1.96  # the normal quantile of every aggregate's 95% half-width
 _TRACE_FILE = re.compile(r"(.+)_rep(\d+)\.csv")  # as `run` names its traces
 
 PRESETS = {
@@ -238,6 +239,8 @@ class ExperimentSpec:
             if row is None:
                 raise SpecError(f"unknown configuration key {key!r}")
             try:
+                if set(key + raw) & set("#\n\r"):  # a manifest cannot hold it
+                    raise ValueError("'#' and line breaks cannot appear in a spec")
                 self._parsed[key] = row.parse(raw)
             except ValueError as exc:
                 raise SpecError(f"{key} = {raw}: {exc}") from None
@@ -262,7 +265,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentSpec":
-        return cls({**DEFAULTS, **{str(k): str(v) for k, v in mapping.items()}})
+        # stripped as a spec file's lines are, so a manifest reads back as set
+        return cls({**DEFAULTS, **{str(k): str(v).strip() for k, v in mapping.items()}})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
@@ -426,16 +430,14 @@ class AggregateCurve:
     n_runs: int
 
     def write_csv(self, fh) -> None:
-        if self.mode == AGG_BY_ITERATION:
-            fh.write("iter,mean_error,ci95_half,mean_time_s\n")
-            for i in range(len(self.checkpoints)):
-                fh.write(f"{int(self.checkpoints[i])},{float(self.mean_error[i])!r},"
-                         f"{float(self.ci_half[i])!r},{float(self.mean_time[i])!r}\n")
-        else:
-            fh.write("time_s,mean_error,ci95_half\n")
-            for i in range(len(self.checkpoints)):
-                fh.write(f"{float(self.checkpoints[i])!r},{float(self.mean_error[i])!r},"
-                         f"{float(self.ci_half[i])!r}\n")
+        by_iter = self.mode == AGG_BY_ITERATION
+        fh.write("iter,mean_error,ci95_half,mean_time_s\n" if by_iter
+                 else "time_s,mean_error,ci95_half\n")
+        columns = [c for c in (self.mean_error, self.ci_half, self.mean_time)
+                   if c is not None]
+        for point, *row in zip(self.checkpoints, *columns):
+            cells = (int(point) if by_iter else float(point), *map(float, row))
+            fh.write(",".join(map(repr, cells)) + "\n")
 
 
 def _trace_errors(trace: RunTrace) -> np.ndarray:
@@ -445,17 +447,28 @@ def _trace_errors(trace: RunTrace) -> np.ndarray:
     return np.asarray(errors, dtype=np.float64)
 
 
+def _mean_ci(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's mean and half-width ``CI_Z * s / sqrt(R)`` (0 at R = 1)
+    of ``(R, m)`` errors; both ``inf`` where a run's error is not finite."""
+    R = len(errors)
+    with np.errstate(invalid="ignore"):  # inf - inf in a diverged column
+        mean = errors.mean(axis=0)
+        sd = errors.std(axis=0, ddof=1) if R > 1 else np.zeros(errors.shape[1])
+    half = CI_Z * sd / math.sqrt(R)
+    diverged = ~np.isfinite(errors).all(axis=0)
+    mean[diverged] = half[diverged] = math.inf
+    return mean, half
+
+
 def aggregate(traces: list[RunTrace], mode: str = AGG_BY_ITERATION,
               time_buckets: int = 100) -> AggregateCurve:
     """Mean error and normal-approximation 95% CI across replications.
 
-    ``iter`` mode aligns runs on the iteration counter (truncated to the
-    shortest run); ``time`` mode interpolates each run's error onto a common
-    grid of ``time_buckets`` points spanning the shortest run's horizon.
-    In either mode a run with no record gives an empty curve.  Every record
-    must carry a true error; a run with none, as a solver records without
-    ``f_star``, raises ``ValueError``.  Input order does not matter: traces
-    are sorted by ``run_id`` first.
+    Runs are placed on the mode's checkpoints (``iter``: the shortest run's
+    iterations; ``time``: ``time_buckets`` points over the shortest run's
+    horizon; none if a run has no record) for :func:`_mean_ci`: a diverged
+    run reads ``inf``.  Traces sort by ``run_id``; a record without a true
+    error (a run without ``f_star``) raises ``ValueError``.
     """
     if not traces:
         raise ValueError("no traces to aggregate")
@@ -463,35 +476,23 @@ def aggregate(traces: list[RunTrace], mode: str = AGG_BY_ITERATION,
     if len(prefixes) > 1:
         raise ValueError(f"refusing to aggregate mixed runs: {sorted(prefixes)}")
     traces = sorted(traces, key=lambda t: t.run_id)
-    R = len(traces)
-    z = 1.96
-
+    errors = [_trace_errors(t) for t in traces]
+    times = [np.asarray(t.column("wall_time_s")) for t in traces]
+    n = min(map(len, errors))
     if mode == AGG_BY_ITERATION:
-        n_common = min(len(t) for t in traces)
-        errors = np.stack([_trace_errors(t)[:n_common] for t in traces])
-        times = np.stack([np.asarray(t.column("wall_time_s")[:n_common])
-                          for t in traces])
-        iters = np.asarray(traces[0].column("iter")[:n_common])
-        mean = errors.mean(axis=0)
-        sd = errors.std(axis=0, ddof=1) if R > 1 else np.zeros(n_common)
-        return AggregateCurve(mode, iters, mean, z * sd / math.sqrt(R),
-                              times.mean(axis=0), R)
-
-    if mode == AGG_BY_TIME:
-        if not all(t.records for t in traces):
-            empty = np.zeros(0)
-            return AggregateCurve(mode, empty, empty, empty, None, R)
-        horizon = min(t.records[-1].wall_time_s for t in traces)
-        grid = np.linspace(0.0, horizon, time_buckets)
-        interp = np.stack([
-            np.interp(grid, np.asarray(t.column("wall_time_s")), _trace_errors(t))
-            for t in traces
-        ])
-        mean = interp.mean(axis=0)
-        sd = interp.std(axis=0, ddof=1) if R > 1 else np.zeros(len(grid))
-        return AggregateCurve(mode, grid, mean, z * sd / math.sqrt(R), None, R)
-
-    raise ValueError(f"unknown aggregation mode {mode!r}")
+        checkpoints = np.asarray(traces[0].column("iter")[:n])
+        placed = np.stack([e[:n] for e in errors])
+        mean_time = np.stack([t[:n] for t in times]).mean(axis=0)
+    elif mode == AGG_BY_TIME:
+        horizon = min(t[-1] for t in times) if n else 0.0
+        checkpoints = np.linspace(0.0, horizon, time_buckets if n else 0)
+        placed = np.stack([np.interp(checkpoints, t, e) if n else e[:0]
+                           for t, e in zip(times, errors)])
+        mean_time = None
+    else:
+        raise ValueError(f"unknown aggregation mode {mode!r}")
+    return AggregateCurve(mode, checkpoints, *_mean_ci(placed), mean_time,
+                          len(traces))
 
 
 # -- step-length grid search ---------------------------------------------------
@@ -600,15 +601,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         names = spec.solver_names()
         jobs = [(spec, name, rep, False) for name in names for rep in range(reps)]
         traces = _run_jobs(problem, jobs, pool)
-    result = ExperimentResult(spec=spec)
-    for (_, name, _, _), trace in zip(jobs, traces):
-        result.traces.setdefault(name, []).append(trace)
+    result = ExperimentResult(spec, {name: traces[i * reps:(i + 1) * reps]
+                                     for i, name in enumerate(names)})
 
     mode = spec.get("run.aggregate")
     modes = [AGG_BY_ITERATION, AGG_BY_TIME] if mode == "both" else [mode]
-    for name in names:
-        for mode in modes:
-            result.aggregates[(name, mode)] = aggregate(result.traces[name], mode)
+    result.aggregates = {(name, mode): aggregate(result.traces[name], mode)
+                         for name in names for mode in modes}
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -617,19 +616,23 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
             for rep, trace in enumerate(result.traces[name]):
                 with open(out / f"{name}_rep{rep:02d}.csv", "w") as fh:
                     write_trace_csv(trace, fh)
-            for mode in modes:
-                with open(out / f"{name}_agg_{mode}.csv", "w") as fh:
-                    result.aggregates[(name, mode)].write_csv(fh)
+        _write_curves(out, result.aggregates)
         with open(out / "manifest.txt", "w") as fh:
             write_manifest(spec, problem, fh)
         result.out_dir = out
     return result
 
 
+def _write_curves(directory: Path, curves: dict) -> None:
+    for (name, mode), curve in curves.items():
+        with open(directory / f"{name}_agg_{mode}.csv", "w") as fh:
+            curve.write_csv(fh)
+
+
 def write_manifest(spec: ExperimentSpec, problem, fh) -> None:
-    """The resolved spec, re-runnable as-is; CI construction documented."""
+    """The resolved spec, which reads back as written; the CI line reads ``CI_Z``."""
     fh.write(f"# stochnewton {__version__} experiment manifest\n")
-    fh.write("# aggregate CI: normal approximation, mean +- 1.96 s/sqrt(R)\n")
+    fh.write(f"# aggregate CI: normal approximation, mean +- {CI_Z} s/sqrt(R)\n")
     meta = getattr(problem, "metadata", None)
     if meta is not None:
         fh.write(f"# problem: {meta()}\n")
@@ -660,10 +663,6 @@ def aggregate_directory(directory, mode: str = AGG_BY_ITERATION) -> dict:
         groups.setdefault(name, []).append(trace)
     if not groups:
         raise FileNotFoundError(f"no trace CSVs found under {directory}")
-    curves = {}
-    for name, traces in groups.items():
-        curve = aggregate(traces, mode)
-        with open(directory / f"{name}_agg_{mode}.csv", "w") as fh:
-            curve.write_csv(fh)
-        curves[name] = curve
+    curves = {name: aggregate(traces, mode) for name, traces in groups.items()}
+    _write_curves(directory, {(name, mode): c for name, c in curves.items()})
     return curves

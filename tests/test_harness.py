@@ -7,6 +7,7 @@ import math
 import pickle
 import re
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from stochnewton.harness import (AGG_BY_ITERATION, AGG_BY_TIME,
                                  aggregate, aggregate_directory,
                                  build_problem, build_solver_config,
                                  grid_search_step, resolve_grid_searches,
-                                 run_experiment, run_replication)
+                                 run_experiment, run_replication,
+                                 write_manifest)
 from stochnewton.logreg import Dataset, LogRegModel
 from stochnewton.solvers import NOISY_METHODS, DeltaSchedule, SolverConfig
 from stochnewton.steplen import LineSearchConfig
@@ -90,6 +92,26 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match=r"spec.txt:4: run.seed is "
                                             r"already set on line 1"):
             ExperimentSpec.from_file(path)
+
+    @pytest.mark.parametrize("value", ["/data/run#2/train.svm",
+                                       "a.svm\nrun.seed = 1", "a.svm\rb"])
+    def test_a_value_a_manifest_cannot_hold_is_rejected(self, value):
+        # the manifest writes values verbatim and a spec file cuts each line
+        # at its first '#', so these would not read back as written
+        with pytest.raises(SpecError, match="problem.path"):
+            ExperimentSpec.from_mapping({"problem.kind": "libsvm",
+                                         "run.solvers": "saga_ls",
+                                         "problem.path": value})
+
+    def test_manifest_reads_back_every_value(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        padded = ExperimentSpec.from_mapping({
+            "problem.kind": "libsvm", "run.solvers": " saga_ls",
+            "problem.path": " data.svm "})
+        for spec in [*map(ExperimentSpec.from_preset, sorted(PRESETS)), padded]:
+            with open(path, "w") as fh:
+                write_manifest(spec, None, fh)
+            assert ExperimentSpec.from_file(path).values == spec.values
 
     def test_file_requires_key_value_shape(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -451,6 +473,74 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    @staticmethod
+    def _direct(columns):
+        """Mean and 95% half-width of each checkpoint of an ``(R, m)``
+        matrix, one column at a time."""
+        R = len(columns)
+        mean = [np.mean(col) for col in columns.T]
+        half = [1.96 * np.std(col, ddof=1) / math.sqrt(R) if R > 1 else 0.0
+                for col in columns.T]
+        return np.array(mean), np.array(half)
+
+    @staticmethod
+    def _columns(runs, mode, buckets):
+        """The checkpoints and ``(R, m)`` errors of `runs`, placed by hand."""
+        if mode == AGG_BY_ITERATION:
+            n = min(len(errors) for errors, _ in runs)
+            return np.arange(n), np.array([errors[:n] for errors, _ in runs])
+        grid = np.linspace(0.0, min(times[-1] for _, times in runs), buckets)
+        return grid, np.array([np.interp(grid, times, errors)
+                               for errors, times in runs])
+
+    @pytest.mark.parametrize("mode", [AGG_BY_ITERATION, AGG_BY_TIME])
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    def test_statistics_match_a_direct_computation(self, R, mode):
+        # runs of unequal length, errors over ten decades
+        rng = RngStream(11, R)
+        runs = [(10.0 ** rng.uniform(-8, 2, 4 + 2 * r),
+                 np.cumsum(rng.uniform(0.01, 0.1, 4 + 2 * r)))
+                for r in range(R)]
+        traces = [_fake_trace(f"a-rep{r:02d}", errors, times)
+                  for r, (errors, times) in enumerate(runs)]
+        curve = aggregate(traces, mode, time_buckets=7)
+        checkpoints, columns = self._columns(runs, mode, 7)
+        mean, half = self._direct(columns)
+        assert curve.n_runs == R
+        assert curve.checkpoints.tolist() == checkpoints.tolist()
+        assert curve.mean_error.tobytes() == mean.tobytes()
+        assert curve.ci_half.tobytes() == half.tobytes()
+
+    @pytest.mark.parametrize("mode", [AGG_BY_ITERATION, AGG_BY_TIME])
+    def test_a_run_without_records_gives_an_empty_curve(self, mode):
+        traces = [_fake_trace("a-rep00", [3.0, 2.0]), _fake_trace("a-rep01", [])]
+        curve = aggregate(traces, mode)
+        assert curve.n_runs == 2
+        assert len(curve.checkpoints) == len(curve.mean_error) == 0
+        assert len(curve.ci_half) == 0
+
+    @pytest.mark.parametrize("mode", [AGG_BY_ITERATION, AGG_BY_TIME])
+    def test_a_diverged_run_reads_inf_without_a_warning(self, mode):
+        # a checkpoint where any run's error is inf or nan (as np.interp
+        # can give next to an inf record) has mean and half-width inf;
+        # every other checkpoint is the plain statistic
+        runs = [([4.0, 2.0, 1.0, 0.5], [0.0, 1.0, 2.0, 3.0]),
+                ([4.0, 3.0, math.inf, math.inf], [0.0, 1.0, 2.0, 3.0]),
+                ([4.0, 1.0, 2.0, math.nan], [0.0, 1.0, 2.0, 3.0])]
+        traces = [_fake_trace(f"a-rep{r:02d}", errors, times)
+                  for r, (errors, times) in enumerate(runs)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = aggregate(traces, mode, time_buckets=7)
+        _, columns = self._columns(runs, mode, 7)
+        finite = np.isfinite(columns).all(axis=0)
+        assert 0 < finite.sum() < len(finite)
+        mean, half = self._direct(columns[:, finite])
+        assert curve.mean_error[finite].tobytes() == mean.tobytes()
+        assert curve.ci_half[finite].tobytes() == half.tobytes()
+        assert np.all(curve.mean_error[~finite] == math.inf)
+        assert np.all(curve.ci_half[~finite] == math.inf)
+
     @pytest.mark.parametrize("mode", [AGG_BY_ITERATION, AGG_BY_TIME])
     def test_record_without_true_error_rejected(self, mode):
         # the sampled objective f_hat is no stand-in for the error
@@ -646,6 +736,22 @@ class TestRunExperiment:
         # and the manifest carries the resolved value, not the request
         text = (tmp_path / "manifest.txt").read_text()
         assert "solver.lsos.t_ini = grid" not in text
+
+    def test_a_diverged_replication_is_reported_not_raised(self, tmp_path):
+        spec = ExperimentSpec.from_mapping({
+            "problem.n": "20", "run.solvers": "sgd,lsos", "run.reps": "2",
+            "run.max_iters": "10", "solver.sgd.alpha0": "1000",
+            "run.aggregate": "both"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_experiment(spec, out_dir=tmp_path)
+        for mode in (AGG_BY_ITERATION, AGG_BY_TIME):
+            with open(tmp_path / f"sgd_agg_{mode}.csv") as fh:
+                last = list(csv.reader(fh))[-1]
+            assert last[1:3] == ["inf", "inf"], mode
+            with open(tmp_path / f"lsos_agg_{mode}.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row[1:3])
 
     def test_unresolved_grid_rejected_by_builder(self):
         spec = _small_spec(**{"solver.lsos.t_ini": "grid"})
