@@ -3,7 +3,7 @@
 Subcommands:
   run        run an experiment spec (or preset) and write CSV outputs
   grid       resolve step-length grid searches only, print selections
-  aggregate  (re)build aggregate curves from a directory of trace CSVs
+  aggregate  (re)build aggregate curves from the runs a manifest lists
 """
 
 from __future__ import annotations
@@ -28,15 +28,12 @@ def _load_spec(args, parser: argparse.ArgumentParser) -> ExperimentSpec:
         spec = ExperimentSpec.from_file(args.spec)
     else:
         parser.error("provide a spec file or --preset NAME")
-    overrides = {}
-    if args.seed is not None:
-        overrides["run.seed"] = args.seed
-    if args.reps is not None:
-        overrides["run.reps"] = args.reps
-    if args.budget_s is not None:
-        overrides["run.time_budget_s"] = args.budget_s
-    if getattr(args, "max_iters", None) is not None:
-        overrides["run.max_iters"] = args.max_iters
+    overrides = {"run.seed": args.seed, "run.reps": args.reps,
+                 "run.time_budget_s": args.budget_s,
+                 "run.max_iters": getattr(args, "max_iters", None)}
+    if overrides["run.max_iters"] is not None:  # it bounds finite sums too
+        overrides["run.max_epochs"] = 0
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     return spec.override(**overrides) if overrides else spec
 
 
@@ -69,14 +66,15 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment")
     _add_common(p_run)
-    p_run.add_argument("--max-iters", type=int, help="override run.max_iters")
+    p_run.add_argument("--max-iters", type=int,
+                       help="override run.max_iters; sets run.max_epochs = 0")
     p_run.add_argument("--out", default="runs", help="output directory")
 
     p_grid = sub.add_parser("grid", help="resolve step-length grid searches")
     _add_common(p_grid)
     p_grid.add_argument("--out", help="write the resolved spec here")
 
-    p_agg = sub.add_parser("aggregate", help="aggregate trace CSVs in a directory")
+    p_agg = sub.add_parser("aggregate", help="aggregate the runs of a run directory")
     p_agg.add_argument("directory")
     p_agg.add_argument("--mode", choices=["iter", "time"], default="iter")
 

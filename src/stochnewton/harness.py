@@ -16,7 +16,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import math
-import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -43,7 +42,7 @@ GRID = "grid"  # the t_ini value that asks for the step-length grid search
 AGG_BY_ITERATION = "iter"
 AGG_BY_TIME = "time"
 CI_Z = 1.96  # the normal quantile of every aggregate's 95% half-width
-_TRACE_FILE = re.compile(r"(.+)_rep(\d+)\.csv")  # as `run` names its traces
+_TRACE_NAME = "{}_rep{:02d}.csv"  # the trace file of (solver, rep)
 
 PRESETS = {
     # desk-scale noisy convex comparison: line search vs pre-defined gains
@@ -271,7 +270,7 @@ class ExperimentSpec:
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
         mapping, first_line = {}, {}
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # BOM or none
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -614,7 +613,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         out.mkdir(parents=True, exist_ok=True)
         for name in names:
             for rep, trace in enumerate(result.traces[name]):
-                with open(out / f"{name}_rep{rep:02d}.csv", "w") as fh:
+                with open(out / _TRACE_NAME.format(name, rep), "w") as fh:
                     write_trace_csv(trace, fh)
         _write_curves(out, result.aggregates)
         with open(out / "manifest.txt", "w") as fh:
@@ -641,28 +640,26 @@ def write_manifest(spec: ExperimentSpec, problem, fh) -> None:
 
 
 def aggregate_directory(directory, mode: str = AGG_BY_ITERATION) -> dict:
-    """Group ``<solver>_rep<r>.csv`` traces in `directory` and aggregate them.
-
-    Other files, such as earlier aggregates, are skipped.  A bad row or a
-    record without a true error raises ``ValueError`` naming its file.
+    """Aggregate the traces of exactly the runs `directory`'s manifest lists,
+    ``<solver>_rep<r>.csv`` for ``run.solvers`` and ``r < run.reps``.  A
+    missing manifest or trace raises ``FileNotFoundError``, a bad row or a
+    record without a true error ``ValueError``, each naming its file.
     """
     directory = Path(directory)
-    groups: dict[str, list[RunTrace]] = {}
-    for path in sorted(directory.glob("*.csv")):
-        match = _TRACE_FILE.fullmatch(path.name)
-        if match is None:
-            continue
-        name, rep = match.groups()
-        with open(path, "r") as fh:
-            try:
-                trace = read_trace_csv(fh)
-                trace.run_id = f"{name}-rep{rep}"
-                _trace_errors(trace)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-        groups.setdefault(name, []).append(trace)
-    if not groups:
-        raise FileNotFoundError(f"no trace CSVs found under {directory}")
-    curves = {name: aggregate(traces, mode) for name, traces in groups.items()}
+    spec = ExperimentSpec.from_file(directory / "manifest.txt")
+    curves = {}
+    for name in spec.solver_names():
+        traces = []
+        for rep in range(spec.get("run.reps")):
+            path = directory / _TRACE_NAME.format(name, rep)
+            with open(path, "r") as fh:
+                try:
+                    trace = read_trace_csv(fh)
+                    trace.run_id = f"{name}-rep{rep:02d}"
+                    _trace_errors(trace)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
+            traces.append(trace)
+        curves[name] = aggregate(traces, mode)
     _write_curves(directory, {(name, mode): c for name, c in curves.items()})
     return curves

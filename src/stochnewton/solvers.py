@@ -245,13 +245,6 @@ def _norm(v: Vector) -> float:
     return math.sqrt(np.vdot(v, v))
 
 
-def _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref, t=0.0):
-    """Mark a diverged run so downstream error curves see an infinite error."""
-    trace.append(TraceRecord(iter=k, wall_time_s=elapsed, f_hat=math.inf,
-                             true_error=math.inf if has_ref else None,
-                             grad_norm_hat=gnorm, step_len=t, phase=phase))
-
-
 def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
                objective, after_step, true_errors, counts, since: EvalCounts,
                elapsed: float = 0.0, error_block: int = 1) -> SolverResult:
@@ -281,14 +274,19 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     search and post-step update.  Instrumentation is left out: the true
     error, and a gain-phase ``f_hat`` evaluated only for the record.
 
+    A run diverges at a non-finite gradient or direction norm, or at a step
+    ``t d`` that would overflow or leaves a non-finite iterate (a search
+    trial that would overflow is rejected uncalled).  Its last row, timed
+    like any other, has ``f_hat = inf``, an infinite true error given
+    ``true_errors``, and ``step_len`` 0 unless its step length was chosen.
+
     True errors are evaluated in blocks, while the clock is stopped:
     ``true_errors(xs)`` returns the error at each of the iterates ``xs``, a
     list of ``error_block`` or fewer vectors.  Each record's iterate waits
     in a queue, uncopied (the loop never writes into an iterate), until
-    ``error_block`` are pending or the loop ends.  A divergence record
-    keeps its infinite error.  With ``true_errors`` ``None`` (no reference
-    optimum, or a grid pilot, which scores only the iterate the run
-    returns) every record's true error stays empty.
+    ``error_block`` are pending or the loop ends.  With ``true_errors``
+    ``None`` (no reference optimum, or a grid pilot, which scores only the
+    iterate the run returns) every record's true error stays empty.
     """
     trace = RunTrace()
     has_ref = true_errors is not None
@@ -313,11 +311,11 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
             stop_reason = "time_budget"
             break
 
+        t = 0.0  # the step of a divergence row, until one is chosen
         g = estimate(x, batch)
         gnorm = _norm(g)
         if not math.isfinite(gnorm):
             stop_reason = "diverged"
-            _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref)
             break
         if cfg.grad_tol is not None and gnorm <= cfg.grad_tol:
             stop_reason = "grad_tol"
@@ -333,14 +331,14 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
             break
         if not math.isfinite(dnorm):
             stop_reason = "diverged"
-            _append_divergence_record(trace, k, elapsed, gnorm, phase, has_ref)
             break
 
         f_hat: Optional[float] = None
         if phase == PHASE_LINE_SEARCH:
             f_hat = objective(x, batch)
-            res = backtrack(lambda t: objective(x + t * d, batch), f_hat,
-                            float(g @ d), cfg.ls, cfg.ls.zeta(k))
+            res = backtrack(lambda t: objective(x + t * d, batch)
+                            if math.isfinite(t * dnorm) else math.inf,
+                            f_hat, float(g @ d), cfg.ls, cfg.ls.zeta(k))
             t = res.t
             if finite_sum:
                 if not res.accepted and not exhausted_warned:
@@ -360,12 +358,10 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
                 schedule = GainSchedule(alpha0=alpha0, T=cfg.T)
             t = schedule.next_gain()
 
-        x_next = x + t * d
-        if not np.all(np.isfinite(x_next)):
-            elapsed += time.perf_counter() - tic
+        # t * d is formed only where it cannot overflow
+        x_next = x + t * d if math.isfinite(t * dnorm) else None
+        if x_next is None or not np.all(np.isfinite(x_next)):
             stop_reason = "diverged"
-            _append_divergence_record(trace, k, elapsed, gnorm, phase,
-                                      has_ref, t)
             break
         if after_step is not None:
             after_step(x_next, batch)
@@ -387,6 +383,12 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
         tic = time.perf_counter()
     else:
         stop_reason = "max_iters" if k == cfg.max_iters else "max_epochs"
+    if stop_reason == "diverged":  # one row, timed with its iteration
+        elapsed += time.perf_counter() - tic
+        trace.append(TraceRecord(
+            iter=k, wall_time_s=elapsed, f_hat=math.inf,
+            true_error=math.inf if has_ref else None, grad_norm_hat=gnorm,
+            step_len=t, phase=phase))
     if pending:
         fill_true_errors()
 

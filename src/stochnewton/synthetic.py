@@ -163,10 +163,10 @@ class ConvexRandomProblem:
         return self.a_factored.apply(v)
 
     def value(self, x: Vector) -> float:
-        # exp may overflow to inf on wild trial points; the line search
-        # treats non-finite values as rejections, so do not warn here
+        # wild trial points overflow exp and the quadratic (inf - inf is
+        # nan); the line search rejects non-finite values, so do not warn
         r = x - self.ones
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return float(self.lambdas @ (np.exp(x) - x) + r @ self.quad_apply(r))
 
     def gradient(self, x: Vector) -> Vector:

@@ -44,6 +44,20 @@ class TestRun:
         assert rc == 0
         assert len(list(out.glob("*_rep*.csv"))) == 3  # lsos, sos, sgd
 
+    def test_max_iters_bounds_finite_sum_runs(self, tmp_path):
+        spec = tmp_path / "fs.spec"
+        spec.write_text("problem.kind = logistic_synthetic\nproblem.N = 120\n"
+                        "problem.features = 6\nrun.solvers = saga_ls\n"
+                        "run.max_epochs = 2\nrun.reps = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--max-iters", "3",
+                     "--out", str(out)]) == 0
+        rows = (out / "saga_ls_rep00.csv").read_text().splitlines()
+        assert len(rows) - 1 == 3
+        manifest = (out / "manifest.txt").read_text()
+        assert "run.max_epochs = 0\n" in manifest
+        assert "run.max_iters = 3\n" in manifest
+
     def test_negative_seed_names_the_key(self, tmp_path):
         with pytest.raises(SpecError, match="run.seed"):
             main(["run", "--preset", "fig1-small", "--seed", "-1",
@@ -94,6 +108,18 @@ class TestGrid:
         assert "solver.lsos.t_ini =" in out
         text = resolved.read_text()
         assert "t_ini = grid" not in text
+
+    @pytest.mark.parametrize("huge", ["1e308", "1e200"])
+    def test_a_trial_step_that_overflows_is_a_rejected_trial(self, huge,
+                                                             tmp_path, capsys):
+        # 1e308 * d overflows, so the trial is rejected before the oracle
+        # sees it; 1e200 * d is finite, but the objective there is not
+        spec = tmp_path / "huge.spec"
+        spec.write_text("problem.n = 20\nrun.solvers = lsos\n"
+                        "run.max_iters = 10\nsolver.lsos.t_ini = grid\n"
+                        f"grid.candidates = {huge},1\n")
+        assert main(["grid", str(spec)]) == 0
+        assert capsys.readouterr().out == "solver.lsos.t_ini = 1.0\n"
 
     def test_grid_runs_pilots_in_the_worker_pool(self, tmp_path, capsys,
                                                   monkeypatch):

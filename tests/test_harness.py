@@ -113,6 +113,13 @@ class TestSpecParsing:
                 write_manifest(spec, None, fh)
             assert ExperimentSpec.from_file(path).values == spec.values
 
+    def test_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("problem.n = 12\nrun.solvers = sgd\n",
+                        encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ExperimentSpec.from_file(path).get("problem.n") == 12
+
     def test_file_requires_key_value_shape(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("just words\n")
@@ -849,7 +856,31 @@ class TestAggregateDirectory:
         with pytest.raises(FileNotFoundError):
             aggregate_directory(tmp_path)
 
+    def test_reads_only_the_runs_of_the_manifest(self, tmp_path):
+        # a second run into one directory leaves the first run's rep02
+        run_experiment(_small_spec(), out_dir=tmp_path)
+        run_experiment(_small_spec(**{"run.reps": "2", "run.seed": "9"}),
+                       out_dir=tmp_path)
+        assert (tmp_path / "lsos_rep02.csv").exists()
+        curves = aggregate_directory(tmp_path, AGG_BY_ITERATION)
+        assert {curve.n_runs for curve in curves.values()} == {2}
+        fresh = run_experiment(_small_spec(**{"run.reps": "2",
+                                              "run.seed": "9"}))
+        for name, curve in curves.items():
+            want = fresh.aggregates[name, AGG_BY_ITERATION]
+            assert curve.mean_error.tolist() == want.mean_error.tolist()
+
+    def test_missing_trace_is_named(self, tmp_path):
+        run_experiment(_small_spec(), out_dir=tmp_path)
+        (tmp_path / "sgd_rep01.csv").unlink()
+        with pytest.raises(FileNotFoundError, match="sgd_rep01.csv"):
+            aggregate_directory(tmp_path)
+
     def test_trace_without_true_errors_names_file(self, tmp_path):
+        spec = _small_spec(**{"run.solvers": "a", "solver.a.method": "lsos",
+                              "run.reps": "1"})
+        with open(tmp_path / "manifest.txt", "w") as fh:
+            write_manifest(spec, None, fh)
         trace = _fake_trace("a-rep00", [3.0, 2.0])
         trace.records[0].true_error = None
         with open(tmp_path / "a_rep00.csv", "w") as fh:

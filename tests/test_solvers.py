@@ -439,6 +439,40 @@ class TestSolverClock:
         for k, wall in enumerate(times):
             assert wall >= (k + 1) * pause
 
+    @pytest.mark.parametrize("exit_at", ["gradient", "direction", "iterate"])
+    def test_divergence_row_is_timed_with_its_iteration(self, exit_at):
+        # each iteration's estimate sleeps; at k = 2 the run diverges at one
+        # of the three exits, and its row must still count that sleep
+        pause, k_div = 0.01, 2
+
+        def estimate(x, _batch):
+            time.sleep(pause)
+            inf_g = exit_at == "gradient" and len(steps) == k_div
+            return np.array([math.inf, 0.0, 0.0]) if inf_g else np.ones(3)
+
+        def direction(x, _batch, g, k):
+            d = -1e-150 * g  # a step of 1e50 per entry at alpha0 = 1e200
+            if k == k_div and exit_at == "direction":
+                d = np.array([math.inf, 0.0, 0.0])
+            elif k == k_div and exit_at == "iterate":
+                d = np.array([1e150, 0.0, 0.0])  # t * d overflows
+            return d, None, None, False
+
+        steps = []  # one per finished iteration, so len(steps) is k
+        cfg = SolverConfig(method="sos", alpha0=1e200, max_iters=10)
+        res = solvers._lsos_loop(
+            cfg, np.ones(3), itertools.repeat(None), estimate=estimate,
+            direction=direction, objective=lambda x, _: 0.0,
+            after_step=lambda x, _: steps.append(x),
+            true_errors=lambda xs: [0.0] * len(xs), counts=EvalCounts,
+            since=EvalCounts())
+        assert res.stop_reason == "diverged" and res.iterations == k_div
+        *_, before, last = res.trace.records
+        assert last.iter == k_div
+        assert last.wall_time_s - before.wall_time_s >= pause
+        assert last.f_hat == math.inf and last.true_error == math.inf
+        assert (last.step_len > 0) == (exit_at == "iterate")
+
     @pytest.mark.parametrize("with_errors", [True, False])
     def test_true_errors_come_in_blocks_off_the_clock(self, with_errors):
         # a sleeping stub: its time must not reach the records
