@@ -13,8 +13,8 @@ import sys
 
 from .harness import (AGG_BY_ITERATION, AGG_BY_TIME, ExperimentSpec, PRESETS,
                       aggregate_directory, build_problem, build_solver_config,
-                      resolve_grid_searches, run_experiment, worker_pool,
-                      write_manifest)
+                      grid_pilots, resolve_grid_searches, run_experiment,
+                      worker_pool, write_manifest)
 
 
 def _load_spec(args, parser: argparse.ArgumentParser) -> ExperimentSpec:
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     if args.command == "grid":
         spec = _load_spec(args, p_grid)
         problem, _ = build_problem(spec)
-        with worker_pool(spec, problem) as pool:
+        with worker_pool(spec, problem, len(grid_pilots(spec))) as pool:
             resolved = resolve_grid_searches(spec, problem, pool)
         for name in resolved.solver_names():
             t_ini = build_solver_config(resolved, name).ls.t_start

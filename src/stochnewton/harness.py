@@ -43,6 +43,7 @@ AGG_BY_ITERATION = "iter"
 AGG_BY_TIME = "time"
 CI_Z = 1.96  # the normal quantile of every aggregate's 95% half-width
 _TRACE_NAME = "{}_rep{:02d}.csv"  # the trace file of (solver, rep)
+_AGG_NAME = "{}_agg_{}.csv"  # the aggregate curve of (solver, mode)
 
 PRESETS = {
     # desk-scale noisy convex comparison: line search vs pre-defined gains
@@ -515,6 +516,14 @@ def grid_search_step(final_errors: dict) -> float:
     return min(finite, key=lambda t: (final_errors[t], -t))
 
 
+def grid_pilots(spec: ExperimentSpec) -> list:
+    """The ``(name, t_ini)`` pilot of each ``t_ini = grid`` solver and each
+    distinct candidate, larger candidates first."""
+    candidates = sorted(set(spec.get("grid.candidates")), reverse=True)
+    return [(name, t_ini) for name in spec.solver_names()
+            if spec.get(f"solver.{name}.t_ini") == GRID for t_ini in candidates]
+
+
 def resolve_grid_searches(spec: ExperimentSpec, problem,
                           pool=None) -> ExperimentSpec:
     """Replace every ``t_ini = grid`` by its pilot-selected value (rep 0).
@@ -525,13 +534,10 @@ def resolve_grid_searches(spec: ExperimentSpec, problem,
     scores the iterate its run returns with one exact query, and returns
     just that number (see :func:`run_replication`).
     """
-    candidates = sorted(set(spec.get("grid.candidates")), reverse=True)
-    names = [name for name in spec.solver_names()
-             if spec.get(f"solver.{name}.t_ini") == GRID]
-    pilots = [(name, t_ini) for name in names for t_ini in candidates]
+    pilots = grid_pilots(spec)
     jobs = [(spec.override(**{f"solver.{name}.t_ini": repr(t_ini)}), name, 0, True)
             for name, t_ini in pilots]
-    final_errors = {name: {} for name in names}
+    final_errors = {name: {} for name, _ in pilots}
     for (name, t_ini), error in zip(pilots, _run_jobs(problem, jobs, pool)):
         final_errors[name][t_ini] = error
     return spec.override(**{f"solver.{name}.t_ini": repr(grid_search_step(by_t))
@@ -552,50 +558,87 @@ class ExperimentResult:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(problem):
-    """Keep the parent's problem for this worker's jobs.
+def _worker_init(problem, counter):
+    """Keep the parent's problem and job counter for this worker's jobs.
 
-    Under fork the worker inherits it without a copy; under spawn or
-    forkserver it arrives pickled, once per worker.
+    Under fork the worker inherits both without a copy; under spawn or
+    forkserver the problem arrives pickled, once per worker.
     """
-    _WORKER_STATE.update(problem=problem)
+    _WORKER_STATE.update(problem=problem, counter=counter)
 
 
-def _worker_run(job):
-    return run_replication(_WORKER_STATE["problem"], *job)
+def _drain(problem, jobs, counter) -> list:
+    """The ``(index, result)`` pairs of the jobs this process claims off
+    `counter` until none is left.  A failing job sets the counter past the
+    end, so that no process claims another, and raises."""
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value += 1
+        if i >= len(jobs):
+            return done
+        try:
+            done.append((i, run_replication(problem, *jobs[i])))
+        except BaseException:
+            counter.value = len(jobs)
+            raise
+
+
+def _worker_drain(jobs):
+    return _drain(_WORKER_STATE["problem"], jobs, _WORKER_STATE["counter"])
 
 
 def _run_jobs(problem, jobs, pool=None) -> list:
     """``run_replication(problem, *job)`` for each of `jobs`, in job order.
 
-    Pool workers run on the parent's problem (see :func:`_worker_init`), so
-    a result does not depend on where its job ran.  A pilot sends back one
-    float, never its trace.
+    In a `pool` every process, this one included, takes the next job off
+    one counter.  Workers run on the parent's problem (see
+    :func:`_worker_init`), so a result does not depend on where its job
+    ran.  A pilot sends back one float, never its trace.
     """
-    if pool is not None:
-        return list(pool.map(_worker_run, jobs))
-    return [run_replication(problem, *job) for job in jobs]
+    if pool is None or not jobs:
+        return [run_replication(problem, *job) for job in jobs]
+    executor, forked, counter = pool
+    counter.value = 0
+    futures = [executor.submit(_worker_drain, jobs) for _ in range(forked)]
+    done = dict(_drain(problem, jobs, counter))
+    for future in futures:
+        done.update(future.result())
+    return [done[i] for i in range(len(jobs))]
 
 
-def worker_pool(spec: ExperimentSpec, problem):
-    """A pool of ``run.workers`` processes that run jobs on `problem`; at
-    one worker a null context, so the jobs run in this process."""
-    workers = spec.get("run.workers")
-    if workers == 1:
-        return contextlib.nullcontext()
-    return concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(problem,))
+@contextlib.contextmanager
+def worker_pool(spec: ExperimentSpec, problem, batch: int):
+    """``run.workers`` processes, this one included, that run jobs on
+    `problem`, but no more than `batch`, the most jobs one batch of the
+    caller's will have.  At one process it yields ``None``: jobs run here.
+    Leaving shuts the workers down, whether the block raised or not.
+    """
+    forked = min(spec.get("run.workers"), batch) - 1
+    if forked <= 0:
+        yield None
+        return
+    import multiprocessing  # loaded only for a pool, as concurrent.futures does
+    context = multiprocessing.get_context()
+    counter = context.Value("q", 0)  # the next job index to claim
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=forked, mp_context=context,
+            initializer=_worker_init, initargs=(problem, counter)) as executor:
+        yield executor, forked, counter
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     """Run the full grid; write traces, aggregates and the manifest.
 
-    With ``run.workers > 1`` one process pool runs the grid pilots and then
-    the replications.
+    One :func:`worker_pool` runs the grid pilots and then the replications,
+    and is shut down before any output is written.  Writing over an earlier
+    run's manifest first deletes that run's traces and aggregate curves.
     """
     problem, _ = build_problem(spec)
     reps = spec.get("run.reps")
-    with worker_pool(spec, problem) as pool:
+    batch = max(len(grid_pilots(spec)), len(spec.solver_names()) * reps)
+    with worker_pool(spec, problem, batch) as pool:
         spec = resolve_grid_searches(spec, problem, pool)
         names = spec.solver_names()
         jobs = [(spec, name, rep, False) for name in names for rep in range(reps)]
@@ -611,6 +654,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        _remove_listed_outputs(out)  # this run rewrites what it keeps
         for name in names:
             for rep, trace in enumerate(result.traces[name]):
                 with open(out / _TRACE_NAME.format(name, rep), "w") as fh:
@@ -622,9 +666,24 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     return result
 
 
+def _remove_listed_outputs(out: Path) -> None:
+    """Delete the traces and curves (either mode) of the runs `out`'s
+    manifest lists, and no other file."""
+    try:
+        old = ExperimentSpec.from_file(out / "manifest.txt")
+    except (OSError, ValueError):  # no manifest, or one this version rejects
+        return
+    for name in old.solver_names():
+        files = [_TRACE_NAME.format(name, r) for r in range(old.get("run.reps"))]
+        files += [_AGG_NAME.format(name, m) for m in (AGG_BY_ITERATION, AGG_BY_TIME)]
+        for file in files:
+            if Path(file).name == file:  # never a path out of `out`
+                (out / file).unlink(missing_ok=True)
+
+
 def _write_curves(directory: Path, curves: dict) -> None:
     for (name, mode), curve in curves.items():
-        with open(directory / f"{name}_agg_{mode}.csv", "w") as fh:
+        with open(directory / _AGG_NAME.format(name, mode), "w") as fh:
             curve.write_csv(fh)
 
 

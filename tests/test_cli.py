@@ -1,6 +1,8 @@
 """Command-line interface: run / grid / aggregate, and the README's
 Command line block."""
 
+import concurrent.futures
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -139,9 +141,28 @@ class TestGrid:
                 "run.seed = 42\nsolver.lsos.t_ini = grid\n"
                 f"grid.candidates = 1.0,0.5,0.1\nrun.workers = {workers}\n"))
             assert main(["grid", str(spec)]) == 0
+            assert multiprocessing.active_children() == []
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
         assert pools[0] is None and pools[1] is not None
+
+    def test_grid_forks_workers_for_its_pilots_only(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # two pilots; the four replications `run` would add never run here
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        spec = tmp_path / "grid.spec"
+        spec.write_text(TINY_SPEC + "solver.lsos.t_ini = grid\n"
+                        "grid.candidates = 1.0,0.1\nrun.workers = 4\n")
+        assert main(["grid", str(spec)]) == 0
+        assert started == [1]
+        assert multiprocessing.active_children() == []
 
 
 class TestAggregate:

@@ -1,11 +1,19 @@
 """Experiment specs, aggregation with confidence intervals, grid search,
 output files and the manifest contract."""
 
+import concurrent.futures
 import csv
 import dataclasses
+import json
 import math
+import multiprocessing
+import os
 import pickle
 import re
+import subprocess
+import sys
+import textwrap
+import time
 import typing
 import warnings
 from pathlib import Path
@@ -780,7 +788,114 @@ class TestRunExperiment:
                 for t1, t2 in zip(seq.traces[name], par.traces[name]):
                     for column in ITERATE_COLUMNS:
                         assert t1.column(column) == t2.column(column)
+            assert multiprocessing.active_children() == []
         assert seq.spec.get("solver.saga_ls.t_ini") != "grid"
+
+    def test_worker_pool_of_three_matches_sequential(self):
+        spec = _logistic_spec(**{
+            "solver.saga_ls.t_ini": "grid", "solver.lsos_bfgs.t_ini": "grid",
+            "grid.candidates": "10,1,1e-1,1e-2", "run.reps": "3"})
+        seq = run_experiment(spec)
+        par = run_experiment(spec.override(**{"run.workers": "3"}))
+        assert multiprocessing.active_children() == []
+        for name in spec.solver_names():
+            assert (seq.spec.get(f"solver.{name}.t_ini")
+                    == par.spec.get(f"solver.{name}.t_ini") != "grid")
+            assert len(par.traces[name]) == 3
+            for t1, t2 in zip(seq.traces[name], par.traces[name]):
+                for column in ITERATE_COLUMNS:
+                    assert t1.column(column) == t2.column(column)
+
+    def test_pool_forks_one_process_fewer_than_it_runs_on(self, monkeypatch):
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        for workers in ("1", "2", "3"):  # 2 solvers x 3 reps: six jobs
+            run_experiment(_small_spec(**{"run.workers": workers}))
+        # two jobs, so one forked worker beside this process
+        run_experiment(_small_spec(**{"run.solvers": "lsos", "run.reps": "2",
+                                      "run.workers": "4"}))
+        assert started == [1, 2, 1]
+        assert multiprocessing.active_children() == []
+
+    def test_spawn_and_forkserver_pools_match_sequential(self):
+        # in a child interpreter, so no start method is set in this one
+        spec = _logistic_spec(**{
+            "solver.saga_ls.t_ini": "grid", "solver.lsos_bfgs.t_ini": "grid",
+            "grid.candidates": "10,1,1e-1"})
+        script = textwrap.dedent("""
+            import json, multiprocessing, sys
+            from stochnewton.harness import ExperimentSpec, run_experiment
+            method, values, columns = json.loads(sys.argv[1])
+            multiprocessing.set_start_method(method)
+            spec = ExperimentSpec.from_mapping(values)
+            res = run_experiment(spec.override(**{"run.workers": "2"}))
+            print(json.dumps({
+                "children": len(multiprocessing.active_children()),
+                "t_ini": {name: res.spec.get(f"solver.{name}.t_ini")
+                          for name in res.spec.solver_names()},
+                "traces": {name: [[t.column(c) for c in columns] for t in ts]
+                           for name, ts in res.traces.items()}}))
+        """)
+        seq = run_experiment(spec)
+        want = {name: [[t.column(c) for c in ITERATE_COLUMNS] for t in ts]
+                for name, ts in seq.traces.items()}
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for method in ("forkserver", "spawn"):
+            argv = json.dumps([method, spec.values, ITERATE_COLUMNS])
+            done = subprocess.run([sys.executable, "-c", script, argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            got = json.loads(done.stdout)
+            assert got["children"] == 0, method
+            assert got["t_ini"] == {name: seq.spec.get(f"solver.{name}.t_ini")
+                                    for name in spec.solver_names()}, method
+            assert got["traces"] == json.loads(json.dumps(want)), method
+
+    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                        reason="workers inherit the patched job under fork")
+    @pytest.mark.parametrize("side", ["caller", "worker"])
+    def test_a_failing_job_stops_its_batch(self, side, monkeypatch):
+        # patched before the pool forks, so the worker runs these too
+        caller, counters = os.getpid(), []
+        ran = multiprocessing.Value("i", 0)  # jobs the other side finished
+        stuck = multiprocessing.Value("b", False)  # ... or it waited in vain
+        drain, run = harness._drain, harness.run_replication
+
+        def spy(problem, jobs, counter):
+            counters.append(counter)
+            return drain(problem, jobs, counter)
+
+        def failing(*args, **kwargs):
+            here = "caller" if os.getpid() == caller else "worker"
+            if here == side:
+                raise RuntimeError(f"job {args[2:4]} failed in the {here}")
+            # hold this job until the failing side has ended the batch
+            deadline = time.monotonic() + 20
+            while counters[-1].value < 6:
+                if time.monotonic() > deadline:
+                    stuck.value = True
+                    raise RuntimeError("the batch went on")
+                time.sleep(0.005)
+            with ran.get_lock():
+                ran.value += 1
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_drain", spy)
+        monkeypatch.setattr(harness, "run_replication", failing)
+        spec = _small_spec(**{"run.workers": "2"})  # six jobs
+        with pytest.raises(RuntimeError, match=f"failed in the {side}"):
+            run_experiment(spec)
+        assert multiprocessing.active_children() == []
+        assert not stuck.value
+        assert ran.value <= 1  # only the job it held when the batch ended
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_divergent_pilots_raise_in_pool(self):
@@ -857,11 +972,11 @@ class TestAggregateDirectory:
             aggregate_directory(tmp_path)
 
     def test_reads_only_the_runs_of_the_manifest(self, tmp_path):
-        # a second run into one directory leaves the first run's rep02
+        # a second run into one directory deletes the first run's rep02
         run_experiment(_small_spec(), out_dir=tmp_path)
         run_experiment(_small_spec(**{"run.reps": "2", "run.seed": "9"}),
                        out_dir=tmp_path)
-        assert (tmp_path / "lsos_rep02.csv").exists()
+        assert not (tmp_path / "lsos_rep02.csv").exists()
         curves = aggregate_directory(tmp_path, AGG_BY_ITERATION)
         assert {curve.n_runs for curve in curves.values()} == {2}
         fresh = run_experiment(_small_spec(**{"run.reps": "2",
@@ -869,6 +984,18 @@ class TestAggregateDirectory:
         for name, curve in curves.items():
             want = fresh.aggregates[name, AGG_BY_ITERATION]
             assert curve.mean_error.tolist() == want.mean_error.tolist()
+
+    def test_a_rerun_deletes_only_the_outputs_its_manifest_listed(
+            self, tmp_path):
+        run_experiment(_small_spec(**{"run.aggregate": "both"}),
+                       out_dir=tmp_path)
+        (tmp_path / "notes.txt").write_text("kept")
+        (tmp_path / "other_rep00.csv").write_text("kept")
+        run_experiment(_small_spec(**{"run.solvers": "lsos", "run.reps": "2"}),
+                       out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "lsos_agg_iter.csv", "lsos_rep00.csv", "lsos_rep01.csv",
+            "manifest.txt", "notes.txt", "other_rep00.csv"]
 
     def test_missing_trace_is_named(self, tmp_path):
         run_experiment(_small_spec(), out_dir=tmp_path)
