@@ -3,9 +3,10 @@
 Three methods run the one LSOS loop of :mod:`stochnewton.solvers`, set up
 by its :class:`SolverConfig`.  All line-search the *sampled* objective
 ``f_K`` over the mini-batch that produced the gradient estimate (the Armijo
-test needs a fixed function within an iteration).  Each epoch's batches,
-used in order, are a fresh random partition or fresh uniform draws (no
-index repeats within a batch).  The search never switches off: an
+test needs a fixed function within an iteration).  The method fixes how
+an epoch's batches, used in order, are drawn: ``lsos_fs`` draws each batch
+uniformly (no index repeats within a batch), and the SAGA methods take a
+fresh random partition each epoch.  The search never switches off: an
 exhausted search takes its smallest trial step, with one warning per run.
 
 ``lsos_fs``
@@ -37,8 +38,7 @@ from .finitesum import FiniteSumProblem, default_batch_size, make_partition
 from .linalg import SpdOperator, solve_cg, solve_direct  # noqa: F401
 from .slbfgs import LbfgsMemory
 from .solvers import (FS_METHODS, METHOD_LSOS_BFGS, METHOD_LSOS_FS,
-                      SCHEME_PARTITION, SolverConfig, SolverResult, _lsos_loop,
-                      _newton_direction)
+                      SolverConfig, SolverResult, _lsos_loop, _newton_direction)
 from .steplen import backtrack  # noqa: F401
 
 
@@ -122,9 +122,9 @@ def _epoch_batches(N: int, batch_size: int, cfg: SolverConfig, rng):
     n_b = int(np.ceil(N / batch_size))
     epochs = itertools.count() if cfg.max_epochs is None else range(cfg.max_epochs)
     for _ in epochs:
-        if cfg.batch_scheme == SCHEME_PARTITION:
-            yield from make_partition(N, n_b, rng)
-        else:
+        if cfg.method == METHOD_LSOS_FS:
             for _ in range(n_b):
                 yield np.sort(rng.choice(N, size=batch_size))
+        else:
+            yield from make_partition(N, n_b, rng)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -125,6 +126,9 @@ def _names(raw: str) -> tuple:
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
     if not names:
         raise ValueError("empty solver list")
+    for name in names:  # each names its output files inside --out
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+            raise ValueError(f"solver name {name!r} is not [A-Za-z0-9_-]+")
     if len(set(names)) < len(names):
         raise ValueError("a solver name is repeated")
     return names
@@ -187,11 +191,8 @@ SCHEMA = {
     "solver.*.t_min": _Key(float, field="ls.t_min"),
     "solver.*.max_backtracks": _Key(int, field="ls.max_backtracks"),
     "solver.*.switch_rule": _Key(str, field="ls.switch_rule"),
-    "solver.*.cg_rel_floor": _Key(float, field="cg_rel_floor"),
-    "solver.*.cg_max_iters": _Key(_int_min(1), field="cg_max_iters"),
     "solver.*.batch_size": _Key(_int_min(1), field="batch_size"),
     "solver.*.hess_batch_size": _Key(_int_min(1), field="hess_batch_size"),
-    "solver.*.batch_scheme": _Key(str, field="batch_scheme"),
     "solver.*.m": _Key(_int_min(1), field="m"),
     "solver.*.l": _Key(_int_min(1), field="l"),
     "solver.*.saga_storage": _Key(_choice("loss_split"), field="saga_storage"),
@@ -200,15 +201,14 @@ DEFAULTS = {key: row.default for key, row in SCHEMA.items() if row.default}
 
 # The solver params each method reads, by config field or group; a spec
 # setting any other is rejected.  Line searches read T but never alpha0.
-_NEWTON = ("delta", "cg_rel_floor", "cg_max_iters")
-_SAGA = ("ls", "batch_size", "batch_scheme", "saga_storage")
+_SAGA = ("ls", "batch_size", "saga_storage")
 _READS = {
-    METHOD_SOS: ("alpha0", "T", *_NEWTON),
-    METHOD_LSOS: ("T", "ls", *_NEWTON),
-    METHOD_LSOS_INEXACT: ("T", "ls", *_NEWTON),
+    METHOD_SOS: ("alpha0", "T", "delta"),
+    METHOD_LSOS: ("T", "ls", "delta"),
+    METHOD_LSOS_INEXACT: ("T", "ls", "delta"),
     METHOD_SGD: ("alpha0", "T"),
     METHOD_SGD_LS: ("T", "ls"),
-    METHOD_LSOS_FS: ("ls", *_NEWTON, "batch_size", "batch_scheme"),
+    METHOD_LSOS_FS: ("ls", "delta", "batch_size"),
     METHOD_LSOS_BFGS: (*_SAGA, "hess_batch_size", "m", "l"),
     METHOD_SAGA_LS: _SAGA,
 }
@@ -677,8 +677,7 @@ def _remove_listed_outputs(out: Path) -> None:
         files = [_TRACE_NAME.format(name, r) for r in range(old.get("run.reps"))]
         files += [_AGG_NAME.format(name, m) for m in (AGG_BY_ITERATION, AGG_BY_TIME)]
         for file in files:
-            if Path(file).name == file:  # never a path out of `out`
-                (out / file).unlink(missing_ok=True)
+            (out / file).unlink(missing_ok=True)
 
 
 def _write_curves(directory: Path, curves: dict) -> None:

@@ -69,9 +69,6 @@ NOISY_METHODS = (METHOD_SOS, METHOD_LSOS, METHOD_LSOS_INEXACT, METHOD_SGD,
                  METHOD_SGD_LS)
 FS_METHODS = (METHOD_LSOS_FS, METHOD_LSOS_BFGS, METHOD_SAGA_LS)
 
-SCHEME_PARTITION = "partition"
-SCHEME_UNIFORM = "uniform"
-
 DELTA_ZERO = "zero"
 DELTA_GEOMETRIC = "geometric"
 DELTA_CONSTANT = "constant"
@@ -102,6 +99,7 @@ class DeltaSchedule:
 
 
 AUTO_ALPHA0 = "auto"  # alpha0 = 1 / ||d_0||
+_CG_REL_FLOOR = 1e-6  # CG's tolerance at smaller delta_k: it cannot reach 0
 
 
 @dataclass
@@ -113,9 +111,9 @@ class SolverConfig:
     line search's switch anchors the gains at ``t_min`` and reads only ``T``.
     A field left ``None`` takes the method's default: ``delta`` geometric
     for ``lsos_inexact``, else zero; ``ls`` with ``theta = 0.999`` for
-    finite sums (the nonmonotone slack lives over whole epochs); uniform
-    ``batch_scheme`` for ``lsos_fs``, else partition; ``max_iters`` 100 for
-    noisy oracles, none for finite sums, which then need another budget.
+    finite sums (the nonmonotone slack lives over whole epochs);
+    ``max_iters`` 100 for noisy oracles, none for finite sums, which then
+    need another budget.  The method alone fixes how it draws its batches.
     """
 
     method: str = METHOD_LSOS
@@ -125,11 +123,8 @@ class SolverConfig:
     delta: Optional[DeltaSchedule] = None
     batch_size: Optional[int] = None        # default ceil(sqrt(N))
     hess_batch_size: Optional[int] = None   # default ceil(sqrt(N))
-    batch_scheme: Optional[str] = None
     m: int = 10
     l: int = 5
-    cg_rel_floor: float = 1e-6
-    cg_max_iters: Optional[int] = None
     max_epochs: Optional[int] = None
     max_iters: Optional[int] = None
     time_budget_s: float = math.inf
@@ -147,9 +142,6 @@ class SolverConfig:
         if self.ls is None:  # a fresh one each: LineSearchConfig is mutable
             self.ls = (LineSearchConfig(theta=0.999) if finite_sum
                        else LineSearchConfig())
-        if self.batch_scheme is None:
-            self.batch_scheme = (SCHEME_UNIFORM if self.method == METHOD_LSOS_FS
-                                 else SCHEME_PARTITION)
         if self.max_iters is None and not finite_sum:
             self.max_iters = 100
         if self.alpha0 != AUTO_ALPHA0 and not 0 < float(self.alpha0) < math.inf:
@@ -157,14 +149,12 @@ class SolverConfig:
         if not 0 < self.T < math.inf:
             raise ValueError("T must be finite and > 0")
         for name in ("max_iters", "max_epochs", "batch_size", "hess_batch_size",
-                     "cg_max_iters", "m", "l"):
+                     "m", "l"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not (0.0 < self.cg_rel_floor < 1.0):
-            raise ValueError("cg_rel_floor must lie in (0, 1)")
         if not self.time_budget_s > 0:  # NaN fails too
             raise ValueError("time_budget_s must be > 0")
         if self.grad_tol is not None and not 0 <= self.grad_tol < math.inf:
@@ -172,8 +162,6 @@ class SolverConfig:
         if finite_sum and self.max_epochs is None and self.max_iters is None \
                 and not math.isfinite(self.time_budget_s):
             raise ValueError("need at least one of max_epochs/max_iters/time budget")
-        if self.batch_scheme not in (SCHEME_PARTITION, SCHEME_UNIFORM):
-            raise ValueError(f"unknown batch scheme {self.batch_scheme!r}")
 
 
 @dataclass
@@ -228,8 +216,8 @@ def _newton_direction(b: SpdOperator, g: Vector, cfg, k: int):
             return solve_direct(b.dense, -g), None, None, False
         # the residual rule caps at 1: an unclamped tolerance >= 1 would
         # accept d = 0, so force at least one CG step
-        rel = min(max(delta_k, cfg.cg_rel_floor), 1.0 - 1e-12)
-        res = solve_cg(b, -g, rel_tol=rel, max_iters=cfg.cg_max_iters)
+        rel = min(max(delta_k, _CG_REL_FLOOR), 1.0 - 1e-12)
+        res = solve_cg(b, -g, rel_tol=rel)
         return res.d, res.iters, res.rel_res, False
     except NotPositiveDefiniteError:
         return -g, None, None, True

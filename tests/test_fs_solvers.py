@@ -345,6 +345,19 @@ class TestBudgetsAndValidation:
         for batch in batches:
             assert np.unique(batch).size == 20
 
+    @pytest.mark.parametrize("method", ["saga_ls", "lsos_bfgs", "lsos_fs"])
+    def test_the_method_fixes_its_batch_scheme(self, method):
+        cfg = SolverConfig(method=method, batch_size=20, max_epochs=4)
+        batches = list(_epoch_batches(50, 20, cfg, RngStream(68, 0)))
+        assert len(batches) == 4 * 3
+        for epoch in (batches[i:i + 3] for i in range(0, 12, 3)):
+            if method == "lsos_fs":  # uniform draws of 20 distinct indices
+                assert [np.unique(b).size for b in epoch] == [20] * 3
+            else:  # a fresh partition of range(50)
+                assert [b.size for b in epoch] == [17, 17, 16]
+                assert np.array_equal(np.sort(np.concatenate(epoch)),
+                                      np.arange(50))
+
     def test_reproducible_given_stream(self):
         model = _logistic(seed=89)
         cfg = SolverConfig(method="lsos_bfgs", max_epochs=2)

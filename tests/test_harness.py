@@ -181,15 +181,13 @@ class TestSpecParsing:
 
         def noisy(method, max_iters, delta=DeltaSchedule("zero")):
             return SolverConfig(method=method, alpha0="auto", T=1e6,
-                                ls=ls(0.9), delta=delta, cg_rel_floor=1e-6,
-                                cg_max_iters=None, max_iters=max_iters,
+                                ls=ls(0.9), delta=delta, max_iters=max_iters,
                                 time_budget_s=math.inf, grad_tol=None)
 
         def finite_sum(method):
             return SolverConfig(method=method, ls=ls(0.999, t_start=0.1),
                                 delta=DeltaSchedule("zero"), batch_size=None,
-                                hess_batch_size=None, batch_scheme="partition",
-                                m=10, l=5, cg_rel_floor=1e-6, cg_max_iters=None,
+                                hess_batch_size=None, m=10, l=5,
                                 max_epochs=10, max_iters=None,
                                 time_budget_s=math.inf, grad_tol=None)
 
@@ -240,11 +238,6 @@ class TestSpecParsing:
         ({"solver.sos.alpha0": "-1"}, "solver.sos.alpha0"),
         ({"solver.sos.T": "0"}, "solver.sos.T"),
         ({"solver.lsos.T": "-1"}, "solver.lsos.T"),
-        ({"run.solvers": "lsos_inexact", "problem.hess_form": "householder",
-          "solver.lsos_inexact.cg_rel_floor": "0"},
-         "solver.lsos_inexact.cg_rel_floor"),
-        ({"problem.kind": "logistic_synthetic", "run.solvers": "lsos_fs",
-          "solver.lsos_fs.cg_rel_floor": "1"}, "solver.lsos_fs.cg_rel_floor"),
         ({"run.solvers": "sgd", "solver.sgd.t_ini": "grid"}, "solver.sgd.t_ini"),
         ({"run.solvers": "sos", "solver.sos.eta": "0.1"}, "solver.sos.eta"),
         ({"solver.lsos.alpha0": "123"}, "solver.lsos.alpha0"),
@@ -259,17 +252,10 @@ class TestSpecParsing:
               ("lsos_fs", "m", "3"), ("lsos_fs", "l", "2"),
               ("saga_ls", "m", "3"), ("saga_ls", "l", "2"),
               ("lsos_fs", "saga_storage", "dense"),
-              *[(method, param, value)
-                for method in ("saga_ls", "lsos_bfgs")
-                for param, value in [("delta", "zero"),
-                                     ("cg_rel_floor", "0.1"),
-                                     ("cg_max_iters", "5")]]]],
-        # Newton-system keys the noisy gradient methods never read
-        *[({"run.solvers": method, f"solver.{method}.{param}": value},
-           f"solver.{method}.{param}")
-          for method in ("sgd", "sgd_ls")
-          for param, value in [("delta", "zero"), ("cg_rel_floor", "0.1"),
-                               ("cg_max_iters", "5")]],
+              ("saga_ls", "delta", "zero"), ("lsos_bfgs", "delta", "zero")]],
+        # the forcing term, which the noisy gradient methods never read
+        *[({"run.solvers": method, f"solver.{method}.delta": "zero"},
+           f"solver.{method}.delta") for method in ("sgd", "sgd_ls")],
         *[({"run.grad_tol": value}, "run.grad_tol")
           for value in ("-1", "nan", "-inf")],
         # non-finite numbers
@@ -296,6 +282,15 @@ class TestSpecParsing:
         # a constant forcing term is finite
         *[({"solver.lsos.delta": f"constant:{value}"}, "solver.lsos.delta")
           for value in ("nan", "inf")],
+        # settings each method fixes itself are no keys
+        ({"solver.lsos.cg_rel_floor": "1e-6"}, "solver.lsos.cg_rel_floor"),
+        ({"solver.lsos_inexact.cg_max_iters": "5"},
+         "solver.lsos_inexact.cg_max_iters"),
+        ({"solver.saga_ls.batch_scheme": "partition"},
+         "solver.saga_ls.batch_scheme"),
+        # a solver name is the stem of files that stay inside --out
+        *[({"run.solvers": name, f"solver.{name}.method": "lsos"},
+           "run.solvers") for name in ("/abs/escaped", "sub/lsos")],
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:
@@ -319,6 +314,19 @@ class TestSpecParsing:
                        line.split("=", 1)[0].strip())
                 for line in block.splitlines() if line.split("#", 1)[0].strip()}
         assert keys == set(SCHEMA)
+
+    def test_solver_keys_and_config_fields_are_one_to_one(self):
+        # a setting added on one side only fails here
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        fields |= {f"ls.{f.name}" for f in dataclasses.fields(LineSearchConfig)}
+        rows = [row.field for key, row in SCHEMA.items()
+                if key.startswith("solver.*.") and row.field]
+        assert len(rows) == len(set(rows))
+        # saga_storage sets no field; it goes with its key (ROADMAP 11(b))
+        assert set(rows) - fields == {"saga_storage"}
+        # method has a row without a field; run.* keys set the budgets
+        assert fields - set(rows) == {"method", "ls", "max_epochs", "max_iters",
+                                      "time_budget_s", "grad_tol"}
 
 
 # -- spec-load probe -------------------------------------------------------------

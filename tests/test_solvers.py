@@ -237,7 +237,7 @@ class TestPreconditionedNewtonSystems:
     def test_lsos_meets_the_residual_floor_at_kappa_1e6(self):
         # fig2-small's Householder shape at kappa = 1e6: plain CG stopped
         # at its 2n cap with residuals up to 2.4e-3; preconditioned by the
-        # diagonal part, every Newton system meets cg_rel_floor = 1e-6
+        # diagonal part, every Newton system meets the CG floor 1e-6
         _, oracle, x0 = _noisy_setup(2000, 1e6, 1e-3, seed=5,
                                      form=HESS_HOUSEHOLDER)
         res = run_solver(oracle, SolverConfig(method="lsos", max_iters=30), x0)
@@ -320,10 +320,7 @@ class TestConfig:
         noisy = SolverConfig(method="lsos")
         fs = SolverConfig(method="lsos_fs", max_epochs=1)
         assert (noisy.ls.theta, noisy.max_iters) == (0.9, 100)
-        assert (fs.ls.theta, fs.max_iters, fs.batch_scheme) == (0.999, None,
-                                                               "uniform")
-        assert SolverConfig(method="saga_ls",
-                            max_epochs=1).batch_scheme == "partition"
+        assert (fs.ls.theta, fs.max_iters) == (0.999, None)
         assert SolverConfig(method="lsos_inexact").delta.kind == "geometric"
         assert SolverConfig().ls is not SolverConfig().ls
 
@@ -351,8 +348,7 @@ class TestConfig:
                           np.zeros(3), rng)
 
     @pytest.mark.parametrize("method, name", [
-        ("lsos_inexact", "cg_max_iters"), ("lsos_bfgs", "m"),
-        ("lsos_bfgs", "l"), ("lsos", "max_iters"), ("saga_ls", "batch_size"),
+        ("lsos_bfgs", "m"), ("lsos_bfgs", "l"), ("lsos", "max_iters"), ("saga_ls", "batch_size"),
         ("lsos_bfgs", "hess_batch_size")])
     def test_rejects_counts_below_one(self, method, name):
         with pytest.raises(ValueError, match=rf"^{name} must be >= 1"):
