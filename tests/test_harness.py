@@ -86,6 +86,32 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="solver.warp.method"):
             ExperimentSpec.from_mapping({"run.solvers": "warp"})
 
+    def test_solver_names_may_hold_letters_digits_dash_and_underscore(self):
+        spec = ExperimentSpec.from_mapping({
+            "run.solvers": "lsos-2,Sos_b9", "solver.lsos-2.method": "lsos",
+            "solver.Sos_b9.method": "sos"})
+        assert spec.solver_names() == ["lsos-2", "Sos_b9"]
+        assert spec.solver_method("Sos_b9") == "sos"
+
+    # every context in which a key each method now fixes itself used to load
+    @pytest.mark.parametrize("key, value", [
+        *[pytest.param(f"solver.{method}.{param}", value,
+                       id=f"solver.{method}.{param}")
+          for method in ("lsos", "lsos_fs", "lsos_inexact", "sos")
+          for param, value in [("cg_max_iters", "5"),
+                               ("cg_rel_floor", "1e-6")]],
+        *[pytest.param(f"solver.{method}.batch_scheme", value,
+                       id=f"solver.{method}.batch_scheme")
+          for method, value in [("lsos_bfgs", "partition"),
+                                ("lsos_fs", "uniform"),
+                                ("saga_ls", "partition")]]])
+    def test_a_deleted_setting_fails_where_it_used_to_load(self, key, value):
+        method = key.split(".")[1]
+        kind = "synthetic" if method in NOISY_METHODS else "logistic_synthetic"
+        with pytest.raises(SpecError, match=re.escape(key)):
+            ExperimentSpec.from_mapping({"problem.kind": kind,
+                                         "run.solvers": method, key: value})
+
     def test_file_parsing_with_comments(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("# comment\nproblem.n = 12  # trailing\n\n"
@@ -290,7 +316,8 @@ class TestSpecParsing:
          "solver.saga_ls.batch_scheme"),
         # a solver name is the stem of files that stay inside --out
         *[({"run.solvers": name, f"solver.{name}.method": "lsos"},
-           "run.solvers") for name in ("/abs/escaped", "sub/lsos")],
+           "run.solvers")
+          for name in ("/abs/escaped", "sub/lsos", "..", "lsos.v2")],
     ])
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:

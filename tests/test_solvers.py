@@ -324,6 +324,13 @@ class TestConfig:
         assert SolverConfig(method="lsos_inexact").delta.kind == "geometric"
         assert SolverConfig().ls is not SolverConfig().ls
 
+    @pytest.mark.parametrize("method, name, value", [
+        ("saga_ls", "batch_scheme", "partition"),
+        ("lsos", "cg_rel_floor", 1e-6), ("lsos_inexact", "cg_max_iters", 5)])
+    def test_the_method_fixes_what_no_field_sets(self, method, name, value):
+        with pytest.raises(TypeError, match=name):
+            SolverConfig(method=method, **{name: value})
+
     @pytest.mark.parametrize("name, value", [
         ("grad_tol", -1.0), ("grad_tol", math.nan), ("grad_tol", -math.inf),
         ("time_budget_s", 0.0), ("time_budget_s", -1.0),
