@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (AGG_BY_ITERATION, AGG_BY_TIME, ExperimentSpec, PRESETS,
+from .harness import (AGG_BY_ITERATION, ExperimentSpec, PRESETS,
                       aggregate_directory, build_problem, build_solver_config,
                       grid_pilots, resolve_grid_searches, run_experiment,
                       worker_pool, write_manifest)
@@ -102,9 +102,7 @@ def main(argv=None) -> int:
     # run
     spec = _load_spec(args, p_run)
     result = run_experiment(spec, out_dir=args.out)
-    mode = (AGG_BY_TIME if spec.get("run.aggregate") == AGG_BY_TIME
-            else AGG_BY_ITERATION)
-    _print_finals({name: result.aggregates[name, mode]
+    _print_finals({name: result.aggregates[name, AGG_BY_ITERATION]
                    for name in spec.solver_names()})
     print(f"outputs in {result.out_dir}")
     return 0

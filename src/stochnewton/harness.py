@@ -175,8 +175,6 @@ SCHEMA = {
     "run.max_epochs": _Key(_int_min(0), "0"),
     "run.time_budget_s": _Key(_float_min(0, strict=True, finite=False), "inf"),
     "run.grad_tol": _Key(_float_min(0), "0.0"),
-    "run.x0": _Key(_choice("auto", "gauss5", "zeros"), "auto"),
-    "run.aggregate": _Key(_choice(AGG_BY_ITERATION, AGG_BY_TIME, "both"), "iter"),
     "run.workers": _Key(_int_min(1), "1"),
     "grid.candidates": _Key(_positives, GRID_DEFAULT),
     "solver.*.method": _Key(_choice(*NOISY_METHODS, *FS_METHODS)),
@@ -271,20 +269,25 @@ class ExperimentSpec:
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
         mapping, first_line = {}, {}
-        with open(path, "r", encoding="utf-8-sig") as fh:  # BOM or none
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise SpecError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key in first_line:
-                    raise SpecError(f"{path}:{lineno}: {key} is already set "
-                                    f"on line {first_line[key]}")
-                first_line[key] = lineno
-                mapping[key] = value
-        return cls.from_mapping(mapping)
+        text = Path(path).read_text(encoding="utf-8-sig")  # BOM or none
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise SpecError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise SpecError(f"{path}:{lineno}: {key} is already set "
+                                f"on line {first_line[key]}")
+            first_line[key] = lineno
+            mapping[key] = value
+        try:
+            return cls.from_mapping(mapping)
+        except SpecError as exc:  # a manifest names the version that wrote it
+            header = re.match(r"# stochnewton (\S+) experiment manifest\n", text)
+            writer = f"written by stochnewton {header[1]}: " if header else ""
+            raise SpecError(writer + str(exc)) from None
 
     @classmethod
     def from_preset(cls, name: str) -> "ExperimentSpec":
@@ -381,10 +384,7 @@ def build_problem(spec: ExperimentSpec):
 
 
 def initial_point(spec: ExperimentSpec, problem, rep_stream: RngStream):
-    policy = spec.get("run.x0")
-    if policy == "auto":
-        policy = "gauss5" if spec.get("problem.kind") == "synthetic" else "zeros"
-    if policy == "gauss5":
+    if spec.get("problem.kind") == "synthetic":
         return rep_stream.child(0).normal(0.0, 5.0, problem.n)
     return np.zeros(problem.n)
 
@@ -551,7 +551,7 @@ def resolve_grid_searches(spec: ExperimentSpec, problem,
 class ExperimentResult:
     spec: ExperimentSpec
     traces: dict = field(default_factory=dict)      # solver -> [RunTrace]
-    aggregates: dict = field(default_factory=dict)  # (solver, mode) -> curve
+    aggregates: dict = field(default_factory=dict)  # (solver, "iter") -> curve
     out_dir: Optional[Path] = None
 
 
@@ -629,11 +629,12 @@ def worker_pool(spec: ExperimentSpec, problem, batch: int):
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
-    """Run the full grid; write traces, aggregates and the manifest.
+    """Run the full grid; write traces, iteration curves and the manifest.
 
     One :func:`worker_pool` runs the grid pilots and then the replications,
     and is shut down before any output is written.  Writing over an earlier
     run's manifest first deletes that run's traces and aggregate curves.
+    Time curves come from :func:`aggregate_directory` over the traces.
     """
     problem, _ = build_problem(spec)
     reps = spec.get("run.reps")
@@ -645,11 +646,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         traces = _run_jobs(problem, jobs, pool)
     result = ExperimentResult(spec, {name: traces[i * reps:(i + 1) * reps]
                                      for i, name in enumerate(names)})
-
-    mode = spec.get("run.aggregate")
-    modes = [AGG_BY_ITERATION, AGG_BY_TIME] if mode == "both" else [mode]
-    result.aggregates = {(name, mode): aggregate(result.traces[name], mode)
-                         for name in names for mode in modes}
+    result.aggregates = {(name, AGG_BY_ITERATION): aggregate(result.traces[name])
+                         for name in names}
 
     if out_dir is not None:
         out = Path(out_dir)

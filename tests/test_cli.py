@@ -83,14 +83,14 @@ class TestRun:
         # every run meets grad_tol before its first record
         stop = TINY_SPEC + "run.grad_tol = 1e9\n"
         spec = tmp_path / "stop.spec"
-        for extra in ("", "run.aggregate = time\n"):
-            spec.write_text(stop + extra)
-            out = str(tmp_path / "out")
-            assert main(["run", str(spec), "--out", out]) == 0
-            # the header-only traces that run wrote aggregate as well
-            assert main(["aggregate", out, "--mode", "time"]) == 0
-            text = capsys.readouterr().out
-            assert text.count("lsos: 2 runs, no iteration recorded") == 2
+        spec.write_text(stop)
+        out = str(tmp_path / "out")
+        assert main(["run", str(spec), "--out", out]) == 0
+        # the header-only traces that run wrote aggregate in either mode
+        for mode in ("iter", "time"):
+            assert main(["aggregate", out, "--mode", mode]) == 0
+        text = capsys.readouterr().out
+        assert text.count("lsos: 2 runs, no iteration recorded") == 3
         # a pilot with no record is never selected
         spec.write_text(stop + "solver.lsos.t_ini = grid\n")
         with pytest.raises(GridSearchError, match="no iteration"):

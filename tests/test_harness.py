@@ -4,6 +4,7 @@ output files and the manifest contract."""
 import concurrent.futures
 import csv
 import dataclasses
+import io
 import json
 import math
 import multiprocessing
@@ -93,8 +94,13 @@ class TestSpecParsing:
         assert spec.solver_names() == ["lsos-2", "Sos_b9"]
         assert spec.solver_method("Sos_b9") == "sos"
 
-    # every context in which a key each method now fixes itself used to load
+    # every context in which a key each method now fixes itself used to
+    # load, and every value of the deleted run.x0 and run.aggregate
     @pytest.mark.parametrize("key, value", [
+        *[pytest.param("run.x0", value, id=f"run.x0={value}")
+          for value in ("auto", "gauss5", "zeros")],
+        *[pytest.param("run.aggregate", value, id=f"run.aggregate={value}")
+          for value in ("iter", "time", "both")],
         *[pytest.param(f"solver.{method}.{param}", value,
                        id=f"solver.{method}.{param}")
           for method in ("lsos", "lsos_fs", "lsos_inexact", "sos")
@@ -106,11 +112,12 @@ class TestSpecParsing:
                                 ("lsos_fs", "uniform"),
                                 ("saga_ls", "partition")]]])
     def test_a_deleted_setting_fails_where_it_used_to_load(self, key, value):
-        method = key.split(".")[1]
+        section, method = key.split(".")[:2]
         kind = "synthetic" if method in NOISY_METHODS else "logistic_synthetic"
+        base = ({"problem.kind": kind, "run.solvers": method}
+                if section == "solver" else {})
         with pytest.raises(SpecError, match=re.escape(key)):
-            ExperimentSpec.from_mapping({"problem.kind": kind,
-                                         "run.solvers": method, key: value})
+            ExperimentSpec.from_mapping({**base, key: value})
 
     def test_file_parsing_with_comments(self, tmp_path):
         path = tmp_path / "spec.txt"
@@ -146,6 +153,71 @@ class TestSpecParsing:
             with open(path, "w") as fh:
                 write_manifest(spec, None, fh)
             assert ExperimentSpec.from_file(path).values == spec.values
+
+    # a manifest as 0.2.0 wrote it, the last to hold run.aggregate and run.x0
+    MANIFEST_0_2_0 = textwrap.dedent("""\
+        # stochnewton 0.2.0 experiment manifest
+        # aggregate CI: normal approximation, mean +- 1.96 s/sqrt(R)
+        # problem: {'n': 10, 'kappa': 100.0, 'sigma': 0.1, 'hess_form': 'dense'}
+        grid.candidates = 1,5e-1,1e-1,5e-2,1e-2,5e-3,1e-3,5e-4,1e-4,5e-5,1e-5
+        problem.N = 2000
+        problem.feature_condition = 1.0
+        problem.features = 50
+        problem.hess_form = dense
+        problem.kappa = 100.0
+        problem.kind = synthetic
+        problem.n = 10
+        problem.separation = 2.0
+        problem.sigma_pct = 0.1
+        run.aggregate = iter
+        run.grad_tol = 0.0
+        run.max_epochs = 0
+        run.max_iters = 3
+        run.reps = 1
+        run.seed = 20200731
+        run.solvers = lsos
+        run.time_budget_s = inf
+        run.workers = 1
+        run.x0 = auto
+        """)
+
+    def test_a_manifest_that_fails_to_load_names_its_version(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text(self.MANIFEST_0_2_0)
+        with pytest.raises(SpecError) as info:
+            ExperimentSpec.from_file(path)
+        assert str(info.value) == ("written by stochnewton 0.2.0: unknown "
+                                   "configuration key 'run.aggregate'")
+        # aggregating its directory fails the same way, and a rerun into it
+        # deletes nothing
+        (tmp_path / "sgd_rep00.csv").write_text("kept")
+        with pytest.raises(SpecError, match=r"0\.2\.0: .*'run\.aggregate'"):
+            aggregate_directory(tmp_path)
+        run_experiment(_small_spec(**{"run.solvers": "lsos", "run.reps": "1"}),
+                       out_dir=tmp_path)
+        assert (tmp_path / "sgd_rep00.csv").read_text() == "kept"
+        # a file without the header line keeps the plain message
+        path.write_text(self.MANIFEST_0_2_0.split("\n", 1)[1])
+        with pytest.raises(SpecError) as info:
+            ExperimentSpec.from_file(path)
+        assert str(info.value) == "unknown configuration key 'run.aggregate'"
+        # and the header this version writes names this version
+        with open(path, "w") as fh:
+            write_manifest(_small_spec(), None, fh)
+            fh.write("run.x0 = auto\n")
+        with pytest.raises(SpecError, match=re.escape(
+                f"written by stochnewton {harness.__version__}: unknown "
+                "configuration key 'run.x0'")):
+            ExperimentSpec.from_file(path)
+
+    def test_the_package_version_has_one_home(self):
+        # pyproject.toml reads it from the package, without importing it
+        pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+        root = Path(__file__).resolve().parents[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # setuptools' beta-config notice
+            config = pyproject.read_configuration(root / "pyproject.toml")
+        assert config["project"]["version"] == harness.__version__
 
     def test_file_may_start_with_a_byte_order_mark(self, tmp_path):
         path = tmp_path / "spec.txt"
@@ -241,7 +313,6 @@ class TestSpecParsing:
         ({"run.reps": "0"}, "run.reps"),
         ({"run.workers": "0"}, "run.workers"),
         ({"run.max_iters": "0"}, "run.max_iters"),
-        ({"run.aggregate": "foo"}, "run.aggregate"),
         ({"grid.candidates": "a,b"}, "grid.candidates"),
         ({"problem.hess_form": "foo"}, "problem.hess_form"),
         ({"solver.lsos.delta": "constant"}, "solver.lsos.delta"),
@@ -790,11 +861,11 @@ class TestRunExperiment:
     def test_a_diverged_replication_is_reported_not_raised(self, tmp_path):
         spec = ExperimentSpec.from_mapping({
             "problem.n": "20", "run.solvers": "sgd,lsos", "run.reps": "2",
-            "run.max_iters": "10", "solver.sgd.alpha0": "1000",
-            "run.aggregate": "both"})
+            "run.max_iters": "10", "solver.sgd.alpha0": "1000"})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             run_experiment(spec, out_dir=tmp_path)
+            aggregate_directory(tmp_path, AGG_BY_TIME)
         for mode in (AGG_BY_ITERATION, AGG_BY_TIME):
             with open(tmp_path / f"sgd_agg_{mode}.csv") as fh:
                 last = list(csv.reader(fh))[-1]
@@ -992,6 +1063,20 @@ class TestAggregateDirectory:
         assert rows[0] == ["iter", "mean_error", "ci95_half", "mean_time_s"]
         assert len(rows) - 1 == len(curves["lsos"].checkpoints)
 
+    @pytest.mark.parametrize("make_spec", [_small_spec, _logistic_spec])
+    def test_time_curves_from_the_directory_match_the_run(self, make_spec,
+                                                         tmp_path):
+        # run writes no time curve: aggregating its traces gives the one
+        # the run's own traces give, byte for byte
+        result = run_experiment(make_spec(), out_dir=tmp_path)
+        assert not list(tmp_path.glob("*_agg_time.csv"))
+        aggregate_directory(tmp_path, AGG_BY_TIME)
+        for name, traces in result.traces.items():
+            want = io.StringIO()
+            aggregate(traces, AGG_BY_TIME).write_csv(want)
+            got = (tmp_path / f"{name}_agg_time.csv").read_text()
+            assert got == want.getvalue(), name
+
     def test_solver_name_containing_rep(self, tmp_path):
         # the aggregate file a_rep_agg_iter.csv is not a trace of a_rep
         spec = _small_spec(**{"run.solvers": "a_rep",
@@ -1022,8 +1107,9 @@ class TestAggregateDirectory:
 
     def test_a_rerun_deletes_only_the_outputs_its_manifest_listed(
             self, tmp_path):
-        run_experiment(_small_spec(**{"run.aggregate": "both"}),
-                       out_dir=tmp_path)
+        run_experiment(_small_spec(), out_dir=tmp_path)
+        aggregate_directory(tmp_path, AGG_BY_TIME)
+        assert (tmp_path / "sgd_agg_time.csv").exists()
         (tmp_path / "notes.txt").write_text("kept")
         (tmp_path / "other_rep00.csv").write_text("kept")
         run_experiment(_small_spec(**{"run.solvers": "lsos", "run.reps": "2"}),
