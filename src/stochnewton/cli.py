@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (AGG_BY_ITERATION, ExperimentSpec, PRESETS,
+from .harness import (AGG_BY_ITERATION, ExperimentSpec, PRESETS, SpecError,
                       aggregate_directory, build_problem, build_solver_config,
                       grid_pilots, resolve_grid_searches, run_experiment,
                       worker_pool, write_manifest)
@@ -80,32 +80,35 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "aggregate":
-        curves = aggregate_directory(args.directory, args.mode)
-        _print_finals(dict(sorted(curves.items())))
-        return 0
+    try:
+        if args.command == "aggregate":
+            curves = aggregate_directory(args.directory, args.mode)
+            _print_finals(dict(sorted(curves.items())))
+            return 0
 
-    if args.command == "grid":
-        spec = _load_spec(args, p_grid)
-        problem, _ = build_problem(spec)
-        with worker_pool(spec, problem, len(grid_pilots(spec))) as pool:
-            resolved = resolve_grid_searches(spec, problem, pool)
-        for name in resolved.solver_names():
-            t_ini = build_solver_config(resolved, name).ls.t_start
-            print(f"solver.{name}.t_ini = {t_ini}")
-        if args.out:
-            with open(args.out, "w") as fh:
-                write_manifest(resolved, problem, fh)
-            print(f"resolved spec written to {args.out}")
-        return 0
+        if args.command == "grid":
+            spec = _load_spec(args, p_grid)
+            problem, _ = build_problem(spec)
+            with worker_pool(spec, problem, len(grid_pilots(spec))) as pool:
+                resolved = resolve_grid_searches(spec, problem, pool)
+            for name in resolved.solver_names():
+                t_ini = build_solver_config(resolved, name).ls.t_start
+                print(f"solver.{name}.t_ini = {t_ini}")
+            if args.out:
+                with open(args.out, "w") as fh:
+                    write_manifest(resolved, problem, fh)
+                print(f"resolved spec written to {args.out}")
+            return 0
 
-    # run
-    spec = _load_spec(args, p_run)
-    result = run_experiment(spec, out_dir=args.out)
-    _print_finals({name: result.aggregates[name, AGG_BY_ITERATION]
-                   for name in spec.solver_names()})
-    print(f"outputs in {result.out_dir}")
-    return 0
+        # run
+        spec = _load_spec(args, p_run)
+        result = run_experiment(spec, out_dir=args.out)
+        _print_finals({name: result.aggregates[name, AGG_BY_ITERATION]
+                       for name in spec.solver_names()})
+        print(f"outputs in {result.out_dir}")
+        return 0
+    except SpecError as exc:  # a bad spec or manifest; the message names the key
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

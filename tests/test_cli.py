@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from stochnewton.cli import main
-from stochnewton.harness import GridSearchError, SpecError
+from stochnewton.harness import GridSearchError
 
 TINY_SPEC = """\
 problem.kind = synthetic
@@ -60,10 +60,30 @@ class TestRun:
         assert "run.max_epochs = 0\n" in manifest
         assert "run.max_iters = 3\n" in manifest
 
-    def test_negative_seed_names_the_key(self, tmp_path):
-        with pytest.raises(SpecError, match="run.seed"):
+    def test_negative_seed_names_the_key(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
             main(["run", "--preset", "fig1-small", "--seed", "-1",
                   "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "run.seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "grid", "aggregate"])
+    def test_a_bad_spec_is_a_usage_error_naming_the_key(self, command,
+                                                         tmp_path, capsys):
+        bad = tmp_path / "bad.spec"
+        bad.write_text(TINY_SPEC + "run.bogus = 1\n")
+        if command == "aggregate":  # a manifest this version rejects
+            (tmp_path / "manifest.txt").write_text(bad.read_text())
+            argv = ["aggregate", str(tmp_path)]
+        else:
+            argv = [command, str(bad), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stochnewton: error: ")
+        assert "run.bogus" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_spec_errors(self):

@@ -51,6 +51,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stochnewton import harness
 from stochnewton.core import RngStream
 from stochnewton.harness import ExperimentSpec, build_problem, run_experiment
 from stochnewton.logreg import Dataset
@@ -170,6 +171,31 @@ def test_outputs_match_golden_digests(name, tmp_path, request):
     digests = (request.getfixturevalue("pinned")[name] if name in PINNED
                else case_digests(name, tmp_path))
     assert digests == expected
+
+
+def test_the_fig3_grid_scan_runs_12_of_22_pilots(tmp_path, monkeypatch):
+    # the saving the stop rule makes on the fig3 case, and its selections
+    run_jobs, pilots = harness._run_jobs, []
+
+    def counted(problem, jobs, pool=None):
+        pilots.extend(job for job in jobs if job[3])
+        return run_jobs(problem, jobs, pool)
+
+    monkeypatch.setattr(harness, "_run_jobs", counted)
+    spec = _fig3_spec(tmp_path)
+    problem, _ = build_problem(spec)
+    assert len(harness.grid_pilots(spec)) == 22
+    resolved, runs = {}, {}
+    for workers in (1, 2):
+        pilots.clear()
+        spec = spec.override(**{"run.workers": str(workers)})
+        with harness.worker_pool(spec, problem, 22) as pool:
+            resolved[workers] = harness.resolve_grid_searches(spec, problem, pool)
+        runs[workers] = len(pilots)
+    assert runs[1] == 12 and runs[2] <= 14
+    for name in ("lsos_bfgs", "saga_ls"):
+        assert resolved[1].get(f"solver.{name}.t_ini") == 0.05
+    assert resolved[1] == resolved[2].override(**{"run.workers": "1"})
 
 
 def all_digests() -> dict:

@@ -5,6 +5,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -61,6 +62,14 @@ def _logistic_spec(**extra):
     }
     base.update(extra)
     return ExperimentSpec.from_mapping(base)
+
+
+def _case_id(value):
+    """A parameter id made of the value itself (a mapping's sorted
+    ``key=value`` pairs), so that no id depends on the case's position."""
+    if isinstance(value, dict):
+        return ",".join(f"{k}={v}" for k, v in sorted(value.items()))
+    return value
 
 
 def _fake_trace(run_id, errors, times=None):
@@ -389,7 +398,7 @@ class TestSpecParsing:
         *[({"run.solvers": name, f"solver.{name}.method": "lsos"},
            "run.solvers")
           for name in ("/abs/escaped", "sub/lsos", "..", "lsos.v2")],
-    ])
+    ], ids=_case_id)
     def test_bad_input_names_the_key_at_load(self, mapping, key):
         with pytest.raises(SpecError) as info:
             ExperimentSpec.from_mapping(mapping)
@@ -813,6 +822,98 @@ class TestPilots:
                 assert len(t1) > 0
                 for column in ITERATE_COLUMNS:
                     assert t1.column(column) == t2.column(column), (name, column)
+
+
+def _stub_scan(monkeypatch, scores: dict, workers: int = 1):
+    """Resolve the grid searches of ``scores`` (solver -> pilot errors, in
+    candidate order, largest first) with stub pilots that return them.
+
+    Returns the index of each selected candidate and the candidate indices
+    of every pilot submitted, per solver, in submission order.
+    """
+    n = len(next(iter(scores.values())))
+    grid = [10.0 ** -i for i in range(n)]
+    spec = _logistic_spec(**{
+        "run.workers": str(workers), "grid.candidates": ",".join(map(repr, grid)),
+        **{f"solver.{name}.t_ini": "grid" for name in scores}})
+    run_jobs, submitted = harness._run_jobs, {name: [] for name in scores}
+
+    def pilot(problem, spec, name, rep, pilot=False):
+        assert pilot and rep == 0
+        return scores[name][grid.index(spec.get(f"solver.{name}.t_ini"))]
+
+    def counted(problem, jobs, pool=None):
+        for job_spec, name, *_ in jobs:
+            submitted[name].append(grid.index(job_spec.get(f"solver.{name}.t_ini")))
+        return run_jobs(problem, jobs, pool)
+
+    monkeypatch.setattr(harness, "run_replication", pilot)
+    monkeypatch.setattr(harness, "_run_jobs", counted)
+    with harness.worker_pool(spec, None, len(harness.grid_pilots(spec))) as pool:
+        resolved = resolve_grid_searches(spec, None, pool)
+    assert multiprocessing.active_children() == []
+    return ({name: grid.index(resolved.get(f"solver.{name}.t_ini"))
+             for name in scores}, submitted)
+
+
+class TestGridScan:
+    """Each solver scans its candidates from the largest down and stops at
+    the second consecutive pilot that fails to beat its best error."""
+
+    INF, NAN = math.inf, math.nan
+
+    @pytest.mark.parametrize("errors, ran, selected", [
+        ([5, 4, 3, 2, 1], 5, 4),  # falling: the whole grid
+        ([5, 3, 1, 2, 4, 6, 0.5], 5, 2),  # V-shaped: stops past the valley
+        ([1, 1, 1, 1, 1], 3, 0),  # flat: ties fail to beat the best
+        ([5, 6, 4, 7, 8, 1], 5, 2),  # a miss then a new best starts over
+        ([INF, NAN, INF, 2, 1, 3, 4], 7, 4),  # a non-finite head never stops it
+        ([NAN, 3, NAN, INF, 1], 4, 1),  # ... but counts once a best is finite
+    ])
+    def test_stop_index_and_selection(self, errors, ran, selected,
+                                      monkeypatch):
+        chosen, submitted = _stub_scan(monkeypatch, {"saga_ls": errors})
+        assert submitted == {"saga_ls": list(range(ran))}
+        assert chosen == {"saga_ls": selected}
+
+    def test_a_grid_of_three_or_fewer_candidates_runs_in_full(self,
+                                                             monkeypatch):
+        values = (1, 2, 3, math.inf, math.nan)
+        for n in (1, 2, 3):
+            for errors in itertools.product(values, repeat=n):
+                if any(map(math.isfinite, errors)):  # else nothing to select
+                    _, submitted = _stub_scan(monkeypatch,
+                                              {"saga_ls": list(errors)})
+                    assert submitted == {"saga_ls": list(range(n))}, errors
+                monkeypatch.undo()
+
+    SCORES = {  # each solver runs a pilot past its stop that would win
+        "saga_ls": [5, 6, 7, 0.1, 8, 0.01, 4, 3],
+        "lsos_bfgs": [math.inf, 3, 2, 1, 1.5, 1.7, 0.01, 0.5],
+    }
+
+    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                        reason="workers inherit the stub pilots under fork")
+    def test_the_resolved_spec_does_not_depend_on_the_workers(self,
+                                                              monkeypatch):
+        stops = {"saga_ls": 3, "lsos_bfgs": 6}
+        runs = {}
+        for workers in (1, 2, 3):
+            runs[workers] = _stub_scan(monkeypatch, self.SCORES, workers)
+            monkeypatch.undo()
+        for workers, (chosen, submitted) in runs.items():
+            # the selection reads only the prefix up to the stop
+            assert chosen == {"saga_ls": 0, "lsos_bfgs": 3}, workers
+            for name, indices in submitted.items():
+                # each candidate once, in order; at most P - 1 past the stop
+                assert indices == list(range(len(indices))), workers
+                assert stops[name] <= len(indices) < stops[name] + workers
+        assert runs[1][1] == {name: list(range(stop))
+                              for name, stop in stops.items()}
+        # pools run winning pilots past the stop: lsos_bfgs's at 2 and 3
+        # processes, saga_ls's at 3
+        assert len(runs[2][1]["lsos_bfgs"]) == len(runs[3][1]["lsos_bfgs"]) == 7
+        assert len(runs[3][1]["saga_ls"]) == 4
 
 
 class TestRunExperiment:
