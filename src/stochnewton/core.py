@@ -141,7 +141,7 @@ class TraceRecord:
 
     iter: int
     wall_time_s: float
-    f_hat: float
+    f_hat: Optional[float]  # the search's start value; None on a gain step
     true_error: Optional[float]
     grad_norm_hat: float
     step_len: float
@@ -190,16 +190,18 @@ class RunTrace:
 
 def _fmt(x: Optional[float]) -> str:
     # repr of a Python float is the shortest round-trip form; '' encodes absent
-    if x is None:
-        return ""
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
+
+
+def _parse(cell: str) -> Optional[float]:
+    return None if cell == "" else float(cell)  # the inverse of _fmt
 
 
 def write_trace_csv(trace: RunTrace, fh) -> None:
     """Write `trace` in the canonical schema.
 
     Columns: ``run_id,iter,time_s,f_hat,true_error,grad_norm,step,phase``;
-    ``true_error`` is the empty string when unknown.
+    ``f_hat`` and ``true_error`` are the empty string when absent.
     """
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(TRACE_CSV_COLUMNS)
@@ -238,8 +240,8 @@ def read_trace_csv(fh) -> RunTrace:
                                  f"got {len(row)}")
             run_id, it, t, f_hat, true_err, gnorm, step, phase = row
             trace.append(TraceRecord(
-                iter=int(it), wall_time_s=float(t), f_hat=float(f_hat),
-                true_error=float(true_err) if true_err != "" else None,
+                iter=int(it), wall_time_s=float(t), f_hat=_parse(f_hat),
+                true_error=_parse(true_err),
                 grad_norm_hat=float(gnorm), step_len=float(step), phase=phase))
         except ValueError as exc:
             raise ValueError(f"line {rd.line_num}: {exc}") from None

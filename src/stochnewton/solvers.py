@@ -259,8 +259,8 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
     A record's ``wall_time_s`` is the solver time up to its iteration: the
     draw of each iteration's item from ``batches`` (for finite sums the
     index draw and the slicing of the batch view), the estimate, direction,
-    search and post-step update.  Instrumentation is left out: the true
-    error, and a gain-phase ``f_hat`` evaluated only for the record.
+    search and post-step update, not the true error.  ``f_hat`` is the
+    search's start value, ``None`` on a ``GAIN`` record (a gain step).
 
     A run diverges at a non-finite gradient or direction norm, or at a step
     ``t d`` that would overflow or leaves a non-finite iterate (a search
@@ -321,7 +321,6 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
             stop_reason = "diverged"
             break
 
-        f_hat: Optional[float] = None
         if phase == PHASE_LINE_SEARCH:
             f_hat = objective(x, batch)
             res = backtrack(lambda t: objective(x + t * d, batch)
@@ -355,10 +354,9 @@ def _lsos_loop(cfg, x: Vector, batches: Iterable, *, estimate, direction,
             after_step(x_next, batch)
         elapsed += time.perf_counter() - tic
 
-        if f_hat is None:
-            f_hat = objective(x, batch)
         trace.append(TraceRecord(
-            iter=k, wall_time_s=elapsed, f_hat=f_hat, true_error=None,
+            iter=k, wall_time_s=elapsed, true_error=None,
+            f_hat=f_hat if phase == PHASE_LINE_SEARCH else None,
             grad_norm_hat=gnorm, step_len=t, phase=phase, cg_iters=cg_iters,
             cg_relres=cg_relres, fallback=fallback,
         ))

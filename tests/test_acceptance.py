@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from stochnewton.core import RngStream
-from stochnewton.finitesum import SagaTable
 from stochnewton.fs_solvers import run_fs_solver
 from stochnewton.harness import ExperimentSpec, run_experiment
 from stochnewton.linalg import SpdOperator, solve_cg, solve_direct
@@ -23,8 +22,8 @@ from stochnewton.synthetic import (HESS_HOUSEHOLDER, NoisyOracle,
                                    exact_solution, generate_problem)
 
 from conftest import (fd_gradient_check, fd_hvp_check, full_gradient_exact,
-                      materialize, quadratic_sum_problem, random_spd,
-                      recompute_sum, verify_secant)
+                      materialize, random_spd, recompute_loss_sum,
+                      verify_secant)
 
 
 def _report(num, name, ok, detail=""):
@@ -73,7 +72,7 @@ class TestCriterion02EstimatorUnbiasedness:
 
         sub_mean = np.mean([model.batch_gradient(b, x) for b in batches],
                            axis=0)
-        table = SagaTable(model, rng.standard_normal(4))
+        table = model.saga_table(rng.standard_normal(4))  # a run's table
         for _ in range(3):  # age the table so the test is not vacuous
             table.update(rng.choice(6, size=2), rng.standard_normal(4))
         saga_mean = np.mean([table.estimate(x, b) for b in batches], axis=0)
@@ -87,13 +86,14 @@ class TestCriterion02EstimatorUnbiasedness:
 
 class TestCriterion03SagaTableIntegrity:
     def test_running_sum_after_thousand_updates(self):
-        prob = quadratic_sum_problem(50, 6, seed=804)
+        data = generate_synthetic_classification(50, 6, 1.0, RngStream(804, 0))
+        model = LogRegModel(data)
         rng = RngStream(805, 0)
-        table = SagaTable(prob, rng.standard_normal(6))
+        table = model.saga_table(rng.standard_normal(6))  # a run's table
         for _ in range(1000):
             batch = rng.choice(50, size=int(rng.integers(1, 9)))
             table.update(batch, rng.standard_normal(6))
-        drift = float(np.max(np.abs(table.running_sum - recompute_sum(table))))
+        drift = float(np.max(np.abs(table.loss_sum - recompute_loss_sum(table))))
         _report(3, "saga-table-integrity", drift <= 1e-10, f"drift={drift:.2e}")
 
 

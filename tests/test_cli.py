@@ -186,12 +186,21 @@ class TestGrid:
 
 
 class TestAggregate:
-    def test_aggregate_directory(self, spec_file, tmp_path, capsys):
+    def test_aggregate_directory(self, tmp_path, capsys):
+        # sos steps by gains only, so no row of its traces holds an f_hat
+        spec = tmp_path / "gain.spec"
+        spec.write_text(TINY_SPEC.replace("lsos,sgd", "lsos,sos"))
         out = tmp_path / "out"
-        main(["run", spec_file, "--out", str(out)])
-        assert main(["aggregate", str(out), "--mode", "time"]) == 0
-        assert (out / "lsos_agg_time.csv").exists()
-        assert "final mean error" in capsys.readouterr().out
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        rows = (out / "sos_rep00.csv").read_text().splitlines()[1:]
+        assert len(rows) == 10 and {r.split(",")[3] for r in rows} == {""}
+        by_iter = (out / "sos_agg_iter.csv").read_text()
+        for mode in ("iter", "time"):
+            assert main(["aggregate", str(out), "--mode", mode]) == 0
+            assert (out / f"lsos_agg_{mode}.csv").exists()
+        assert (out / "sos_agg_iter.csv").read_text() == by_iter
+        # run, then each aggregate: one line per solver
+        assert capsys.readouterr().out.count("final mean error") == 6
 
 
 class TestReadme:

@@ -162,8 +162,11 @@ class TestTraceCsv:
     def _trace(self):
         tr = RunTrace("demo-rep00")
         tr.append(_rec(0, t=0.25, f=1.5, err=0.5, g=2.0, step=1.0))
-        tr.append(_rec(1, t=0.5, f=1.25, err=None, g=1.0, step=0.5,
+        # a gain step: no search value, and no true error without f_star
+        tr.append(_rec(1, t=0.5, f=None, err=None, g=1.0, step=0.5,
                        phase=PHASE_GAIN))
+        tr.append(_rec(2, t=0.75, f=math.inf, err=math.inf, g=math.inf,
+                       step=0.0, phase=PHASE_GAIN))  # a divergence row
         return tr
 
     def test_schema_and_absent_error_encoding(self):
@@ -171,14 +174,15 @@ class TestTraceCsv:
         lines = text.strip().split("\n")
         assert lines[0] == "run_id,iter,time_s,f_hat,true_error,grad_norm,step,phase"
         assert lines[1].startswith("demo-rep00,0,") and ",LS" in lines[1]
-        # absent true_error is the empty field
-        assert lines[2].split(",")[4] == ""
+        # absent f_hat and true_error are empty fields
+        assert lines[2].split(",")[3:5] == ["", ""]
         assert lines[2].endswith("GAIN")
+        assert lines[3].split(",")[3:5] == ["inf", "inf"]
 
     def test_round_trip(self):
         tr = self._trace()
         back = read_trace_csv(io.StringIO(_csv_text(tr)))
-        assert back.run_id == tr.run_id
+        assert back.run_id == tr.run_id and len(back) == len(tr)
         for a, b in zip(tr.records, back.records):
             assert (a.iter, a.wall_time_s, a.f_hat, a.true_error,
                     a.grad_norm_hat, a.step_len, a.phase) == \

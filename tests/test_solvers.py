@@ -120,20 +120,28 @@ class TestLsosNoisy:
     def test_search_spends_one_value_for_f0_and_one_per_trial(self,
                                                                monkeypatch):
         # f0 and every trial are separate oracle calls, each with fresh
-        # value noise; the slack zeta_k absorbs that noise
+        # value noise; the slack zeta_k absorbs that noise.  No other value
+        # is drawn: the gain steps from the switch on read none
         _, oracle, x0 = _noisy_setup(20, 100.0, 0.5, seed=10)
-        searches = []
+        searches, starts = [], []
 
-        def recording(*args, **kwargs):
-            searches.append(backtrack(*args, **kwargs))
+        def recording(f, f0, *args, **kwargs):
+            starts.append(f0)
+            searches.append(backtrack(f, f0, *args, **kwargs))
             return searches[-1]
 
         monkeypatch.setattr(solvers, "backtrack", recording)
         cfg = SolverConfig(method="lsos", ls=LineSearchConfig(t_start=8.0),
-                           max_iters=1)
+                           max_iters=150)
         res = run_solver(oracle, cfg, x0)
-        assert len(searches) == 1 and searches[0].n_trials > 1
-        assert res.eval_counts.f_evals == 1 + searches[0].n_trials
+        assert searches[0].n_trials > 1
+        # one search per LS record, and one at the switch iteration
+        assert res.k_tau is not None and len(searches) == res.k_tau + 1
+        assert res.trace.column("phase").count(PHASE_LINE_SEARCH) == res.k_tau
+        assert res.eval_counts.f_evals == sum(1 + s.n_trials for s in searches)
+        # an LS record holds its search's start value, a GAIN record none
+        f_hats = res.trace.column("f_hat")
+        assert f_hats == starts[:-1] + [None] * (len(f_hats) - res.k_tau)
 
     def test_exhausted_search_switches_to_gain_sequence(self, monkeypatch):
         # the noisy family's exhaustion policy: deactivate the search at once
@@ -146,6 +154,21 @@ class TestLsosNoisy:
         res = run_solver(oracle, SolverConfig(method="lsos", max_iters=5), x0)
         assert res.k_tau == 0
         assert set(res.trace.column("phase")) == {PHASE_GAIN}
+
+    @pytest.mark.parametrize("method", solvers.NOISY_METHODS)
+    def test_instrumentation_draws_nothing(self, method):
+        # a value is drawn by a search only, and a true error by none
+        problem, _, x0 = _noisy_setup(20, 100.0, 0.5, seed=13)
+        a, b = (run_solver(NoisyOracle(problem, RngStream(13, 0).child(1)),
+                           SolverConfig(method=method, max_iters=60), x0, f_star)
+                for f_star in (None, problem.f_star))
+        for name in ("iter", "f_hat", "grad_norm_hat", "step_len", "phase"):
+            assert a.trace.column(name) == b.trace.column(name)
+        assert a.eval_counts == b.eval_counts and np.array_equal(a.x, b.x)
+        assert all(r.f_hat is None for r in a.trace if r.phase == PHASE_GAIN)
+        if method in ("sos", "sgd"):  # gain steps throughout: no search
+            assert a.eval_counts.f_evals == 0
+            assert set(a.trace.column("f_hat")) == {None}
 
     def test_anchored_gain_steps_follow_schedule(self):
         _, oracle, x0 = _noisy_setup(20, 100.0, 0.5, seed=5)
